@@ -358,6 +358,8 @@ class ConvCode:
         self.h_lower, self.h_upper = self._split()
         self._sub_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._row_cache: dict[int, RowStructure] = {}
+        # index tables of ldpccc.decoder, built on first use
+        self._decoder_tables: dict = {}
         self._check_diagonal_rank()
 
     def _split(self) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:

@@ -10,21 +10,29 @@ in processor i consumes variable-to-check messages produced by processor
 i - 1, the pipeline computes exactly I flooding iterations per variable
 block, one iteration per processor, in systolic form.
 
-Messages live in per-row flat arrays aligned with
-``ConvCode.row_structure``; a slot holds a variable-to-check value from the
-moment its block arrives until the row's check update consumes it, then the
-written-back check-to-variable value until the block's variable update
-consumes that.  The float and 4-bit table-driven variants share this
-machinery and differ only in the kernels.
+At step t processor i receives block t - i*period and checks block row
+t - i*period, so all processors share one phase and one address sequence,
+which is also why the hardware can stack their memories into one RAM word.
+State lives in two fixed rings with a processor axis: edge messages
+``(I + 1, 2*period, n_edges)``, where processor i keeps block row r in ring
+row (r + i*period) mod 2*period in its phase's full-band edge layout, and
+channel values ``(I, period, block_len)`` by block mod period.  Every
+processor's entering row is then ring row t mod 2*period, so one set of
+per-phase index tables, built once per code, drives a fixed set of array
+operations for all processors; a leaving block enters the next plane at the
+same edge positions, period ring rows on.  The float and 4-bit table-driven
+variants share this machinery and differ only in the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .construction import ConvCode, SparseBinaryMatrix, syndrome_check, window_matrix
+from .construction import ConvCode, SparseBinaryMatrix
+from .construction import syndrome_check  # noqa: F401  (traced here by perfbench)
 from .quantization import (
     PairLut,
     Quantizer,
@@ -37,7 +45,6 @@ __all__ = [
     "VARIANT_FLOAT",
     "VARIANT_QSPA",
     "DecoderConfig",
-    "ProcessorState",
     "StreamDecoder",
     "StepOutput",
     "StreamResult",
@@ -72,27 +79,34 @@ def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
     zero = v == 0.0
     n_zero = zero.sum(axis=1, keepdims=True)
     av = np.abs(v)
-    t = np.tanh(0.5 * av)
-    lt = np.log(np.clip(t, _TANH_FLOOR, _TANH_CEIL))
-    lt = np.where(zero, 0.0, lt)
+    # in-place steps keep the temporaries few on wide batches
+    lt = np.multiply(av, 0.5)
+    np.tanh(lt, out=lt)
+    np.clip(lt, _TANH_FLOOR, _TANH_CEIL, out=lt)
+    np.log(lt, out=lt)
+    np.copyto(lt, 0.0, where=zero)
     total = lt.sum(axis=1, keepdims=True)
-    mag = 2.0 * np.arctanh(np.clip(np.exp(total - lt), 0.0, _TANH_CEIL))
+    mag = np.subtract(total, lt, out=lt)
+    np.exp(mag, out=mag)
+    np.clip(mag, 0.0, _TANH_CEIL, out=mag)
+    np.arctanh(mag, out=mag)
+    mag *= 2.0
     # each output magnitude is mathematically bounded by the smallest other
     # input; clip to that bound so atanh noise never breaks it
     arg = np.argmin(av, axis=1)
     rows = np.arange(av.shape[0])
     min1 = av[rows, arg]
-    masked = av.copy()
-    masked[rows, arg] = np.inf
-    min2 = masked.min(axis=1)
+    av[rows, arg] = np.inf  # av has no other use from here on
+    min2 = av.min(axis=1)
     min_excl = np.broadcast_to(min1[:, None], av.shape).copy()
     min_excl[rows, arg] = min2
     np.minimum(mag, min_excl, out=mag)
     np.minimum(mag, clamp, out=mag)
     sign_all = np.where(zero, 1.0, sign).prod(axis=1, keepdims=True)
-    alpha = sign_all * sign * mag
-    alpha = np.where((n_zero == 1) & ~zero, 0.0, alpha)
-    alpha = np.where(n_zero >= 2, 0.0, alpha)
+    alpha = np.multiply(sign_all, sign, out=sign)
+    alpha *= mag
+    np.copyto(alpha, 0.0, where=(n_zero == 1) & ~zero)
+    np.copyto(alpha, 0.0, where=n_zero >= 2)
     return alpha
 
 
@@ -175,7 +189,6 @@ class DecoderConfig:
     variant: str = VARIANT_FLOAT
     quantizer: Quantizer | None = None
     clamp: float = 25.0
-    audit: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -184,17 +197,6 @@ class DecoderConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_QSPA and self.quantizer is None:
             object.__setattr__(self, "quantizer", Quantizer())
-
-
-class ProcessorState:
-    """Per-processor store: edge messages per resident block row, channel
-    LLRs per resident variable block."""
-
-    __slots__ = ("edge_messages", "channel_messages")
-
-    def __init__(self):
-        self.edge_messages: dict[int, np.ndarray] = {}
-        self.channel_messages: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -211,31 +213,75 @@ class StreamResult:
     syndrome_ok: np.ndarray
 
 
-class _SlotAudit:
-    """Per-step read/write counters over (processor, row, slot)."""
+class _StepTables(NamedTuple):
+    """Plane-local edge-ring indices for one step phase (t mod 2*period).
 
-    def __init__(self):
-        self.reads: dict = {}
-        self.writes: dict = {}
-        self.violations: list[str] = []
+    Every processor uses the same indices in its own plane.  A block's
+    edges are listed newest row first, then the older rows from oldest to
+    newest, which is the variable update's summation order.
+    """
 
-    def start_step(self):
-        self.reads.clear()
-        self.writes.clear()
+    cnp: tuple            # per degree group, (checks, degree): the entering row
+    vnp: np.ndarray       # (K,) edges of the leaving block
+    nxt: np.ndarray       # (K,) the same edges in the next processor's plane
+    cols: np.ndarray      # (K,) their columns
+    new: np.ndarray       # (K,) edges of the fresh block in plane 0
+    new_cols: np.ndarray  # (K,) their columns
 
-    def count(self, table, kind, proc, row, positions):
-        for p in np.asarray(positions).ravel():
-            key = (proc, row, int(p))
-            n = table.get(key, 0) + 1
-            table[key] = n
-            if n > 1:
-                self.violations.append(f"{kind} x{n} at proc {proc} row {row} slot {p}")
 
-    def read(self, proc, row, positions):
-        self.count(self.reads, "read", proc, row, positions)
+class _PipelineTables(NamedTuple):
+    steps: tuple          # _StepTables per step phase
+    warm: tuple           # per row r < memory: (checks, degree) groups within the row
+    row_len: int          # edge slots per ring row
+    plane: int            # edge slots per processor
+    col_degree: int       # most edges any column of a block has
 
-    def write(self, proc, row, positions):
-        self.count(self.writes, "write", proc, row, positions)
+
+def _full_rows(code: ConvCode) -> list:
+    """Full-band edge layout of each row phase; every ring row uses its phase's."""
+    p, m = code.period, code.memory
+    return [code.row_structure(m + (k - m) % p) for k in range(p)]
+
+
+def _pipeline_tables(code: ConvCode) -> _PipelineTables:
+    if "pipeline" not in code._decoder_tables:
+        code._decoder_tables["pipeline"] = _build_pipeline_tables(code)
+    return code._decoder_tables["pipeline"]
+
+
+def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
+    p, m = code.period, code.memory
+    ring = 2 * p
+    full = _full_rows(code)
+    row_len = max(s.n_edges for s in full)
+
+    def block_edges(q):
+        """Ring positions and columns of a block whose first row is ring row q."""
+        pos, cols = [], []
+        for j in (m, *range(m)):
+            positions, columns, _ = full[(q + j) % p].delta_slices[j]
+            pos.append((q + j) % ring * row_len + positions)
+            cols.append(columns)
+        return np.concatenate(pos), np.concatenate(cols).astype(np.intp)
+
+    blocks = [block_edges(q) for q in range(ring)]
+    steps = []
+    for s in range(ring):
+        # the entering row is ring row s; the leaving block's rows start m
+        # rows back, and p rows further on in the next processor's plane
+        cnp = tuple(s * row_len + pos for _, _, pos in full[s % p].by_degree)
+        leaving = blocks[(s - m) % ring]
+        steps.append(_StepTables(cnp, leaving[0], blocks[(s - m + p) % ring][0],
+                                 leaving[1], *blocks[s]))
+    # rows before `memory` lack the blocks before block 0: their edges are
+    # the full layout's edges with delta <= row, in the same order, grouped
+    # by their own check degrees
+    warm = []
+    for r in range(m):
+        kept = np.flatnonzero(full[r].edge_delta <= r)
+        warm.append(tuple(kept[pos] for _, _, pos in code.row_structure(r).by_degree))
+    col_degree = max(int(np.bincount(cols).max()) for _, cols in blocks)
+    return _PipelineTables(tuple(steps), tuple(warm), row_len, ring * row_len, col_degree)
 
 
 class StreamDecoder:
@@ -250,19 +296,33 @@ class StreamDecoder:
         self.code = code
         self.config = config
         self.quantized = config.variant == VARIANT_QSPA
+        n_proc = config.iterations
+        self._tables = _pipeline_tables(code)
+        planes = np.arange(n_proc + 1)[:, None]
+        self._plane_base = planes * self._tables.plane
+        self._col_base = planes[:-1] * code.block_len
         if self.quantized:
-            self.quantizer = config.quantizer
-            self.lut = build_pair_lut(self.quantizer)
+            q = self.quantizer = config.quantizer
+            self.lut = build_pair_lut(q)
             self._table = self.lut.table
-            self._max_pos = self.quantizer.max_magnitude_int
+            self._max_pos = q.max_magnitude_int
+            # code -> integer value, and integer -> saturated code for every
+            # variable-update output; negative integers index from the end
+            self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(np.float64)
+            bound = q.max_magnitude_int * self._tables.col_degree
+            ints = np.arange(2 * bound + 1)
+            ints[ints > bound] -= ints.size
+            self._i2c = from_twos_complement(ints, q)
+            dtype = np.uint8
         else:
             self.quantizer = None
-        self.processors = [ProcessorState() for _ in range(config.iterations)]
-        self.output_delay = (code.memory + 1) * config.iterations
-        self._shift: list = [None] * config.iterations
+            dtype = np.float64
+        # one extra plane takes the last processor's outgoing messages
+        self._edges = np.zeros((n_proc + 1) * self._tables.plane, dtype=dtype)
+        self._chan = np.zeros((n_proc, code.period, code.block_len), dtype=dtype)
+        self.output_delay = (code.memory + 1) * n_proc
         self._t = 0
         self._pending: StepOutput | None = None
-        self.audit = _SlotAudit() if config.audit else None
 
     @property
     def steps_run(self) -> int:
@@ -273,44 +333,32 @@ class StreamDecoder:
         """Current time instant modulo the code period."""
         return self._t % self.code.period
 
-    # -- internals ---------------------------------------------------------
-
-    def _deliver(self, proc_idx: int, block: int, lam: np.ndarray,
-                 beta_by_offset: list[np.ndarray]):
-        """Write an arriving block's channel LLRs and per-edge messages."""
-        proc = self.processors[proc_idx]
-        proc.channel_messages[block] = lam
-        for j, values in enumerate(beta_by_offset):
-            row = block + j
-            struct = self.code.row_structure(row)
-            store = proc.edge_messages.get(row)
-            if store is None:
-                dtype = np.uint8 if self.quantized else np.float64
-                store = np.empty(struct.n_edges, dtype=dtype)
-                proc.edge_messages[row] = store
-            positions = struct.delta_slices[j][0]
-            store[positions] = values
-            if self.audit is not None:
-                self.audit.write(proc_idx, row, positions)
-
-    def _channel_payload(self, lam: np.ndarray, block: int):
-        """Initial messages for a fresh block: every edge carries its bit's LLR."""
-        beta = []
-        for j in range(self.code.memory + 1):
-            struct = self.code.row_structure(block + j)
-            cols = struct.delta_slices[j][1]
-            beta.append(lam[cols])
-        return lam, beta
-
-    def _cnp_rows(self, values: np.ndarray, struct) -> np.ndarray:
-        out = np.empty_like(values)
-        for deg, _ids, pos in struct.by_degree:
-            block = values[pos]
+    def _check_update(self, groups):
+        """Check update in place on the ring rows the index groups name."""
+        edges = self._edges
+        for idx in groups:
+            values = edges[idx].reshape(-1, idx.shape[-1])
             if self.quantized:
-                out[pos] = _cnp_qspa_rows(block, self._table, self._max_pos)
+                out = _cnp_qspa_rows(values, self._table, self._max_pos)
             else:
-                out[pos] = _cnp_float_rows(block, self.config.clamp)
-        return out
+                out = _cnp_float_rows(values, self.config.clamp)
+            edges[idx] = out.reshape(idx.shape)
+
+    def _validate(self, values: np.ndarray) -> np.ndarray:
+        if values.shape != (self.code.block_len,):
+            raise ValueError(
+                f"expected {self.code.block_len} channel values, got {values.shape}"
+            )
+        if self.quantized:
+            if values.dtype.kind not in "iu":
+                raise ValueError(f"codes must be integers, not {values.dtype}")
+            if ((values.dtype.kind == "i" and values.min() < 0)
+                    or values.max() >= self.quantizer.n_codes):
+                raise ValueError(f"codes must lie in [0, {self.quantizer.n_codes})")
+            return values
+        if not np.isfinite(values).all():
+            raise ValueError("channel LLRs must be finite")
+        return values.astype(np.float64, copy=False)
 
     def step(self, new_llrs: np.ndarray) -> StepOutput | None:
         """One decoding step; returns a decided block once the delay elapsed.
@@ -318,102 +366,51 @@ class StreamDecoder:
         ``new_llrs`` must hold one block of channel values (codes for the
         quantized variant, floats otherwise).
         """
-        new_llrs = np.asarray(new_llrs)
-        if new_llrs.shape != (self.code.block_len,):
-            raise ValueError(
-                f"expected {self.code.block_len} channel values, got {new_llrs.shape}"
-            )
-        if self.quantized:
-            new_llrs = new_llrs.astype(np.uint8)
-        else:
-            new_llrs = new_llrs.astype(np.float64)
-        t0 = self._t
-        period = self.code.period
-        memory = self.code.memory
+        lam_new = self._validate(np.asarray(new_llrs))
+        t = self._t
+        period, memory, c = self.code.period, self.code.memory, self.code.block_len
         n_proc = self.config.iterations
+        tables = self._tables
+        s = t % (2 * period)
+        st = tables.steps[s]
+        edges, chan, base = self._edges, self._chan, self._plane_base
+        out_slot = (t + 1) % period  # channel slot of every leaving block
 
-        # 1) inject the fresh block, shift last step's outputs downstream.
-        # These writes are the tail of the previous step's shift-write
-        # window, so the per-step slot audit opens after them.
-        self._deliver(0, t0, *self._channel_payload(new_llrs, t0))
-        for i in range(1, n_proc):
-            payload = self._shift[i - 1]
-            if payload is not None:
-                block, lam, beta = payload
-                self._deliver(i, block, lam, beta)
-                self._shift[i - 1] = None
-        if self.audit is not None:
-            self.audit.start_step()
+        chan[0, t % period] = lam_new
+        edges[st.new] = lam_new[st.new_cols]
+        # processors 0..n-1 are on full-band rows; processor n may be on a
+        # first row (< memory), which has no leaving block yet
+        n = min(n_proc, (t - memory) // period + 1)
+        if n:
+            self._check_update([base[:n, None] + idx for idx in st.cnp])
+        row = t - n * period
+        if n < n_proc and row >= 0:
+            self._check_update([base[n:n + 1, None] + (s * tables.row_len + idx)
+                                for idx in tables.warm[row]])
 
+        # the variable update reads the entering row's check-to-variable
+        # values just written back; no other slot a step reads is written
+        # in that step, since the next plane's rows for the leaving block
+        # are not yet resident there
         decision = None
-        for i in range(n_proc):
-            row = t0 - i * period
-            if row < 0:
-                break
-            proc = self.processors[i]
-            struct = self.code.row_structure(row)
-
-            # 2) check update on the entering block row
-            store = proc.edge_messages[row]
-            if self.audit is not None:
-                self.audit.read(i, row, np.arange(struct.n_edges))
-            alpha = self._cnp_rows(store, struct)
-            leaving = row - memory
-            if leaving < 0:
-                store[:] = alpha
-                if self.audit is not None:
-                    self.audit.write(i, row, np.arange(struct.n_edges))
-                continue  # nothing leaves yet
-            fresh_positions, fresh_cols, _ = struct.delta_slices[memory]
-            keep = struct.edge_delta < memory
-            store[keep] = alpha[keep]
-            if self.audit is not None:
-                self.audit.write(i, row, np.flatnonzero(keep))
-            fresh_alpha = alpha[fresh_positions]
-
-            # 3) variable update on the leaving block
-            lam = proc.channel_messages.pop(leaving)
-            pos_list, col_list, alpha_list = [fresh_positions], [fresh_cols], [fresh_alpha]
-            for j in range(memory):
-                r2 = leaving + j
-                s2 = self.code.row_structure(r2)
-                positions, cols, _ = s2.delta_slices[j]
-                pos_list.append(positions)
-                col_list.append(cols)
-                alpha_list.append(self.processors[i].edge_messages[r2][positions])
-                if self.audit is not None:
-                    self.audit.read(i, r2, positions)
-            cols = np.concatenate(col_list)
-            alphas = np.concatenate(alpha_list)
+        if n:
+            cols = self._col_base[:n] + st.cols
+            alpha = edges[base[:n] + st.vnp]
+            lam = chan[:n, out_slot]
             if self.quantized:
-                a_int = to_twos_complement(alphas, self.quantizer)
-                lam_int = to_twos_complement(lam, self.quantizer)
-                total = np.zeros(self.code.block_len, dtype=np.int64)
-                np.add.at(total, cols, a_int)
-                if i + 1 < n_proc:
-                    beta_int = lam_int[cols] + total[cols] - a_int
-                    beta = from_twos_complement(beta_int, self.quantizer)
-                else:
-                    soft = lam_int + total
-            else:
-                total = np.zeros(self.code.block_len, dtype=np.float64)
-                np.add.at(total, cols, alphas)
-                if i + 1 < n_proc:
-                    beta = lam[cols] + total[cols] - alphas
-                else:
-                    soft = lam + total
-
-            del self.processors[i].edge_messages[leaving]
-            if i + 1 < n_proc:
-                # regroup per-edge outputs by block offset for the shift;
-                # they were assembled offset `memory` first, then 0..memory-1
-                split_sizes = [len(p) for p in pos_list]
-                chunks = np.split(beta, np.cumsum(split_sizes)[:-1])
-                beta_by_offset = chunks[1:] + [chunks[0]]
-                self._shift[i] = (leaving, lam, beta_by_offset)
-            else:
-                bits = (soft < 0).astype(np.uint8)
-                decision = StepOutput(block_index=leaving, bits=bits, soft=soft)
+                alpha = self._c2i[alpha]
+                lam = self._c2i[lam]
+            total = np.bincount(cols.ravel(), alpha.ravel(), n * c).reshape(n, c)
+            post = lam + total
+            beta = post.ravel()[cols] - alpha
+            if self.quantized:
+                beta = self._i2c[beta.astype(np.intp)]
+            edges[base[1:n + 1] + st.nxt] = beta
+            if n == n_proc:
+                soft = post[-1].astype(np.int64) if self.quantized else post[-1]
+                decision = StepOutput(block_index=t - memory - (n_proc - 1) * period,
+                                      bits=(soft < 0).astype(np.uint8), soft=soft)
+        chan[1:, out_slot] = chan[:-1, out_slot]
 
         self._t += 1
         out, self._pending = self._pending, decision
@@ -423,6 +420,34 @@ class StreamDecoder:
 def decoding_step(decoder: StreamDecoder, new_llrs: np.ndarray) -> StepOutput | None:
     """Functional alias for ``StreamDecoder.step``."""
     return decoder.step(new_llrs)
+
+
+def _syndrome_tables(code: ConvCode) -> list:
+    """Per row phase: each edge's bit offset from the block ``memory`` rows
+    back, and where each check's edges start (edges are ordered by check)."""
+    if "syndrome" not in code._decoder_tables:
+        tables = []
+        for s in _full_rows(code):
+            offset = (code.memory - s.edge_delta) * code.block_len + s.edge_col
+            starts = np.flatnonzero(np.diff(s.edge_check, prepend=-1))
+            tables.append((offset.astype(np.intp), starts))
+        code._decoder_tables["syndrome"] = tables
+    return code._decoder_tables["syndrome"]
+
+
+def _block_syndromes(code: ConvCode, bits: np.ndarray) -> np.ndarray:
+    """Flag w is True iff every check of block row w has even parity."""
+    c, p = code.block_len, code.period
+    n = bits.size // c
+    # blocks before block 0 read as zeros, so the first rows need no layout of their own
+    padded = np.concatenate([np.zeros(code.memory * c, dtype=np.uint8), bits])
+    flags = np.empty(n, dtype=bool)
+    for k, (offset, starts) in enumerate(_syndrome_tables(code)):
+        ones = padded[offset + (np.arange(k, n, p) * c)[:, None]]
+        if starts.size:
+            ones = np.bitwise_xor.reduceat(ones, starts, axis=1)
+        flags[k::p] = ~ones.any(axis=1)
+    return flags
 
 
 def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResult:
@@ -440,47 +465,18 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     if decoder.steps_run != 0:
         raise ValueError("decode_stream needs a fresh decoder")
     n_blocks = llr_stream.size // c
+    feed, pad = llr_stream, np.zeros(c)
     if decoder.quantized:
-        feed = decoder.quantizer.quantize(llr_stream)
-        pad = decoder.quantizer.quantize(np.zeros(c))
-        soft_dtype = np.int64
-    else:
-        feed = llr_stream
-        pad = np.zeros(c)
-        soft_dtype = np.float64
-
-    outputs: list[StepOutput] = []
-    for k in range(n_blocks):
-        out = decoder.step(feed[k * c:(k + 1) * c])
-        if out is not None:
-            outputs.append(out)
-    for _ in range(decoder.output_delay):
-        out = decoder.step(pad)
-        if out is not None:
-            outputs.append(out)
-
+        feed, pad = decoder.quantizer.quantize(feed), decoder.quantizer.quantize(pad)
     bits = np.zeros(n_blocks * c, dtype=np.uint8)
-    soft = np.zeros(n_blocks * c, dtype=soft_dtype)
-    for out in outputs:
-        if out.block_index < n_blocks:
+    soft = np.zeros(n_blocks * c, dtype=np.int64 if decoder.quantized else np.float64)
+    # outputs arrive in block order, exactly blocks 0..n_blocks-1
+    for k in range(n_blocks + decoder.output_delay):
+        out = decoder.step(feed[k * c:(k + 1) * c] if k < n_blocks else pad)
+        if out is not None:
             sl = slice(out.block_index * c, (out.block_index + 1) * c)
-            bits[sl] = out.bits
-            soft[sl] = out.soft
-
-    code = decoder.code
-    flags = np.zeros(n_blocks, dtype=bool)
-    window_cache: dict[int, SparseBinaryMatrix] = {}
-    for w in range(n_blocks):
-        if w < code.memory:
-            key = w
-        else:
-            key = code.memory + (w - code.memory) % code.period
-        win = window_cache.get(key)
-        if win is None:
-            win = window_matrix(code, key, 1)
-            window_cache[key] = win
-        lo = max(0, w - code.memory)
-        flags[w] = syndrome_check(win, bits[lo * c:(w + 1) * c])
+            bits[sl], soft[sl] = out.bits, out.soft
+    flags = _block_syndromes(decoder.code, bits)
     return StreamResult(bits=bits, soft=soft, syndrome_ok=flags)
 
 

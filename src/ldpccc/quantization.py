@@ -69,8 +69,13 @@ class Quantizer:
         return np.sort(self.value(np.arange(self.n_codes)))
 
     def quantize(self, x):
-        """Code of the nearest level; ties round toward smaller magnitude."""
+        """Code of the nearest level; ties round toward smaller magnitude.
+
+        Infinities saturate; NaN has no nearest level and raises.
+        """
         x = np.asarray(x, dtype=np.float64)
+        if np.isnan(x).any():
+            raise ValueError("cannot quantize NaN")
         mag = np.ceil(np.abs(x) / self.step - 0.5)
         mag = np.clip(mag, 0, self.max_magnitude_int).astype(np.uint8)
         code = np.where(x < 0, mag + self.sign_bit, mag).astype(np.uint8)

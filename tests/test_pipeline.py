@@ -1,13 +1,24 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
-from ldpccc.construction import demo_base, split_and_unwrap
+from ldpccc.construction import (
+    BaseMatrix,
+    demo_base,
+    split_and_unwrap,
+    syndrome_check,
+    window_matrix,
+)
 from ldpccc.decoder import (
     VARIANT_QSPA,
     BlockDecoder,
     DecoderConfig,
     StreamDecoder,
+    _block_syndromes,
+    _pipeline_tables,
     decode_stream,
     decoding_step,
 )
@@ -61,27 +72,92 @@ def test_decoding_step_alias(toy_code):
     assert decoding_step(dec, np.zeros(toy_code.block_len)) is None
 
 
-def test_processor_state_edge_counts(toy_code):
-    # once warm, a resident interior row holds one slot per edge of the row:
-    # (block_len - info_len) checks of degree block_cols each
-    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
-    block = np.full(toy_code.block_len, 1.0)
-    for _ in range(4 * dec.output_delay):
-        dec.step(block)
-    expected = (toy_code.block_len - toy_code.info_len) * toy_code.base.block_cols
-    for proc in dec.processors:
-        assert 0 < len(proc.edge_messages) <= toy_code.period + 1
-        for row, store in proc.edge_messages.items():
-            if row >= toy_code.memory:
-                assert store.size == expected
+def period_four_code(rng):
+    """A random period-4 code whose grid may hold -1 (all-zero) entries."""
+    while True:
+        exps = tuple(
+            tuple(-1 if rng.random() < 0.1 else int(rng.integers(0, 5))
+                  for _ in range(8))
+            for _ in range(4)
+        )
+        grid = np.array(exps)
+        if ((grid != -1).sum(axis=0) > 0).all() and ((grid != -1).sum(axis=1) > 0).all():
+            break
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        return split_and_unwrap(BaseMatrix(z=5, exponents=exps))
 
 
-def test_slot_conservation_audit(toy_code):
-    dec = StreamDecoder(toy_code, DecoderConfig(iterations=3, audit=True))
-    rng = np.random.default_rng(0)
-    for _ in range(3 * dec.output_delay):
-        dec.step(rng.normal(1.0, 1.0, toy_code.block_len))
-        assert dec.audit.violations == []
+def table_codes():
+    return [split_and_unwrap(demo_base("toy_2x4_z8")),
+            split_and_unwrap(demo_base("toy_3x6_z16")),
+            period_four_code(np.random.default_rng(5))]
+
+
+def full_row(code, phase):
+    return code.row_structure(code.memory + (phase - code.memory) % code.period)
+
+
+def test_processor_state_edge_counts():
+    # every ring row is stored in its phase's steady-state layout: on the
+    # regular toy codes it holds (block_len - info_len) checks of degree
+    # block_cols, and the check update reads each of its slots once
+    for name in ("toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16"):
+        code = split_and_unwrap(demo_base(name))
+        expected = (code.block_len - code.info_len) * code.base.block_cols
+        tabs = _pipeline_tables(code)
+        assert tabs.row_len == expected
+        for s, st in enumerate(tabs.steps):
+            slots = np.sort(np.concatenate([idx.ravel() for idx in st.cnp]))
+            assert np.array_equal(slots, s * expected + np.arange(expected))
+
+
+def test_slot_conservation_audit():
+    for code in table_codes():
+        tabs = _pipeline_tables(code)
+        p, m = code.period, code.memory
+        ring, row_len = 2 * p, tabs.row_len
+        # deliveries of blocks r - m .. r into ring row r partition its
+        # edge slots, offset j carrying exactly the row's delta-j edges
+        for r in range(ring):
+            got = []
+            for j in range(m + 1):
+                new = tabs.steps[(r - j) % ring].new
+                mine = new[new // row_len == r] - r * row_len
+                assert np.array_equal(np.sort(mine), full_row(code, r).delta_slices[j][0])
+                got.append(mine)
+            assert np.array_equal(np.sort(np.concatenate(got)),
+                                  np.arange(full_row(code, r).n_edges))
+        # the variable update gathers each edge of the leaving block once,
+        # where it was delivered, with its column; the next processor
+        # holds the same edges `period` ring rows further on
+        for s, st in enumerate(tabs.steps):
+            first = (s - m) % ring
+            want = np.concatenate([
+                (first + j) % ring * row_len + full_row(code, first + j).delta_slices[j][0]
+                for j in range(m + 1)
+            ])
+            assert np.unique(st.vnp).size == st.vnp.size
+            assert np.array_equal(np.sort(st.vnp), np.sort(want))
+            assert np.array_equal(st.vnp, tabs.steps[first].new)
+            assert np.array_equal(st.cols, tabs.steps[first].new_cols)
+            rows, pos = np.divmod(st.vnp, row_len)
+            for e in range(st.vnp.size):
+                struct = full_row(code, rows[e])
+                assert struct.edge_delta[pos[e]] == (rows[e] - first) % ring
+                assert struct.edge_col[pos[e]] == st.cols[e]
+            assert np.array_equal(st.nxt // row_len, (rows + p) % ring)
+            assert np.array_equal(st.nxt % row_len, pos)
+        # rows before `memory` check only the edges they have
+        for r in range(m):
+            pos = np.concatenate([idx.ravel() for idx in tabs.warm[r]])
+            struct = code.row_structure(r)
+            assert np.unique(pos).size == pos.size == struct.n_edges
+            full = full_row(code, r)
+            pos = np.sort(pos)
+            assert np.array_equal(full.edge_check[pos], struct.edge_check)
+            assert np.array_equal(full.edge_delta[pos], struct.edge_delta)
+            assert np.array_equal(full.edge_col[pos], struct.edge_col)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +274,9 @@ def test_pipeline_matches_reference_qspa(toy_code):
         assert np.array_equal(res.soft, ref_soft)
 
 
-@pytest.mark.filterwarnings("ignore:diagonal sub-matrix")
 def test_pipeline_matches_reference_period_four_with_zero_blocks():
-    from ldpccc.construction import BaseMatrix
-
     rng = np.random.default_rng(5)
-    while True:
-        exps = tuple(
-            tuple(-1 if rng.random() < 0.1 else int(rng.integers(0, 5))
-                  for _ in range(8))
-            for _ in range(4)
-        )
-        grid = np.array(exps)
-        if ((grid != -1).sum(axis=0) > 0).all() and ((grid != -1).sum(axis=1) > 0).all():
-            break
-    code = split_and_unwrap(BaseMatrix(z=5, exponents=exps))
+    code = period_four_code(rng)
     assert code.memory == 3
     q = Quantizer()
     table = build_pair_lut(q).table
@@ -258,6 +322,102 @@ def test_pipeline_matches_reference_other_period(toy_code):
         ref_bits, ref_soft = ref_decode_qspa(code, llrs, 3, q, table)
         assert np.array_equal(res.bits, ref_bits)
         assert np.array_equal(res.soft, ref_soft)
+
+
+def test_pipeline_matches_reference_up_to_eight_processors():
+    # one short stream, where the flush runs with the pipeline partly full,
+    # and one longer than I * period blocks, where every processor is busy
+    # with real data; periods 2, 3 and 4 (the last with -1 entries)
+    q = Quantizer()
+    table = build_pair_lut(q).table
+    rng = np.random.default_rng(103)
+    for code, n_proc in itertools.product(table_codes(), (1, 2, 3, 8)):
+        for k in (1, n_proc * code.period + 1):
+            llrs = rng.normal(1.0, 1.1, k * code.block_len) * 3.0
+            res = decode_stream(StreamDecoder(code, DecoderConfig(n_proc)), llrs)
+            ref_bits, ref_soft = ref_decode_float(code, llrs, n_proc)
+            assert np.array_equal(res.bits, ref_bits)
+            assert np.max(np.abs(res.soft - ref_soft)) <= 1e-9
+            res = decode_stream(
+                StreamDecoder(code, DecoderConfig(n_proc, VARIANT_QSPA, q)), llrs
+            )
+            ref_bits, ref_soft = ref_decode_qspa(code, llrs, n_proc, q, table)
+            assert np.array_equal(res.bits, ref_bits)
+            assert np.array_equal(res.soft, ref_soft)
+
+
+# ---------------------------------------------------------------------------
+# input validation at the step boundary
+
+
+def test_qspa_step_rejects_non_integer_codes(toy_code):
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA))
+    with pytest.raises(ValueError, match="integer"):
+        dec.step(np.full(toy_code.block_len, 3.0))
+    assert dec.steps_run == 0
+
+
+def test_qspa_step_rejects_out_of_range_codes(toy_code):
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA))
+    n_codes = dec.quantizer.n_codes
+    for bad in (n_codes, 255, -1):
+        block = np.zeros(toy_code.block_len, dtype=np.int64)
+        block[3] = bad
+        with pytest.raises(ValueError, match="codes"):
+            dec.step(block)
+    assert dec.steps_run == 0
+    dec.step(np.full(toy_code.block_len, n_codes - 1, dtype=np.int64))
+    dec.step(np.zeros(toy_code.block_len, dtype=np.uint8))
+    assert dec.steps_run == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_step_rejects_non_finite_llrs(toy_code, bad):
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
+    block = np.ones(toy_code.block_len)
+    block[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dec.step(block)
+    assert dec.steps_run == 0
+
+
+def test_decode_stream_rejects_nan(toy_code):
+    llrs = np.ones(3 * toy_code.block_len)
+    llrs[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode_stream(StreamDecoder(toy_code, DecoderConfig(iterations=2)), llrs)
+    with pytest.raises(ValueError, match="NaN"):
+        decode_stream(
+            StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA)),
+            llrs,
+        )
+
+
+# ---------------------------------------------------------------------------
+# syndrome flags
+
+
+def test_block_syndromes_match_per_block_windows():
+    # flag w is the parity of block row w over the blocks it touches, as
+    # one window per block computes it; errors sit in the first and last
+    # block as well as inside, and one pattern is fully random
+    rng = np.random.default_rng(104)
+    for code in table_codes():
+        c, m = code.block_len, code.memory
+        for n_blocks in (1, m + 1, 13):
+            patterns = [np.zeros(n_blocks * c, dtype=np.uint8),
+                        rng.integers(0, 2, n_blocks * c).astype(np.uint8)]
+            for block in {0, n_blocks // 2, n_blocks - 1}:
+                bits = np.zeros(n_blocks * c, dtype=np.uint8)
+                bits[block * c + rng.integers(0, c)] = 1
+                patterns.append(bits)
+            for bits in patterns:
+                want = [
+                    syndrome_check(window_matrix(code, w, 1),
+                                   bits[max(0, w - m) * c:(w + 1) * c])
+                    for w in range(n_blocks)
+                ]
+                assert _block_syndromes(code, bits).tolist() == want
 
 
 # ---------------------------------------------------------------------------

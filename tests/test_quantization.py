@@ -48,6 +48,13 @@ def test_quantize_zero_and_saturation(q4):
     assert q4.value(q4.quantize(-1e6)) == pytest.approx(-3.5)
 
 
+def test_quantize_rejects_nan(q4):
+    with pytest.raises(ValueError, match="NaN"):
+        q4.quantize(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="NaN"):
+        q4.quantize(float("nan"))
+
+
 def test_quantize_ties_toward_smaller_magnitude(q4):
     assert q4.value(q4.quantize(0.25)) == 0.0     # halfway between 0 and 0.5
     assert q4.value(q4.quantize(0.75)) == 0.5
