@@ -42,7 +42,6 @@ from .decoder import (
     cnp_float,
     cnp_qspa,
     decode_stream,
-    decoding_step,
     vnp,
 )
 from .harness import (
@@ -54,10 +53,8 @@ from .harness import (
 )
 from .quantization import (
     PairLut,
-    QuantizedMessage,
     Quantizer,
     build_pair_lut,
-    build_quantizer,
     dump_lut,
     from_twos_complement,
     parse_lut,

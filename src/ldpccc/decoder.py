@@ -52,13 +52,16 @@ __all__ = [
     "cnp_qspa",
     "vnp",
     "app_decide",
-    "decoding_step",
     "decode_stream",
     "BlockDecoder",
 ]
 
 VARIANT_FLOAT = "float"
 VARIANT_QSPA = "qspa"
+
+# edges a BlockDecoder call holds at once, all frames together; it bounds
+# the call's working set, a few bytes per edge on the quantized variant
+_EDGE_BUDGET = 1 << 16
 
 _TANH_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
@@ -72,9 +75,11 @@ def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
     """Check update on a (n_checks, degree) block of variable-to-check values.
 
     Magnitudes are combined in the log-tanh domain; an exact zero input
-    zeroes every other output of its check.
+    zeroes every other output of its check.  Row sums run in memory order,
+    so the input is made C-contiguous: a check's output never depends on
+    the layout it came in.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     sign = np.where(v < 0, -1.0, 1.0)
     zero = v == 0.0
     n_zero = zero.sum(axis=1, keepdims=True)
@@ -120,38 +125,55 @@ def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
 
 def _cnp_qspa_rows(codes: np.ndarray, table: np.ndarray,
                    max_pos_code: int) -> np.ndarray:
-    """Table-driven check update on a (n_checks, degree) block of codes.
+    """Table-driven check update on a (degree, n) block of codes.
 
-    Output i combines a left fold of inputs before i with a right-to-left
-    fold of inputs after i; the shared prefix/suffix arrays keep the lookup
-    count at 3d - 6 without changing any fold order.
+    Row k holds input k of n checks.  Output i combines a left fold of
+    inputs before i with a right-to-left fold of inputs after i; a running
+    prefix and the suffixes, kept in the output rows until they are
+    overwritten, hold the lookup count at 3d - 6 without changing any fold
+    order.  Each lookup reads the flat table at ``(a << bits) | b``, which
+    is computed as ``a * n_codes + b`` (numpy multiplies small integers
+    faster than it shifts them); the prefix's multiple serves both lookups
+    that read it.
     """
-    n, d = codes.shape
+    d, n = codes.shape
     if d == 1:
-        return np.full((n, 1), max_pos_code, dtype=np.uint8)
-    prefix = np.empty((n, d - 1), dtype=np.uint8)
-    prefix[:, 0] = codes[:, 0]
-    for k in range(1, d - 1):
-        prefix[:, k] = table[prefix[:, k - 1], codes[:, k]]
-    suffix = np.empty((n, d), dtype=np.uint8)
-    suffix[:, d - 1] = codes[:, d - 1]
-    for k in range(d - 2, 0, -1):
-        suffix[:, k] = table[suffix[:, k + 1], codes[:, k]]
+        return np.full((1, n), max_pos_code, dtype=np.uint8)
+    n_codes = table.shape[0]
+    flat = table.ravel()
+    # the index must hold n_codes**2 - 1
+    idx, left = np.empty((2, n), dtype=np.uint8 if n_codes <= 16 else np.uint16)
+
+    def combine(b, out):
+        """out = table[a, b] for the ``a`` whose a * n_codes is in ``left``."""
+        np.add(left, b, out=idx)
+        flat.take(idx, out=out, mode="clip")  # every index is in range; no checking pass
+
     out = np.empty_like(codes)
-    out[:, 0] = suffix[:, 1]
-    out[:, d - 1] = prefix[:, d - 2]
+    out[d - 1] = codes[d - 1]
+    for k in range(d - 2, 0, -1):
+        np.multiply(out[k + 1], n_codes, out=left, dtype=left.dtype)
+        combine(codes[k], out[k])  # suffix k
+    out[0] = out[1]
+    prefix = codes[0].copy()
     for i in range(1, d - 1):
-        out[:, i] = table[prefix[:, i - 1], suffix[:, i + 1]]
+        np.multiply(prefix, n_codes, out=left, dtype=left.dtype)
+        combine(out[i + 1], out[i])  # suffix i + 1 is still in row i + 1
+        combine(codes[i], prefix)
+    out[d - 1] = prefix
     return out
 
 
 def cnp_qspa(codes, lut: PairLut) -> np.ndarray:
     """Table-driven check update for one check node (degree >= 2)."""
-    codes = np.asarray(codes, dtype=np.uint8)
+    codes = np.asarray(codes)
     if codes.ndim != 1 or codes.size < 2:
         raise ValueError("check update needs at least two inputs")
     q = lut.quantizer
-    return _cnp_qspa_rows(codes[None, :], lut.table, q.max_magnitude_int)[0]
+    if codes.min() < 0 or codes.max() >= q.n_codes:
+        raise ValueError(f"codes must lie in [0, {q.n_codes})")
+    codes = codes.astype(np.uint8)
+    return _cnp_qspa_rows(codes[:, None], lut.table, q.max_magnitude_int)[:, 0]
 
 
 def vnp(channel, incoming, quantizer: Quantizer | None = None):
@@ -337,11 +359,13 @@ class StreamDecoder:
         """Check update in place on the ring rows the index groups name."""
         edges = self._edges
         for idx in groups:
-            values = edges[idx].reshape(-1, idx.shape[-1])
             if self.quantized:
-                out = _cnp_qspa_rows(values, self._table, self._max_pos)
+                idx = idx.transpose(2, 0, 1)  # (degree, processors, checks)
+                out = _cnp_qspa_rows(edges[idx].reshape(idx.shape[0], -1),
+                                     self._table, self._max_pos)
             else:
-                out = _cnp_float_rows(values, self.config.clamp)
+                out = _cnp_float_rows(edges[idx].reshape(-1, idx.shape[-1]),
+                                      self.config.clamp)
             edges[idx] = out.reshape(idx.shape)
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
@@ -417,11 +441,6 @@ class StreamDecoder:
         return out
 
 
-def decoding_step(decoder: StreamDecoder, new_llrs: np.ndarray) -> StepOutput | None:
-    """Functional alias for ``StreamDecoder.step``."""
-    return decoder.step(new_llrs)
-
-
 def _syndrome_tables(code: ConvCode) -> list:
     """Per row phase: each edge's bit offset from the block ``memory`` rows
     back, and where each check's edges start (edges are ordered by check)."""
@@ -487,8 +506,12 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
 class BlockDecoder:
     """Standard flooding decoder over an arbitrary parity-check matrix.
 
-    Runs a fixed number of iterations with the same kernels as the stream
-    decoder; used to compare a block code against its unwrapped form.
+    Runs a fixed number of iterations with the same check-update kernels as
+    the stream decoder; used to compare a block code against its unwrapped
+    form.  A batch of frames is one array problem, ``frames_per_call``
+    frames at a time, with messages in slot order and frames innermost:
+    the checks of one degree occupy one contiguous ``(degree, checks,
+    frames)`` run of slots, so the check update reads them in place.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
@@ -499,51 +522,128 @@ class BlockDecoder:
         self.iterations = iterations
         self.quantizer = quantizer
         self.clamp = clamp
+        ent = matrix.entries()  # edge order: by row, then by column
+        edge_row, edge_col = ent[:, 0], ent[:, 1]
+        n_edges = edge_col.size
+        degrees = np.bincount(edge_row, minlength=matrix.rows)
+        starts = np.cumsum(degrees) - degrees
+        self._groups = []  # (degree, first slot, end slot) per check degree
+        slot_edge = []
+        for deg in sorted(set(degrees.tolist()) - {0}):
+            first = starts[degrees == deg]
+            slot_edge.append((first + np.arange(deg)[:, None]).ravel())
+            lo = self._groups[-1][2] if self._groups else 0
+            self._groups.append((deg, lo, lo + slot_edge[-1].size))
+        slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
+        self._slot_col = edge_col[slot_edge].astype(np.intp)
+        # the float variable update sums in edge order
+        self._edge_slot = np.empty(n_edges, dtype=np.intp)
+        self._edge_slot[slot_edge] = np.arange(n_edges)
+        self._edge_col = edge_col.astype(np.intp)
+        # per column, its slots; short columns are padded with slot
+        # n_edges, which holds a zero
+        col_degree = np.bincount(self._slot_col, minlength=matrix.cols)
+        by_col = np.lexsort((self._slot_col,))
+        rank = np.arange(n_edges) - (np.cumsum(col_degree) - col_degree)[self._slot_col[by_col]]
+        self._col_slots = np.full((int(col_degree.max(initial=0)), matrix.cols), n_edges,
+                                 dtype=np.intp)
+        self._col_slots[rank, self._slot_col[by_col]] = by_col
+        self.frames_per_call = max(1, _EDGE_BUDGET // max(1, n_edges))
         if quantizer is not None:
             self.lut = build_pair_lut(quantizer)
-        ent = matrix.entries()
-        order = np.lexsort((ent[:, 1], ent[:, 0]))
-        self.edge_row = ent[order, 0]
-        self.edge_col = ent[order, 1]
-        degrees = np.bincount(self.edge_row, minlength=matrix.rows)
-        self.by_degree = []
-        positions = np.arange(self.edge_row.size)
-        for deg in sorted(set(degrees.tolist())):
-            if deg == 0:
-                continue
-            ids = np.flatnonzero(degrees == deg)
-            mask = np.isin(self.edge_row, ids)
-            self.by_degree.append((int(deg), positions[mask].reshape(ids.size, deg)))
+            # smallest signed type that holds a channel value plus a full column
+            bound = quantizer.max_magnitude_int * (self._col_slots.shape[0] + 1)
+            self._sum_dtype = next(t for t in (np.int8, np.int16, np.int32)
+                                   if bound <= np.iinfo(t).max)
 
     def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hard decisions and soft a-posteriori values after all iterations."""
+        """Hard decisions and soft a-posteriori values after all iterations.
+
+        ``llrs`` holds one codeword ``(n,)`` or a batch ``(F, n)``; both
+        outputs have its shape, and every frame decodes as it would alone.
+        """
         llrs = np.asarray(llrs, dtype=np.float64)
-        if llrs.shape != (self.matrix.cols,):
-            raise ValueError(f"expected {self.matrix.cols} channel values")
-        q = self.quantizer
-        if q is not None:
-            lam = to_twos_complement(q.quantize(llrs), q)
-            v2c = lam[self.edge_col].astype(np.int64)
-            table = self.lut.table
-            max_pos = q.max_magnitude_int
-        else:
-            lam = llrs
-            v2c = lam[self.edge_col]
-        alpha = None
-        for _ in range(self.iterations):
-            alpha = np.empty_like(v2c)
-            for deg, pos in self.by_degree:
-                if q is not None:
-                    codes = from_twos_complement(v2c[pos], q)
-                    out = _cnp_qspa_rows(codes, table, max_pos)
-                    alpha[pos] = to_twos_complement(out, q)
-                else:
-                    alpha[pos] = _cnp_float_rows(v2c[pos], self.clamp)
-            total = np.zeros(self.matrix.cols, dtype=alpha.dtype)
-            np.add.at(total, self.edge_col, alpha)
-            v2c = lam[self.edge_col] + total[self.edge_col] - alpha
-            if q is not None:
-                m = q.max_magnitude_int
-                v2c = np.clip(v2c, -m, m)
-        soft = lam + total
+        n = self.matrix.cols
+        if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
+            raise ValueError(f"expected {n} channel values per frame")
+        if not np.isfinite(llrs).all():
+            raise ValueError("channel LLRs must be finite")
+        frames = llrs.reshape(-1, n)
+        decode = self._decode_float if self.quantizer is None else self._decode_qspa
+        # the output is allocated once no decode temporaries are left
+        posts = [decode(frames[lo:lo + self.frames_per_call]).T
+                 for lo in range(0, len(frames), self.frames_per_call)]
+        soft = np.concatenate(posts or [np.zeros((0, n), np.int8)],
+                              dtype=np.float64 if self.quantizer is None else np.int64)
+        soft = soft.reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft
+
+    def _decode_float(self, llrs: np.ndarray) -> np.ndarray:
+        """(n, F) soft values of a (F, n) batch."""
+        n_frames = len(llrs)
+        lam = llrs.T
+        lam_s = lam.take(self._slot_col, axis=0)
+        # column sums run in edge order, as the stream decoder's do
+        bins = (self._edge_col[:, None] * n_frames + np.arange(n_frames)).ravel()
+        v2c = lam_s
+        alpha = np.empty_like(lam_s)
+        for it in range(self.iterations):
+            for deg, lo, hi in self._groups:
+                rows = v2c[lo:hi].reshape(deg, -1, n_frames).transpose(1, 2, 0)
+                out = _cnp_float_rows(rows.reshape(-1, deg), self.clamp)
+                alpha[lo:hi] = out.reshape(-1, n_frames, deg).transpose(2, 0, 1).reshape(-1, n_frames)
+            weights = alpha.take(self._edge_slot, axis=0).ravel()
+            total = np.bincount(bins, weights, lam.size).reshape(lam.shape)
+            if it + 1 < self.iterations:
+                v2c = lam_s + total.take(self._slot_col, axis=0) - alpha
+        return lam + total
+
+    def _decode_qspa(self, llrs: np.ndarray) -> np.ndarray:
+        """(n, F) soft values of a (F, n) batch; messages stay codes."""
+        q = self.quantizer
+        table, max_pos = self.lut.table, q.max_magnitude_int
+        n_edges, n_frames = self._slot_col.size, len(llrs)
+        dtype = self._sum_dtype
+        lam = np.empty((llrs.shape[1], n_frames), dtype=dtype)
+        _code_values(q.quantize(llrs).T, q, lam)
+        v2c = np.empty((n_edges, n_frames), dtype=np.uint8)
+        _saturated_codes(lam.take(self._slot_col, axis=0), q, v2c)
+        alpha = np.zeros((n_edges + 1, n_frames), dtype=dtype)  # slot n_edges stays 0
+        for it in range(self.iterations):
+            for deg, lo, hi in self._groups:
+                _code_values(_cnp_qspa_rows(v2c[lo:hi].reshape(deg, -1), table, max_pos),
+                             q, alpha[lo:hi].reshape(deg, -1))
+            post = alpha.take(self._col_slots, axis=0).sum(axis=0, dtype=dtype)
+            post += lam
+            if it + 1 < self.iterations:
+                beta = post.take(self._slot_col, axis=0)
+                beta -= alpha[:n_edges]
+                _saturated_codes(beta, q, v2c)
+                del beta  # the next check update needs the room
+        return post
+
+
+def _code_values(codes: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
+    """Signed integer value of each code into ``out`` (int8 or wider);
+    both zeros map to 0 and ``codes`` is overwritten.  Branch-free in small
+    integers with no temporary: numpy's masked ufuncs are many times
+    slower, and batch-sized temporaries raise the peak memory."""
+    c = codes.view(np.int8)
+    np.left_shift(c, 8 - q.bits, out=out)
+    np.right_shift(out, 7, out=out)  # -1 for a negative code, else 0
+    np.bitwise_and(c, q.sign_bit - 1, out=c)
+    np.bitwise_xor(c, out, out=c)
+    np.subtract(c, out, out=out)  # (v ^ -1) + 1 == -v
+
+
+def _saturated_codes(values: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
+    """Code of each integer into ``out``, saturating at the quantizer range;
+    0 -> +0.  ``values`` is overwritten."""
+    m = q.max_magnitude_int
+    np.clip(values, -m, m, out=values)
+    sign = out.view(np.int8)
+    np.right_shift(values, 8 * values.itemsize - 1, out=sign)  # -1 for a negative value
+    values ^= sign  # magnitude, as in _code_values
+    values -= sign
+    out &= q.sign_bit
+    np.bitwise_or(out, values, out=out, casting="unsafe")

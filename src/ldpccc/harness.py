@@ -8,6 +8,7 @@ numbers; workers only split the frame list.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -67,7 +68,6 @@ class ExperimentConfig:
     seed: int = 1
     workers: int = 1
     frame_blocks: int = 64
-    stages: int | None = None  # carried through to architecture reports only
 
     def __post_init__(self):
         if self.min_error_events < 1:
@@ -107,94 +107,85 @@ def _decoder_config(cfg: ExperimentConfig) -> DecoderConfig:
     )
 
 
-def _stream_frame(code, dec_cfg, rate, ebno_db, frame_seed, n_blocks):
-    n = n_blocks * code.block_len
-    ch = ChannelConfig(ebno_db=ebno_db, rate=rate, seed=frame_seed)
-    llrs = to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
-    result = decode_stream(StreamDecoder(code, dec_cfg), llrs)
-    bit_errors = int(result.bits.sum())
-    per_block = result.bits.reshape(n_blocks, code.block_len)
-    block_errors = int(np.count_nonzero(per_block.any(axis=1)))
-    return bit_errors, block_errors
+def _frame_llrs(cfg, point_idx, frame, rate, n):
+    ch = ChannelConfig(ebno_db=cfg.ebno_grid[point_idx], rate=rate,
+                       seed=derive_seed(cfg.seed, point_idx, frame))
+    return to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
 
 
-def _block_frame(decoder, rate, ebno_db, frame_seed, n_blocks):
-    n = decoder.matrix.cols
-    ch = ChannelConfig(ebno_db=ebno_db, rate=rate, seed=frame_seed)
-    llrs = to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
-    bits, _soft = decoder.decode(llrs)
-    return int(bits.sum()), int(bits.any())
-
-
-def _worker_batch(payload):
-    """Simulate a contiguous batch of frames; used by the process pool."""
-    (base_text, baseline, variant, iterations, quant_bits, quant_step, clamp,
-     ebno_db, master_seed, point_idx, frame_lo, frame_hi, frame_blocks) = payload
-    base = BaseMatrix.from_text(base_text)
-    cfg = ExperimentConfig(
-        base=base, variant=variant, iterations=iterations, ebno_grid=(ebno_db,),
-        quant_bits=quant_bits, quant_step=quant_step, clamp=clamp, seed=master_seed,
-        frame_blocks=frame_blocks,
-    )
-    dec_cfg = _decoder_config(cfg)
+def _stream_batch(cfg, code, dec_cfg, point_idx, frame_lo, frame_hi):
+    n_blocks = cfg.frame_blocks
     out = []
-    if baseline:
-        matrix = expand_base(base)
-        rate = 1.0 - base.block_rows / base.block_cols
-        decoder = BlockDecoder(matrix, iterations, dec_cfg.quantizer, clamp)
-        for f in range(frame_lo, frame_hi):
-            seed = derive_seed(master_seed, point_idx, f)
-            be, blke = _block_frame(decoder, rate, ebno_db, seed, 1)
-            out.append((f, 1, be, blke))
-    else:
-        code = split_and_unwrap(base)
-        for f in range(frame_lo, frame_hi):
-            seed = derive_seed(master_seed, point_idx, f)
-            be, blke = _stream_frame(code, dec_cfg, code.rate, ebno_db, seed,
-                                     frame_blocks)
-            out.append((f, frame_blocks, be, blke))
+    for f in range(frame_lo, frame_hi):
+        llrs = _frame_llrs(cfg, point_idx, f, code.rate, n_blocks * code.block_len)
+        bits = decode_stream(StreamDecoder(code, dec_cfg), llrs).bits
+        per_block = bits.reshape(n_blocks, code.block_len)
+        out.append((n_blocks, bits.size, int(bits.sum()),
+                    int(np.count_nonzero(per_block.any(axis=1)))))
     return out
 
 
-def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
-    base_text = cfg.base.to_text()
+def _block_batch(cfg, decoder, point_idx, frame_lo, frame_hi):
+    """Frames go to the decoder in whole calls, generated call by call."""
+    n = decoder.matrix.cols
+    rate = 1.0 - cfg.base.block_rows / cfg.base.block_cols
+    out = []
+    for lo in range(frame_lo, frame_hi, decoder.frames_per_call):
+        frames = range(lo, min(lo + decoder.frames_per_call, frame_hi))
+        llrs = np.empty((len(frames), n))
+        for i, f in enumerate(frames):
+            llrs[i] = _frame_llrs(cfg, point_idx, f, rate, n)
+        bit_errors = decoder.decode(llrs)[0].sum(axis=1)
+        out += [(1, n, int(e), int(e > 0)) for e in bit_errors]
+    return out
+
+
+def _batch_runner(cfg: ExperimentConfig, baseline: bool):
+    """(point_idx, frame_lo, frame_hi) -> one (blocks, bits, bit errors,
+    block errors) row per frame, with the code built once."""
+    dec_cfg = _decoder_config(cfg)
     if baseline:
-        blocks_per_frame = 1
-        bits_per_block = cfg.base.z * cfg.base.block_cols
-    else:
-        code = split_and_unwrap(cfg.base)
-        blocks_per_frame = cfg.frame_blocks
-        bits_per_block = code.block_len
+        decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations,
+                               dec_cfg.quantizer, cfg.clamp)
+        return functools.partial(_block_batch, cfg, decoder)
+    return functools.partial(_stream_batch, cfg, split_and_unwrap(cfg.base), dec_cfg)
+
+
+def _worker_batch(cfg: ExperimentConfig, baseline: bool, point_idx: int,
+                  frame_lo: int, frame_hi: int):
+    """Simulate a contiguous batch of frames in a pool worker."""
+    return _batch_runner(cfg, baseline)(point_idx, frame_lo, frame_hi)
+
+
+def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
+    run_batch = _batch_runner(cfg, baseline) if cfg.workers == 1 else None
+    blocks_per_frame = 1 if baseline else cfg.frame_blocks
     points = []
     for point_idx, ebno_db in enumerate(cfg.ebno_grid):
         t_start = time.perf_counter()
-        blocks = bit_errors = block_errors = 0
+        blocks = decoded_bits = bit_errors = block_errors = 0
         point_seed = derive_seed(cfg.seed, point_idx)
         max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
         batch = max(1, min(64, max_frames // max(1, cfg.workers)))
 
         def batches():
-            lo = 0
-            while lo < max_frames:
-                hi = min(lo + batch, max_frames)
-                yield (base_text, baseline, cfg.variant, cfg.iterations,
-                       cfg.quant_bits, cfg.quant_step, cfg.clamp, ebno_db,
-                       cfg.seed, point_idx, lo, hi, blocks_per_frame)
-                lo = hi
+            for lo in range(0, max_frames, batch):
+                yield point_idx, lo, min(lo + batch, max_frames)
 
         def consume_one(results) -> bool:
-            nonlocal blocks, bit_errors, block_errors
-            for _f, nb, be, blke in results:
+            nonlocal blocks, decoded_bits, bit_errors, block_errors
+            for nb, n_bits, be, blke in results:
                 blocks += nb
+                decoded_bits += n_bits
                 bit_errors += be
                 block_errors += blke
                 if bit_errors >= cfg.min_error_events or blocks >= cfg.max_blocks:
                     return True
             return False
 
-        if cfg.workers == 1:
-            for payload in batches():
-                if consume_one(_worker_batch(payload)):
+        if run_batch is not None:
+            for args in batches():
+                if consume_one(run_batch(*args)):
                     break
         else:
             # submit a bounded window of batches ahead, consume strictly in
@@ -205,17 +196,16 @@ def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
                 stop = False
                 while not stop:
                     while len(pending) < 2 * cfg.workers:
-                        payload = next(gen, None)
-                        if payload is None:
+                        args = next(gen, None)
+                        if args is None:
                             break
-                        pending.append(pool.submit(_worker_batch, payload))
+                        pending.append(pool.submit(_worker_batch, cfg, baseline, *args))
                     if not pending:
                         break
                     stop = consume_one(pending.popleft().result())
                 for fut in pending:
                     fut.cancel()
 
-        decoded_bits = blocks * bits_per_block
         points.append(
             BerPoint(
                 ebno_db=ebno_db,

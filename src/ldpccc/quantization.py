@@ -16,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "Quantizer",
-    "QuantizedMessage",
     "PairLut",
-    "build_quantizer",
     "build_pair_lut",
     "to_twos_complement",
     "from_twos_complement",
@@ -76,13 +74,24 @@ class Quantizer:
         x = np.asarray(x, dtype=np.float64)
         if np.isnan(x).any():
             raise ValueError("cannot quantize NaN")
-        mag = np.ceil(np.abs(x) / self.step - 0.5)
-        mag = np.clip(mag, 0, self.max_magnitude_int).astype(np.uint8)
-        code = np.where(x < 0, mag + self.sign_bit, mag).astype(np.uint8)
+        # in place on one float temporary, so batches of frames stay cheap
+        flat = x.reshape(-1)
+        mag = np.abs(flat)
+        mag /= self.step
+        mag -= 0.5
+        np.ceil(mag, out=mag)
+        np.clip(mag, 0, self.max_magnitude_int, out=mag)
+        code = mag.astype(np.uint8)
+        neg = (flat < 0).view(np.uint8)
+        code |= np.multiply(neg, self.sign_bit, out=neg)
+        code = code.reshape(x.shape)
         return code if code.ndim else code[()]
 
     def value(self, code):
+        """Level of each code; codes outside [0, n_codes) raise."""
         code = np.asarray(code, dtype=np.int64)
+        if code.size and (code.min() < 0 or code.max() >= self.n_codes):
+            raise ValueError(f"codes must lie in [0, {self.n_codes})")
         mag = code & (self.sign_bit - 1)
         val = np.where(code & self.sign_bit, -mag, mag) * self.step
         return val if val.ndim else float(val)
@@ -92,26 +101,6 @@ class Quantizer:
         code = np.asarray(code, dtype=np.uint8)
         out = code ^ np.uint8(self.sign_bit)
         return out if out.ndim else out[()]
-
-
-@dataclass(frozen=True)
-class QuantizedMessage:
-    """One quantized LLR: a code together with its quantizer."""
-
-    code: int
-    quantizer: Quantizer
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.quantizer.n_codes:
-            raise ValueError(f"code {self.code} out of range")
-
-    @property
-    def value(self) -> float:
-        return self.quantizer.value(self.code)
-
-
-def build_quantizer(bits: int = 4, step: float = 0.5) -> Quantizer:
-    return Quantizer(bits=bits, step=step)
 
 
 def to_twos_complement(code, quantizer: Quantizer):

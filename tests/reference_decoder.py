@@ -138,3 +138,52 @@ def ref_decode_qspa(code, llrs, iterations, quantizer, table):
         soft[col] += code_to_int(a)
     soft = soft[: n_blocks * c]
     return (soft < 0).astype(np.uint8), soft
+
+
+def ref_decode_block(matrix, llrs, iterations, quantizer=None, table=None, clamp=25.0):
+    """Flooding on a block code's parity-check matrix, edge by edge.
+
+    Column sums run in edge order (by check, then by column).  With a
+    quantizer the check update folds codes through ``table`` and the
+    variable update sums integers and saturates, as in ref_decode_qspa.
+    """
+    checks = [[int(c) for c in matrix.row_support(r)] for r in range(matrix.rows)]
+    if quantizer is None:
+        lam = [float(x) for x in llrs]
+
+        def check_update(values):
+            return ref_check_update_float(values, clamp)
+
+        def saturate(v):
+            return v
+    else:
+        sign, maxm = quantizer.sign_bit, quantizer.max_magnitude_int
+
+        def code_to_int(k):
+            m = k & (sign - 1)
+            return -m if k & sign else m
+
+        def saturate(v):
+            return max(-maxm, min(maxm, v))
+
+        def int_to_code(v):
+            v = saturate(v)
+            return sign - v if v < 0 else v
+
+        lam = [code_to_int(int(k)) for k in quantizer.quantize(np.asarray(llrs))]
+
+        def check_update(values):
+            codes = [int_to_code(v) for v in values]
+            return [code_to_int(a) for a in ref_check_update_lut(codes, table, maxm)]
+
+    v2c = [[lam[c] for c in cols] for cols in checks]
+    for _ in range(iterations):
+        c2v = [check_update(values) for values in v2c]
+        total = [0] * matrix.cols
+        for cols, alphas in zip(checks, c2v):
+            for c, a in zip(cols, alphas):
+                total[c] += a
+        v2c = [[saturate(lam[c] + total[c] - a) for c, a in zip(cols, alphas)]
+               for cols, alphas in zip(checks, c2v)]
+    soft = np.array([x + t for x, t in zip(lam, total)])
+    return (soft < 0).astype(np.uint8), soft

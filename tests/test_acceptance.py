@@ -101,7 +101,7 @@ def test_criterion_03_qspa_fold_oracle():
     for d in range(2, 25):
         codes = rng.integers(0, 16, (per_degree, d)).astype(np.uint8)
         want = oracle_batch(codes)
-        got = _cnp_qspa_rows(codes, table, q.max_magnitude_int)
+        got = _cnp_qspa_rows(codes.T.copy(), table, q.max_magnitude_int).T
         mismatches += int(np.count_nonzero(got != want))
         total += per_degree
         # spot-check the public single-node entry point on a few rows

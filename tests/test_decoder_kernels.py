@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldpccc.decoder import app_decide, cnp_float, cnp_qspa, vnp
+from ldpccc.decoder import _cnp_qspa_rows, app_decide, cnp_float, cnp_qspa, vnp
 from ldpccc.quantization import Quantizer, build_pair_lut, to_twos_complement
+
+from reference_decoder import ref_check_update_lut
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,13 @@ def test_cnp_qspa_rejects_short_input(lut4):
         cnp_qspa([3], lut4)
 
 
+def test_cnp_qspa_rejects_out_of_range_codes(lut4):
+    with pytest.raises(ValueError):
+        cnp_qspa([3, 16], lut4)
+    with pytest.raises(ValueError):
+        cnp_qspa([-1, 3, 4], lut4)
+
+
 def test_cnp_qspa_degree_two_swaps(lut4):
     out = cnp_qspa([5, 9], lut4)
     assert out.tolist() == [9, 5]
@@ -150,6 +161,27 @@ def test_cnp_qspa_degree_24(lut4):
     codes = rng.integers(0, 16, 24).astype(np.uint8)
     out = cnp_qspa(codes, lut4)
     assert out.tolist() == nested_fold_oracle(codes.tolist(), lut4.table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.sampled_from([2, 3, 4, 5, 8]), degree=st.integers(1, 30),
+       checks=st.integers(1, 300), pair_table=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cnp_qspa_rows_matches_reference_fold(bits, degree, checks, pair_table, seed):
+    # the batched kernel against the literal fold, check by check; a random
+    # table is neither symmetric nor associative, so every fold order shows
+    rng = np.random.default_rng(seed)
+    n_codes = 1 << bits
+    if pair_table:
+        table = build_pair_lut(Quantizer(bits)).table
+    else:
+        table = rng.integers(0, n_codes, (n_codes, n_codes)).astype(np.uint8)
+    max_pos = (1 << (bits - 1)) - 1
+    codes = rng.integers(0, n_codes, (degree, checks)).astype(np.uint8)
+    got = _cnp_qspa_rows(codes, table, max_pos)
+    assert got.shape == codes.shape and got.dtype == np.uint8
+    for column, out in zip(codes.T, got.T):
+        assert out.tolist() == ref_check_update_lut(column.tolist(), table, max_pos)
 
 
 # ---------------------------------------------------------------------------

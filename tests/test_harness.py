@@ -3,8 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ldpccc import harness
+from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.cli import main
-from ldpccc.construction import demo_base
+from ldpccc.construction import demo_base, expand_base, split_and_unwrap
+from ldpccc.decoder import BlockDecoder
 from ldpccc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -109,6 +112,40 @@ def test_block_baseline_noiseless():
         seed=4,
     )
     assert run_block_baseline(cfg)[0].ber == 0.0
+
+
+def test_block_baseline_matches_frame_by_frame_decoding():
+    # the batched baseline counts exactly what one decode per seeded frame
+    # counts, over more frames than one decoder call takes, with any workers
+    base = demo_base("rate56_4x24_z31")
+    cfg = ExperimentConfig(base=base, variant="qspa", iterations=4, ebno_grid=(3.0,),
+                           min_error_events=10**9, max_blocks=30, seed=5)
+    matrix = expand_base(base)
+    dec = BlockDecoder(matrix, cfg.iterations, Quantizer())
+    assert cfg.max_blocks > dec.frames_per_call
+    bit_errors = block_errors = 0
+    for f in range(cfg.max_blocks):
+        ch = ChannelConfig(ebno_db=3.0, rate=5 / 6, seed=derive_seed(cfg.seed, 0, f))
+        bits, _soft = dec.decode(to_llr(transmit_all_zero(matrix.cols, ch), noise_sigma(ch)))
+        bit_errors += int(bits.sum())
+        block_errors += int(bits.any())
+    assert block_errors > 0
+    for workers in (1, 2):
+        p = run_block_baseline(dataclasses.replace(cfg, workers=workers))[0]
+        assert (p.blocks_sent, p.bit_errors, p.block_errors) == (30, bit_errors, block_errors)
+
+
+def test_serial_run_builds_the_code_once(small_cfg, monkeypatch):
+    calls = []
+
+    def counting(base):
+        calls.append(base)
+        return split_and_unwrap(base)
+
+    monkeypatch.setattr(harness, "split_and_unwrap", counting)
+    points = run_ber(dataclasses.replace(small_cfg, min_error_events=10**9, max_blocks=48))
+    assert len(points) == 2 and all(p.blocks_sent == 48 for p in points)
+    assert len(calls) == 1
 
 
 def test_conv_vs_block_reported_not_asserted(small_cfg, capsys):

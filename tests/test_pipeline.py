@@ -8,6 +8,7 @@ from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
     BaseMatrix,
     demo_base,
+    expand_base,
     split_and_unwrap,
     syndrome_check,
     window_matrix,
@@ -20,11 +21,10 @@ from ldpccc.decoder import (
     _block_syndromes,
     _pipeline_tables,
     decode_stream,
-    decoding_step,
 )
 from ldpccc.quantization import Quantizer, build_pair_lut
 
-from reference_decoder import ref_decode_float, ref_decode_qspa
+from reference_decoder import ref_decode_block, ref_decode_float, ref_decode_qspa
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_continuous_output_after_delay(toy_code):
 
 def test_decoding_step_alias(toy_code):
     dec = StreamDecoder(toy_code, DecoderConfig(iterations=1))
-    assert decoding_step(dec, np.zeros(toy_code.block_len)) is None
+    assert dec.step(np.zeros(toy_code.block_len)) is None
 
 
 def period_four_code(rng):
@@ -425,8 +425,6 @@ def test_block_syndromes_match_per_block_windows():
 
 
 def test_block_decoder_noiseless(toy_code):
-    from ldpccc.construction import expand_base
-
     matrix = expand_base(toy_code.base)
     dec = BlockDecoder(matrix, iterations=5)
     bits, soft = dec.decode(np.full(matrix.cols, 4.0))
@@ -435,10 +433,107 @@ def test_block_decoder_noiseless(toy_code):
 
 
 def test_block_decoder_high_snr_and_quantized(toy_code):
-    from ldpccc.construction import expand_base
-
     matrix = expand_base(toy_code.base)
     cfg = ChannelConfig(ebno_db=7.0, rate=0.5, seed=5)
     llrs = to_llr(transmit_all_zero(matrix.cols, cfg), noise_sigma(cfg))
     assert BlockDecoder(matrix, 8).decode(llrs)[0].sum() == 0
     assert BlockDecoder(matrix, 8, quantizer=Quantizer()).decode(llrs)[0].sum() == 0
+
+
+def block_matrices():
+    """The four bundled block codes and a random one with -1 entries."""
+    names = ("toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31")
+    return ([expand_base(demo_base(name)) for name in names]
+            + [period_four_code(np.random.default_rng(11)).h_block])
+
+
+def decode_frame_by_frame(dec, llrs):
+    outs = [dec.decode(row) for row in llrs]
+    return np.stack([b for b, _ in outs]), np.stack([s for _, s in outs])
+
+
+def assert_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def test_block_decoder_batch_matches_single_frames():
+    # a batch decodes every frame bit-exactly as a call on that frame alone,
+    # soft values included; one frame is all zeros and one partly zero
+    rng = np.random.default_rng(31)
+    for matrix in block_matrices():
+        llrs = rng.normal(1.5, 2.0, (5, matrix.cols)) * rng.choice([0.5, 1.0, 2.5], (5, 1))
+        llrs[1] = 0.0
+        llrs[3, rng.random(matrix.cols) < 0.3] = 0.0
+        for iterations, quantizer in itertools.product(
+                (1, 3, 8), (None, Quantizer(), Quantizer(6, 0.5))):
+            dec = BlockDecoder(matrix, iterations, quantizer)
+            bits, soft = dec.decode(llrs)
+            want_bits, want_soft = decode_frame_by_frame(dec, llrs)
+            assert_identical(bits, want_bits)
+            assert_identical(soft, want_soft)
+
+
+def test_block_decoder_matches_reference_flooding():
+    # against literal edge-by-edge flooding at a low Eb/N0, where every
+    # iteration moves the soft output: float and quantized bit-exact,
+    # including wider codes whose sums leave int8
+    rng = np.random.default_rng(41)
+    for matrix in block_matrices():
+        wide = matrix.cols > 500
+        cfg = ChannelConfig(ebno_db=1.5, rate=0.5, seed=int(rng.integers(1 << 30)))
+        llrs = to_llr(transmit_all_zero(matrix.cols, cfg), noise_sigma(cfg))
+        llrs[rng.random(matrix.cols) < 0.1] = 0.0
+        for iterations, quantizer in itertools.product(
+                (3,) if wide else (1, 3, 8), (None, Quantizer(), Quantizer(6, 0.5))):
+            table = None if quantizer is None else build_pair_lut(quantizer).table
+            bits, soft = BlockDecoder(matrix, iterations, quantizer).decode(llrs)
+            want_bits, want_soft = ref_decode_block(matrix, llrs, iterations, quantizer, table)
+            assert_identical(bits, want_bits)
+            assert_identical(soft, want_soft)
+
+
+@pytest.mark.parametrize("quantizer", [None, Quantizer()])
+def test_block_decoder_batch_spans_several_calls(quantizer):
+    matrix = expand_base(demo_base("rate56_4x24_z31"))
+    dec = BlockDecoder(matrix, 8, quantizer)
+    n_frames = dec.frames_per_call + 3
+    assert dec.frames_per_call > 1 and n_frames > dec.frames_per_call
+    cfg = ChannelConfig(ebno_db=3.0, rate=5 / 6, seed=8)
+    llrs = to_llr(transmit_all_zero(n_frames * matrix.cols, cfg),
+                  noise_sigma(cfg)).reshape(n_frames, -1)
+    llrs[-1] = 0.0
+    bits, soft = dec.decode(llrs)
+    want_bits, want_soft = decode_frame_by_frame(dec, llrs)
+    assert_identical(bits, want_bits)
+    assert_identical(soft, want_soft)
+    assert bits.any()  # low enough Eb/N0 that some frames keep errors
+
+
+def test_block_decoder_output_shapes(toy_code):
+    matrix = expand_base(toy_code.base)
+    for quantizer, dtype in ((None, np.float64), (Quantizer(), np.int64)):
+        dec = BlockDecoder(matrix, 2, quantizer)
+        bits, soft = dec.decode(np.ones(matrix.cols))
+        assert bits.shape == soft.shape == (matrix.cols,)
+        assert bits.dtype == np.uint8 and soft.dtype == dtype
+        bits, soft = dec.decode(np.ones((3, matrix.cols)))
+        assert bits.shape == soft.shape == (3, matrix.cols)
+        bits, soft = dec.decode(np.ones((0, matrix.cols)))
+        assert bits.shape == soft.shape == (0, matrix.cols) and soft.dtype == dtype
+        for bad_shape in ((matrix.cols + 1,), (2, matrix.cols - 1), (1, 2, matrix.cols)):
+            with pytest.raises(ValueError):
+                dec.decode(np.ones(bad_shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("quantizer", [None, Quantizer()])
+def test_block_decoder_rejects_non_finite_llrs(toy_code, bad, quantizer):
+    matrix = expand_base(toy_code.base)
+    dec = BlockDecoder(matrix, 3, quantizer)
+    llrs = np.ones((2, matrix.cols))
+    llrs[1, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dec.decode(llrs[1])
+    with pytest.raises(ValueError, match="finite"):
+        dec.decode(llrs)

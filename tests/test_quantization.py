@@ -3,10 +3,8 @@ import pytest
 
 from ldpccc.quantization import (
     PairLut,
-    QuantizedMessage,
     Quantizer,
     build_pair_lut,
-    build_quantizer,
     dump_lut,
     from_twos_complement,
     parse_lut,
@@ -16,16 +14,16 @@ from ldpccc.quantization import (
 
 @pytest.fixture
 def q4():
-    return build_quantizer(4, 0.5)
+    return Quantizer(4, 0.5)
 
 
 def test_build_validation():
     with pytest.raises(ValueError):
-        build_quantizer(1, 0.5)
+        Quantizer(1, 0.5)
     with pytest.raises(ValueError):
-        build_quantizer(9, 0.5)
+        Quantizer(9, 0.5)
     with pytest.raises(ValueError):
-        build_quantizer(4, 0.0)
+        Quantizer(4, 0.0)
 
 
 def test_max_magnitude(q4):
@@ -86,10 +84,11 @@ def test_negate_mirrors_codes(q4):
 
 
 def test_quantized_message_wrapper(q4):
-    m = QuantizedMessage(code=3, quantizer=q4)
-    assert m.value == pytest.approx(1.5)
+    assert q4.value(3) == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        QuantizedMessage(code=16, quantizer=q4)
+        q4.value(16)
+    with pytest.raises(ValueError):
+        q4.value(np.array([3, -1]))
 
 
 # ---------------------------------------------------------------------------
