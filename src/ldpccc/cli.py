@@ -53,13 +53,15 @@ def _apply_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
     values = _load_config_file(args.config)
-    defaults = {a.dest: a.default for a in args.subparser._actions}
+    # only the subcommand's own options; not help, config or dispatch attributes
+    defaults = {a.dest: a.default for a in args.subparser._actions
+                if a.option_strings and a.dest not in ("help", "config")}
     for key, raw in values.items():
-        if not hasattr(args, key):
+        if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) != defaults.get(key):
+        current = defaults[key]
+        if getattr(args, key) != current:
             continue  # explicitly set on the command line
-        current = defaults.get(key)
         if isinstance(current, bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
         elif isinstance(current, int) and not isinstance(current, bool):

@@ -12,16 +12,20 @@ block, one iteration per processor, in systolic form.
 
 At step t processor i receives block t - i*period and checks block row
 t - i*period, so all processors share one phase and one address sequence,
-which is also why the hardware can stack their memories into one RAM word.
-State lives in two fixed rings with a processor axis: edge messages
-``(I + 1, 2*period, n_edges)``, where processor i keeps block row r in ring
-row (r + i*period) mod 2*period in its phase's full-band edge layout, and
-channel values ``(I, period, block_len)`` by block mod period.  Every
-processor's entering row is then ring row t mod 2*period, so one set of
-per-phase index tables, built once per code, drives a fixed set of array
-operations for all processors; a leaving block enters the next plane at the
-same edge positions, period ring rows on.  The float and 4-bit table-driven
-variants share this machinery and differ only in the kernels.
+which is why the hardware can stack their memories into one RAM word.  The
+software does the same, and also stacks F independent frames into the word,
+as the hardware interleaves codewords through the same processors.  The
+edge ring is ``(2*period*n_edges, (I + 1)*F)``: a word of edge slots for
+each of 2*period ring rows, where processor i keeps block row r in ring
+row (r + i*period) mod 2*period in its phase's full-band edge layout, and a
+word position per (processor, frame), frames innermost, with one extra
+plane for the last processor's output.  Channel values sit in
+``(period, block_len, I*F)`` by block mod period.  Every processor's
+entering row is ring row t mod 2*period, so one set of per-phase slot
+tables, built once per code, drives a fixed set of array operations over
+whole words for all processors and frames; a leaving block enters the next
+plane at the same slots, period ring rows on.  The float and 4-bit table-driven variants share this
+machinery and differ only in the kernels.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ __all__ = [
 VARIANT_FLOAT = "float"
 VARIANT_QSPA = "qspa"
 
-# edges a BlockDecoder call holds at once, all frames together; it bounds
-# the call's working set, a few bytes per edge on the quantized variant
+# edges a decoder call holds at once, all frames together; it bounds the
+# call's working set, a few bytes per edge on the quantized variant
 _EDGE_BUDGET = 1 << 16
 
 _TANH_FLOOR = 1e-300
@@ -236,11 +240,12 @@ class StreamResult:
 
 
 class _StepTables(NamedTuple):
-    """Plane-local edge-ring indices for one step phase (t mod 2*period).
+    """Edge-ring slots for one step phase (t mod 2*period).
 
-    Every processor uses the same indices in its own plane.  A block's
-    edges are listed newest row first, then the older rows from oldest to
-    newest, which is the variable update's summation order.
+    Every processor and frame uses the same slots at its own word
+    position.  A block's edges are listed newest row first, then the older
+    rows from oldest to newest, which is the variable update's summation
+    order.
     """
 
     cnp: tuple            # per degree group, (checks, degree): the entering row
@@ -318,11 +323,7 @@ class StreamDecoder:
         self.code = code
         self.config = config
         self.quantized = config.variant == VARIANT_QSPA
-        n_proc = config.iterations
         self._tables = _pipeline_tables(code)
-        planes = np.arange(n_proc + 1)[:, None]
-        self._plane_base = planes * self._tables.plane
-        self._col_base = planes[:-1] * code.block_len
         if self.quantized:
             q = self.quantizer = config.quantizer
             self.lut = build_pair_lut(q)
@@ -335,16 +336,12 @@ class StreamDecoder:
             ints = np.arange(2 * bound + 1)
             ints[ints > bound] -= ints.size
             self._i2c = from_twos_complement(ints, q)
-            dtype = np.uint8
         else:
             self.quantizer = None
-            dtype = np.float64
-        # one extra plane takes the last processor's outgoing messages
-        self._edges = np.zeros((n_proc + 1) * self._tables.plane, dtype=dtype)
-        self._chan = np.zeros((n_proc, code.period, code.block_len), dtype=dtype)
-        self.output_delay = (code.memory + 1) * n_proc
+        self.output_delay = (code.memory + 1) * config.iterations
         self._t = 0
         self._pending: StepOutput | None = None
+        self._frames: tuple | None = None  # leading shape of every step's input
 
     @property
     def steps_run(self) -> int:
@@ -355,24 +352,47 @@ class StreamDecoder:
         """Current time instant modulo the code period."""
         return self._t % self.code.period
 
-    def _check_update(self, groups):
-        """Check update in place on the ring rows the index groups name."""
+    def _allocate(self, frames: tuple):
+        """Rings and word-wide tables for the frame count of the first step."""
+        n_frames, n_proc = (frames or (1,))[0], self.config.iterations
+        self._n_frames = n_frames
+        # a word holds every plane's copy of one slot, frames innermost; one
+        # extra plane takes the last processor's output
+        width = (n_proc + 1) * n_frames
+        self._edges = np.zeros((self._tables.plane, width),
+                               dtype=np.uint8 if self.quantized else np.float64)
+        # channel values as the variable update adds them: integers for codes
+        self._chan = np.zeros((self.code.period, self.code.block_len, n_proc * n_frames))
+        # per step phase: the variable update's bin of each (edge, word
+        # position), and the flat ring positions of the fresh block
+        words = np.arange(n_proc * n_frames)
+        self._bins = [st.cols[:, None] * words.size + words for st in self._tables.steps]
+        self._new_slots = [st.new[:, None] * width + np.arange(n_frames)
+                           for st in self._tables.steps]
+        self._frames = frames
+
+    def _check_update(self, groups, words: slice, offset: int = 0):
+        """Check update in place on the ring slots that the (checks, degree)
+        groups name, at the given word positions."""
         edges = self._edges
         for idx in groups:
+            idx = idx.T + offset  # (degree, checks)
+            vals = edges[idx, words]  # (degree, checks, word positions)
             if self.quantized:
-                idx = idx.transpose(2, 0, 1)  # (degree, processors, checks)
-                out = _cnp_qspa_rows(edges[idx].reshape(idx.shape[0], -1),
-                                     self._table, self._max_pos)
+                out = _cnp_qspa_rows(vals.reshape(len(idx), -1), self._table, self._max_pos)
             else:
-                out = _cnp_float_rows(edges[idx].reshape(-1, idx.shape[-1]),
-                                      self.config.clamp)
-            edges[idx] = out.reshape(idx.shape)
+                out = _cnp_float_rows(vals.reshape(len(idx), -1).T, self.config.clamp).T
+            edges[idx, words] = out.reshape(vals.shape)
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
-        if values.shape != (self.code.block_len,):
-            raise ValueError(
-                f"expected {self.code.block_len} channel values, got {values.shape}"
-            )
+        """Checks one step's input with one reduction for all its frames."""
+        c = self.code.block_len
+        if values.ndim not in (1, 2) or values.shape[-1] != c or values.size == 0:
+            raise ValueError(f"expected {c} channel values in each of one or more "
+                             f"frames, got shape {values.shape}")
+        if self._frames is not None and values.shape[:-1] != self._frames:
+            raise ValueError(f"frame count changed: the first step had shape "
+                             f"{self._frames + (c,)}, this one {values.shape}")
         if self.quantized:
             if values.dtype.kind not in "iu":
                 raise ValueError(f"codes must be integers, not {values.dtype}")
@@ -387,30 +407,35 @@ class StreamDecoder:
     def step(self, new_llrs: np.ndarray) -> StepOutput | None:
         """One decoding step; returns a decided block once the delay elapsed.
 
-        ``new_llrs`` must hold one block of channel values (codes for the
-        quantized variant, floats otherwise).
+        ``new_llrs`` holds one block of channel values (codes for the
+        quantized variant, floats otherwise) for one stream ``(c,)`` or for
+        F streams ``(F, c)``; the decided block has the same shape.  The
+        first step fixes F for the decoder's life.
         """
         lam_new = self._validate(np.asarray(new_llrs))
+        if self._frames is None:
+            self._allocate(lam_new.shape[:-1])
+        lam_new = lam_new.reshape(-1, lam_new.shape[-1]).T  # (block_len, frames)
         t = self._t
-        period, memory, c = self.code.period, self.code.memory, self.code.block_len
-        n_proc = self.config.iterations
+        period, memory = self.code.period, self.code.memory
+        n_proc, f = self.config.iterations, self._n_frames
         tables = self._tables
         s = t % (2 * period)
         st = tables.steps[s]
-        edges, chan, base = self._edges, self._chan, self._plane_base
+        edges, chan = self._edges, self._chan
         out_slot = (t + 1) % period  # channel slot of every leaving block
 
-        chan[0, t % period] = lam_new
-        edges[st.new] = lam_new[st.new_cols]
+        chan[t % period, :, :f] = self._c2i[lam_new] if self.quantized else lam_new
+        edges.ravel()[self._new_slots[s]] = lam_new[st.new_cols]
         # processors 0..n-1 are on full-band rows; processor n may be on a
         # first row (< memory), which has no leaving block yet
         n = min(n_proc, (t - memory) // period + 1)
         if n:
-            self._check_update([base[:n, None] + idx for idx in st.cnp])
+            self._check_update(st.cnp, slice(0, n * f))
         row = t - n * period
         if n < n_proc and row >= 0:
-            self._check_update([base[n:n + 1, None] + (s * tables.row_len + idx)
-                                for idx in tables.warm[row]])
+            self._check_update(tables.warm[row], slice(n * f, (n + 1) * f),
+                               s * tables.row_len)
 
         # the variable update reads the entering row's check-to-variable
         # values just written back; no other slot a step reads is written
@@ -418,23 +443,24 @@ class StreamDecoder:
         # are not yet resident there
         decision = None
         if n:
-            cols = self._col_base[:n] + st.cols
-            alpha = edges[base[:n] + st.vnp]
-            lam = chan[:n, out_slot]
+            busy = slice(0, n * f)
+            bins = self._bins[s][:, busy]
+            alpha = edges[st.vnp, busy]  # (edges, word positions)
             if self.quantized:
                 alpha = self._c2i[alpha]
-                lam = self._c2i[lam]
-            total = np.bincount(cols.ravel(), alpha.ravel(), n * c).reshape(n, c)
-            post = lam + total
-            beta = post.ravel()[cols] - alpha
+            post = np.bincount(bins.ravel(), alpha.ravel(), chan[0].size).reshape(chan[0].shape)
+            post[:, busy] += chan[out_slot, :, busy]
+            beta = post.ravel()[bins] - alpha
             if self.quantized:
                 beta = self._i2c[beta.astype(np.intp)]
-            edges[base[1:n + 1] + st.nxt] = beta
+            edges[st.nxt, f:(n + 1) * f] = beta
             if n == n_proc:
-                soft = post[-1].astype(np.int64) if self.quantized else post[-1]
+                soft = post[:, -f:].T.reshape(self._frames + (-1,))
+                if self.quantized:
+                    soft = soft.astype(np.int64)
                 decision = StepOutput(block_index=t - memory - (n_proc - 1) * period,
                                       bits=(soft < 0).astype(np.uint8), soft=soft)
-        chan[1:, out_slot] = chan[:-1, out_slot]
+        chan[out_slot, :, f:] = chan[out_slot, :, :-f]
 
         self._t += 1
         out, self._pending = self._pending, decision
@@ -455,48 +481,66 @@ def _syndrome_tables(code: ConvCode) -> list:
 
 
 def _block_syndromes(code: ConvCode, bits: np.ndarray) -> np.ndarray:
-    """Flag w is True iff every check of block row w has even parity."""
+    """Flag w is True iff every check of block row w has even parity.
+
+    ``bits`` is one stream ``(n,)`` or F streams ``(F, n)``; the flags have
+    one row per stream.
+    """
     c, p = code.block_len, code.period
-    n = bits.size // c
+    frames = bits if bits.ndim == 2 else bits[None]
+    n = frames.shape[1] // c
     # blocks before block 0 read as zeros, so the first rows need no layout of their own
-    padded = np.concatenate([np.zeros(code.memory * c, dtype=np.uint8), bits])
-    flags = np.empty(n, dtype=bool)
+    padded = np.concatenate([np.zeros((len(frames), code.memory * c), dtype=np.uint8),
+                             frames], axis=1)
+    flags = np.empty((len(frames), n), dtype=bool)
     for k, (offset, starts) in enumerate(_syndrome_tables(code)):
-        ones = padded[offset + (np.arange(k, n, p) * c)[:, None]]
+        ones = padded[:, offset + (np.arange(k, n, p) * c)[:, None]]
         if starts.size:
-            ones = np.bitwise_xor.reduceat(ones, starts, axis=1)
-        flags[k::p] = ~ones.any(axis=1)
-    return flags
+            ones = np.bitwise_xor.reduceat(ones, starts, axis=2)
+        flags[:, k::p] = ~ones.any(axis=2)
+    return flags.reshape(bits.shape[:-1] + (n,))
 
 
 def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResult:
     """Decode a finite stream and drain the pipeline with zero-LLR padding.
 
-    The stream length must be a multiple of the block length.  Unlike the
-    hardware's continuous operation, the flush pads with erasures (zero
-    LLRs) so every fed block is decided.  One syndrome flag is returned per
-    block, checking the block row that the block completes.
+    ``llr_stream`` is one stream ``(n,)`` or F streams ``(F, n)`` decoded
+    side by side, each exactly as it would be alone; every output gains
+    the same leading axis.  The stream length must be a multiple of the
+    block length.  Unlike the hardware's continuous operation, the flush
+    pads with erasures (zero LLRs) so every fed block is decided.  One
+    syndrome flag is returned per block, checking the block row that the
+    block completes.
     """
     llr_stream = np.asarray(llr_stream, dtype=np.float64)
     c = decoder.code.block_len
-    if llr_stream.ndim != 1 or llr_stream.size % c != 0:
-        raise ValueError(f"stream length must be a multiple of {c}")
+    if llr_stream.ndim not in (1, 2) or llr_stream.shape[-1] % c != 0:
+        raise ValueError(f"expected (n,) or (F, n) channel values with n a multiple "
+                         f"of {c}, got shape {llr_stream.shape}")
     if decoder.steps_run != 0:
         raise ValueError("decode_stream needs a fresh decoder")
-    n_blocks = llr_stream.size // c
-    feed, pad = llr_stream, np.zeros(c)
+    frames, n = llr_stream.shape[:-1], llr_stream.shape[-1]
+    n_blocks = n // c
+    # block k of every frame is one step's input
+    feed = np.moveaxis(llr_stream.reshape(frames + (n_blocks, c)), -2, 0)
+    pad = np.zeros(frames + (c,))
     if decoder.quantized:
         feed, pad = decoder.quantizer.quantize(feed), decoder.quantizer.quantize(pad)
-    bits = np.zeros(n_blocks * c, dtype=np.uint8)
-    soft = np.zeros(n_blocks * c, dtype=np.int64 if decoder.quantized else np.float64)
+    bits = np.zeros(frames + (n,), dtype=np.uint8)
+    soft = np.zeros(frames + (n,), dtype=np.int64 if decoder.quantized else np.float64)
     # outputs arrive in block order, exactly blocks 0..n_blocks-1
     for k in range(n_blocks + decoder.output_delay):
-        out = decoder.step(feed[k * c:(k + 1) * c] if k < n_blocks else pad)
+        out = decoder.step(feed[k] if k < n_blocks else pad)
         if out is not None:
             sl = slice(out.block_index * c, (out.block_index + 1) * c)
-            bits[sl], soft[sl] = out.bits, out.soft
+            bits[..., sl], soft[..., sl] = out.bits, out.soft
     flags = _block_syndromes(decoder.code, bits)
     return StreamResult(bits=bits, soft=soft, syndrome_ok=flags)
+
+
+def _stream_frames_per_call(code: ConvCode, iterations: int) -> int:
+    """Frames a StreamDecoder takes at once within the edge budget."""
+    return max(1, _EDGE_BUDGET // ((iterations + 1) * _pipeline_tables(code).plane))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .decoder import (
     BlockDecoder,
     DecoderConfig,
     StreamDecoder,
+    _stream_frames_per_call,
     decode_stream,
 )
 from .quantization import Quantizer
@@ -113,28 +114,37 @@ def _frame_llrs(cfg, point_idx, frame, rate, n):
     return to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
 
 
+def _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, rate, n):
+    """The (frames, n) LLRs of each decoder call, generated call by call,
+    every frame from its own seed."""
+    for lo in range(frame_lo, frame_hi, per_call):
+        llrs = np.empty((min(per_call, frame_hi - lo), n))
+        for i in range(len(llrs)):
+            llrs[i] = _frame_llrs(cfg, point_idx, lo + i, rate, n)
+        yield llrs
+
+
 def _stream_batch(cfg, code, dec_cfg, point_idx, frame_lo, frame_hi):
-    n_blocks = cfg.frame_blocks
+    """Frames go to a fresh decoder per call, as many as the edge budget takes."""
+    n_blocks, c = cfg.frame_blocks, code.block_len
+    per_call = _stream_frames_per_call(code, dec_cfg.iterations)
     out = []
-    for f in range(frame_lo, frame_hi):
-        llrs = _frame_llrs(cfg, point_idx, f, code.rate, n_blocks * code.block_len)
+    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, code.rate,
+                           n_blocks * c):
         bits = decode_stream(StreamDecoder(code, dec_cfg), llrs).bits
-        per_block = bits.reshape(n_blocks, code.block_len)
-        out.append((n_blocks, bits.size, int(bits.sum()),
-                    int(np.count_nonzero(per_block.any(axis=1)))))
+        block_errors = bits.reshape(len(bits), n_blocks, c).any(axis=2).sum(axis=1)
+        out += [(n_blocks, n_blocks * c, int(e), int(b))
+                for e, b in zip(bits.sum(axis=1), block_errors)]
     return out
 
 
 def _block_batch(cfg, decoder, point_idx, frame_lo, frame_hi):
-    """Frames go to the decoder in whole calls, generated call by call."""
+    """Frames go to the decoder in whole calls."""
     n = decoder.matrix.cols
     rate = 1.0 - cfg.base.block_rows / cfg.base.block_cols
     out = []
-    for lo in range(frame_lo, frame_hi, decoder.frames_per_call):
-        frames = range(lo, min(lo + decoder.frames_per_call, frame_hi))
-        llrs = np.empty((len(frames), n))
-        for i, f in enumerate(frames):
-            llrs[i] = _frame_llrs(cfg, point_idx, f, rate, n)
+    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, decoder.frames_per_call,
+                           rate, n):
         bit_errors = decoder.decode(llrs)[0].sum(axis=1)
         out += [(1, n, int(e), int(e > 0)) for e in bit_errors]
     return out
@@ -151,14 +161,32 @@ def _batch_runner(cfg: ExperimentConfig, baseline: bool):
     return functools.partial(_stream_batch, cfg, split_and_unwrap(cfg.base), dec_cfg)
 
 
-def _worker_batch(cfg: ExperimentConfig, baseline: bool, point_idx: int,
-                  frame_lo: int, frame_hi: int):
+# the batch runner of a pool worker, built once by _init_worker
+_worker_runner = None
+
+
+def _init_worker(cfg: ExperimentConfig, baseline: bool) -> None:
+    global _worker_runner
+    _worker_runner = _batch_runner(cfg, baseline)
+
+
+def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
     """Simulate a contiguous batch of frames in a pool worker."""
-    return _batch_runner(cfg, baseline)(point_idx, frame_lo, frame_hi)
+    return _worker_runner(point_idx, frame_lo, frame_hi)
 
 
 def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
-    run_batch = _batch_runner(cfg, baseline) if cfg.workers == 1 else None
+    if cfg.workers == 1:
+        return _sweep(cfg, baseline, None)
+    # one pool for the whole grid; each worker builds the code once
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(cfg, baseline)) as pool:
+        return _sweep(cfg, baseline, pool)
+
+
+def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
+    """Every grid point, its batches run in ``pool`` or, without one, here."""
+    run_batch = _batch_runner(cfg, baseline) if pool is None else None
     blocks_per_frame = 1 if baseline else cfg.frame_blocks
     points = []
     for point_idx, ebno_db in enumerate(cfg.ebno_grid):
@@ -191,20 +219,19 @@ def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
             # submit a bounded window of batches ahead, consume strictly in
             # order so the stopping point never depends on the worker count
             gen = batches()
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                pending: deque = deque()
-                stop = False
-                while not stop:
-                    while len(pending) < 2 * cfg.workers:
-                        args = next(gen, None)
-                        if args is None:
-                            break
-                        pending.append(pool.submit(_worker_batch, cfg, baseline, *args))
-                    if not pending:
+            pending: deque = deque()
+            stop = False
+            while not stop:
+                while len(pending) < 2 * cfg.workers:
+                    args = next(gen, None)
+                    if args is None:
                         break
-                    stop = consume_one(pending.popleft().result())
-                for fut in pending:
-                    fut.cancel()
+                    pending.append(pool.submit(_worker_batch, *args))
+                if not pending:
+                    break
+                stop = consume_one(pending.popleft().result())
+            for fut in pending:
+                fut.cancel()
 
         points.append(
             BerPoint(

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from ldpccc import harness
 from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.cli import main
 from ldpccc.construction import demo_base, expand_base, split_and_unwrap
-from ldpccc.decoder import BlockDecoder
+from ldpccc.decoder import (
+    BlockDecoder,
+    DecoderConfig,
+    StreamDecoder,
+    _stream_frames_per_call,
+    decode_stream,
+)
 from ldpccc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -148,6 +155,49 @@ def test_serial_run_builds_the_code_once(small_cfg, monkeypatch):
     assert len(calls) == 1
 
 
+def test_stream_batches_match_frame_by_frame_decoding():
+    # the harness decodes each batch in calls of several frames; the counts
+    # equal one decode per seeded frame, over more frames than one call
+    # takes, with any workers
+    base = demo_base("toy_3x6_z16")
+    cfg = ExperimentConfig(base=base, variant="qspa", iterations=8, ebno_grid=(2.0,),
+                           min_error_events=10**9, max_blocks=30 * 4, seed=6,
+                           frame_blocks=4)
+    code = split_and_unwrap(base)
+    assert 30 > _stream_frames_per_call(code, cfg.iterations) > 1
+    dec_cfg = DecoderConfig(cfg.iterations, "qspa", Quantizer())
+    bit_errors = block_errors = 0
+    for f in range(30):
+        ch = ChannelConfig(ebno_db=2.0, rate=code.rate, seed=derive_seed(cfg.seed, 0, f))
+        llrs = to_llr(transmit_all_zero(4 * code.block_len, ch), noise_sigma(ch))
+        bits = decode_stream(StreamDecoder(code, dec_cfg), llrs).bits
+        bit_errors += int(bits.sum())
+        block_errors += int(bits.reshape(4, -1).any(axis=1).sum())
+    assert block_errors > 0
+    for workers in (1, 2):
+        p = run_ber(dataclasses.replace(cfg, workers=workers))[0]
+        assert (p.blocks_sent, p.bit_errors, p.block_errors) == (120, bit_errors, block_errors)
+
+
+def test_pool_builds_the_code_once_per_worker(small_cfg, monkeypatch, tmp_path):
+    # forked workers inherit the counting constructor and log their pid
+    log = tmp_path / "builds.txt"
+
+    def counting(base):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return split_and_unwrap(base)
+
+    monkeypatch.setattr(harness, "split_and_unwrap", counting)
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0, 6.0), workers=2,
+                              min_error_events=10**9, max_blocks=96)
+    points = run_ber(cfg)
+    assert len(points) == 3 and all(p.blocks_sent == 96 for p in points)
+    pids = log.read_text().split()
+    assert pids and len(pids) == len(set(pids)) <= cfg.workers
+    assert str(os.getpid()) not in pids
+
+
 def test_conv_vs_block_reported_not_asserted(small_cfg, capsys):
     # qualitative comparison only: print the paired result for inspection
     cfg = dataclasses.replace(
@@ -202,6 +252,15 @@ def test_cli_ber_config_file(tmp_path, capsys):
         "--seed", "9", "--out", str(out2),
     ]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["func", "subparser", "command", "help", "config"])
+def test_cli_config_rejects_non_option_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key}=x\n")
+    assert main(["construct", "--base", "toy_2x4_z8", "--skip-girth",
+                 "--config", str(cfg)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_arch_preset(capsys):

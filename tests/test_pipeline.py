@@ -347,6 +347,111 @@ def test_pipeline_matches_reference_up_to_eight_processors():
 
 
 # ---------------------------------------------------------------------------
+# frame axis: F streams side by side
+
+
+def bundled_codes():
+    """The four bundled codes and the period-4 code with -1 entries."""
+    names = ("toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31")
+    return ([split_and_unwrap(demo_base(name)) for name in names]
+            + [period_four_code(np.random.default_rng(5))])
+
+
+def assert_same_result(batched, f, alone):
+    for name in ("bits", "soft", "syndrome_ok"):
+        got, want = getattr(batched, name)[f], getattr(alone, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_batched_stream_matches_single_frames():
+    # an (F, n) batch decodes every frame bit-exactly as a 1-D call on that
+    # frame alone: one block, where only warm-up rows and the flush run, and
+    # I * period + 1 blocks, where every processor sees real data; one frame
+    # is all zeros and one partly zero
+    rng = np.random.default_rng(105)
+    for code in bundled_codes():
+        for n_proc, variant in itertools.product((1, 2, 3, 8), ("float", VARIANT_QSPA)):
+            for k in (1, n_proc * code.period + 1):
+                llrs = rng.normal(1.0, 1.2, (3, k * code.block_len)) * 3.0
+                llrs[1] = 0.0
+                llrs[2, rng.random(llrs.shape[1]) < 0.3] = 0.0
+                cfg = DecoderConfig(n_proc, variant)
+                batched = decode_stream(StreamDecoder(code, cfg), llrs)
+                for f in range(len(llrs)):
+                    assert_same_result(batched, f,
+                                       decode_stream(StreamDecoder(code, cfg), llrs[f]))
+
+
+def test_batched_stream_output_shapes(toy_code):
+    c = toy_code.block_len
+    for variant, dtype in (("float", np.float64), (VARIANT_QSPA, np.int64)):
+        cfg = DecoderConfig(2, variant)
+        for frames in ((), (1,), (4,)):
+            res = decode_stream(StreamDecoder(toy_code, cfg), np.ones(frames + (3 * c,)))
+            assert res.bits.shape == res.soft.shape == frames + (3 * c,)
+            assert res.syndrome_ok.shape == frames + (3,)
+            assert res.bits.dtype == np.uint8 and res.soft.dtype == dtype
+        with pytest.raises(ValueError, match="one or more frames"):
+            decode_stream(StreamDecoder(toy_code, cfg), np.ones((0, 3 * c)))
+        dec = StreamDecoder(toy_code, cfg)
+        block = np.ones((4, c), dtype=np.uint8 if variant == VARIANT_QSPA else np.float64)
+        outs = [dec.step(block) for _ in range(dec.output_delay + 1)]
+        assert outs[-1].bits.shape == outs[-1].soft.shape == (4, c)
+
+
+def test_step_rejects_a_changed_frame_count(toy_code):
+    c = toy_code.block_len
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
+    dec.step(np.ones((3, c)))
+    for bad in (np.ones((2, c)), np.ones(c), np.ones((1, c))):
+        with pytest.raises(ValueError, match="frame count"):
+            dec.step(bad)
+    assert dec.steps_run == 1
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
+    dec.step(np.ones(c))
+    with pytest.raises(ValueError, match="frame count"):
+        dec.step(np.ones((1, c)))
+
+
+def test_decode_stream_rejects_bad_batch_shapes(toy_code):
+    c = toy_code.block_len
+    for shape in ((2, 2, 3 * c), (2, 3 * c + 1), (1, c - 1)):
+        with pytest.raises(ValueError, match="multiple of"):
+            decode_stream(StreamDecoder(toy_code, DecoderConfig(iterations=2)), np.ones(shape))
+
+
+def test_batch_rejects_nan_in_one_frame(toy_code):
+    llrs = np.ones((4, 3 * toy_code.block_len))
+    llrs[2, -5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode_stream(StreamDecoder(toy_code, DecoderConfig(iterations=2)), llrs)
+    with pytest.raises(ValueError, match="NaN"):
+        decode_stream(
+            StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA)), llrs
+        )
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
+    block = np.ones((4, toy_code.block_len))
+    block[3, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        dec.step(block)
+    assert dec.steps_run == 0
+
+
+def test_qspa_batch_rejects_out_of_range_code_in_one_frame(toy_code):
+    dec = StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA))
+    n_codes = dec.quantizer.n_codes
+    for bad in (n_codes, -1):
+        block = np.zeros((4, toy_code.block_len), dtype=np.int64)
+        block[1, 7] = bad
+        with pytest.raises(ValueError, match="codes"):
+            dec.step(block)
+    assert dec.steps_run == 0
+    dec.step(np.full((4, toy_code.block_len), n_codes - 1, dtype=np.int64))
+    assert dec.steps_run == 1
+
+
+# ---------------------------------------------------------------------------
 # input validation at the step boundary
 
 
