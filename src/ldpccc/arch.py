@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "ArchParams",
@@ -33,6 +36,8 @@ __all__ = [
     "ram_trace_example",
     "PRESETS",
     "FPGA_REFERENCE",
+    "report_arch",
+    "report_presets",
 ]
 
 PROPOSED_PHASES = ("S-W", "R", "CNP", "VNP")
@@ -65,10 +70,12 @@ class ArchParams:
                      "quant_bits", "codewords"):
             if getattr(self, name) < 1:
                 raise ArchModelError(f"{name} must be positive")
+        if self.block_cols <= self.block_rows:
+            raise ArchModelError("block_cols must exceed block_rows (rate > 0)")
         if self.stage_delay < 0:
             raise ArchModelError("stage_delay must be >= 0")
-        if self.clock_hz <= 0:
-            raise ArchModelError("clock_hz must be positive")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise ArchModelError("clock_hz must be finite and positive")
         if not 1 <= self.codewords <= period:
             raise ArchModelError(
                 f"codewords must be in [1, {period}], got {self.codewords}"
@@ -232,15 +239,13 @@ class _RamMap:
         return range(lo, lo + self.chan_per_block)
 
 
-@dataclass(frozen=True)
-class RamAccess:
+class RamAccess(NamedTuple):
     ram: int
     address: int
     op: str  # "R" or "W"
 
 
-@dataclass(frozen=True)
-class StageEvent:
+class StageEvent(NamedTuple):
     cycle: int
     step: int
     stage: int
@@ -250,78 +255,146 @@ class StageEvent:
     accesses: tuple[RamAccess, ...]
 
 
-@dataclass(frozen=True)
+def _sorted_runs(*keys):
+    """Stable lexsort order of equal-length key columns (last key primary)
+    and a mask of the sorted positions that start a new key."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        s = k[order]
+        new[1:] |= s[1:] != s[:-1]
+    return order, new
+
+
 class Schedule:
-    params: ArchParams
-    kind: str                  # "proposed" or "conventional"
-    events: tuple[StageEvent, ...]
-    cycles_per_step: int
-    group_span: int            # phase slots needed to decode one check group
+    """Stage slots of a decoding schedule, held as per-event columns.
+
+    Event ``i`` runs stage ``stage[i]`` of decoding step ``step[i]`` for
+    codeword ``codeword[i]`` on BPU ``bpu[i]`` in cycle ``cycle[i]``; events
+    are in (cycle, bpu) order.  Its RAM traffic is the pattern of its
+    codeword and row phase (``step % period``): ``ops[k]`` on RAM
+    ``rams[codeword, phase, k]``, every access at address ``stage``.
+    ``events`` and ``csv_rows`` expand the columns on each call.
+    """
+
+    def __init__(self, params: ArchParams, kind: str, phases: tuple[str, ...],
+                 cycles_per_step: int, cycle, step, stage, codeword, bpu,
+                 ops: tuple[str, ...], rams):
+        self.params = params
+        self.kind = kind                # "proposed" or "conventional"
+        self.phases = phases
+        self.cycles_per_step = cycles_per_step
+        self.group_span = len(phases)   # phase slots to decode one check group
+        self.cycle, self.step, self.stage, self.codeword, self.bpu, self.rams = (
+            np.asarray(c, dtype=np.int64)
+            for c in (cycle, step, stage, codeword, bpu, rams))
+        self.ops = ops
+
+    def _key(self):
+        return (self.params, self.kind, self.phases, self.cycles_per_step, self.ops,
+                self.cycle, self.step, self.stage, self.codeword, self.bpu, self.rams)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._key(), other._key()))
+
+    def _event_lists(self):
+        """(cycle, step, stage, codeword, phase, bpu) of each event, as ints."""
+        phase = self.step % self.params.period
+        return zip(*(c.tolist() for c in (self.cycle, self.step, self.stage,
+                                          self.codeword, phase, self.bpu)))
+
+    @property
+    def events(self) -> tuple[StageEvent, ...]:
+        """One StageEvent per stage slot, with one RamAccess per access."""
+        pats = self.rams.tolist()
+        return tuple(
+            StageEvent(cy, st, sg, cw, b, self.phases, tuple(
+                RamAccess(ram, sg, op) for op, ram in zip(self.ops, pats[cw][ph])))
+            for cy, st, sg, cw, ph, b in self._event_lists())
 
     def audit_collisions(self) -> list[str]:
-        """Port conflicts: a RAM read or written twice in one stage slot."""
-        conflicts = []
-        seen: dict = {}
-        for ev in self.events:
-            for acc in ev.accesses:
-                key = (ev.cycle, acc.ram, acc.op)
-                if key in seen:
-                    conflicts.append(
-                        f"cycle {ev.cycle}: RAM {acc.ram} {acc.op} by BPU "
-                        f"{seen[key]} and BPU {ev.bpu}"
-                    )
-                else:
-                    seen[key] = ev.bpu
-        return conflicts
+        """Port conflicts: a RAM read or written twice in one stage slot.
+
+        One message per repeated (cycle, RAM, op) key, in event and access
+        order, naming the BPU of the key's first use.
+        """
+        n_acc = len(self.ops)
+        ram = self.rams[self.codeword, self.step % self.params.period].ravel()
+        write = np.tile(np.array([op == "W" for op in self.ops], dtype=bool),
+                        self.cycle.size)
+        order, new = _sorted_runs(write, ram, np.repeat(self.cycle, n_acc))
+        first = order[np.maximum.accumulate(np.where(new, np.arange(new.size), 0))]
+        pos, first = order[~new], first[~new]
+        by_pos = np.argsort(pos)
+        cycle, bpu = self.cycle.tolist(), self.bpu.tolist()
+        return [
+            f"cycle {cycle[i // n_acc]}: RAM {ram[i]} {self.ops[i % n_acc]} by BPU "
+            f"{bpu[f // n_acc]} and BPU {bpu[i // n_acc]}"
+            for i, f in zip(pos[by_pos].tolist(), first[by_pos].tolist())
+        ]
 
     def bpu_busy_fraction(self) -> dict[int, float]:
         """Fraction of occupied cycles during which each BPU is active."""
-        cycles = {ev.cycle for ev in self.events}
-        per_bpu: dict[int, set] = {}
-        for ev in self.events:
-            per_bpu.setdefault(ev.bpu, set()).add(ev.cycle)
-        span = max(cycles) + 1 if cycles else 0
-        return {b: len(c) / span for b, c in sorted(per_bpu.items())}
+        if not self.cycle.size:
+            return {}
+        order, new = _sorted_runs(self.cycle, self.bpu)
+        busy = np.bincount(self.bpu[order[new]]).tolist()
+        span = int(self.cycle.max()) + 1
+        return {b: n / span for b, n in enumerate(busy) if n}
 
     def steps_per_cycle(self) -> float:
         """Aggregate decoding-step completion rate over the emitted window."""
-        if not self.events:
+        if not self.cycle.size:
             return 0.0
-        span = max(ev.cycle for ev in self.events) + 1
-        steps = len({(ev.codeword, ev.step) for ev in self.events})
-        return steps / span
+        _, new = _sorted_runs(self.step, self.codeword)
+        return int(new.sum()) / (int(self.cycle.max()) + 1)
 
-    def csv_rows(self):
+    def csv_rows(self) -> list[tuple]:
+        """(cycle, bpu, activity, ram_id, address) rows: per event, one per
+        RAM access, then one with the phase label and empty RAM fields."""
+        label = "+".join(self.phases)
+        pats = [[list(zip(self.ops, p)) for p in row] for row in self.rams.tolist()]
         rows = []
-        for ev in self.events:
-            label = "+".join(ev.phases)
-            if ev.accesses:
-                for acc in ev.accesses:
-                    rows.append((ev.cycle, ev.bpu, acc.op, acc.ram, acc.address))
-            rows.append((ev.cycle, ev.bpu, label, "", ""))
+        for cy, _st, sg, cw, ph, b in self._event_lists():
+            rows += [(cy, b, op, ram, sg) for op, ram in pats[cw][ph]]
+            rows.append((cy, b, label, "", ""))
         return rows
+
+    def write_csv(self, out) -> None:
+        """Write ``csv_rows`` as CSV under the header ``cycle,bpu,activity,
+        ram_id,address`` to the text file ``out``, one join per event."""
+        label = "+".join(self.phases) + ",,\n"
+        mids = [[[f"{op},{ram}," for op, ram in zip(self.ops, p)] for p in row]
+                for row in self.rams.tolist()]
+        out.write("cycle,bpu,activity,ram_id,address\n")
+        for cy, _st, sg, cw, ph, b in self._event_lists():
+            prefix, suffix = f"{cy},{b},", f"{sg}\n"
+            if self.ops:
+                out.write(prefix + (suffix + prefix).join(mids[cw][ph]) + suffix)
+            out.write(prefix + label)
 
     def gantt(self) -> str:
         """Cycle-by-BPU activity grid."""
-        if not self.events:
+        if not self.cycle.size:
             return "(empty schedule)"
-        n_cycles = max(ev.cycle for ev in self.events) + 1
-        bpus = sorted({ev.bpu for ev in self.events})
-        grid = {(ev.bpu, ev.cycle): f"c{ev.codeword}s{ev.stage}" for ev in self.events}
+        grid = {(b, cy): f"c{cw}s{sg}" for cy, _st, sg, cw, _ph, b in self._event_lists()}
+        bpus = sorted({b for b, _cy in grid})
         width = max(6, max(len(v) for v in grid.values()) + 1)
-        head = "cycle".ljust(8) + "".join(f"BPU{b}".ljust(width) for b in bpus)
-        lines = [head]
-        for cy in range(n_cycles):
-            row = f"{cy}".ljust(8)
-            for b in bpus:
-                row += grid.get((b, cy), ".").ljust(width)
-            lines.append(row)
+        lines = ["cycle".ljust(8) + "".join(f"BPU{b}".ljust(width) for b in bpus)]
+        for cy in range(int(self.cycle.max()) + 1):
+            lines.append(f"{cy}".ljust(8) + "".join(
+                grid.get((b, cy), ".").ljust(width) for b in bpus))
         return "\n".join(lines)
 
 
-def _stage_accesses(p: ArchParams, rams: _RamMap, codeword: int, phase: int,
-                    stage: int) -> tuple[RamAccess, ...]:
-    """RAM traffic of one stage while the row of the given phase is processed.
+def _stage_accesses(p: ArchParams, rams: _RamMap, codeword: int,
+                    phase: int) -> list[tuple[str, int]]:
+    """RAM traffic (op, RAM id) of one stage while the row of the given phase
+    is processed; every access goes to the address equal to the stage.
 
     Reads: the entering row's full bank (check update), the stored
     check-to-variable banks of the leaving block, and the leaving block's
@@ -330,56 +403,38 @@ def _stage_accesses(p: ArchParams, rams: _RamMap, codeword: int, phase: int,
     freed this stage, and the arriving channel values.
     """
     M = p.period
-    acc: list[RamAccess] = []
-    for delta in range(M):
-        for ram in rams.edge_bank(codeword, phase, delta):
-            acc.append(RamAccess(ram, stage, "R"))
-    for j in range(M - 1):  # stored check-to-variable values of the leaving block
-        ph = (phase + 1 + j) % M
-        for ram in rams.edge_bank(codeword, ph, j):
-            acc.append(RamAccess(ram, stage, "R"))
-    for ram in rams.channel_bank(codeword, (phase + 1) % M):
-        acc.append(RamAccess(ram, stage, "R"))
-    for delta in range(M - 1):  # write-back toward blocks that stay resident
-        for ram in rams.edge_bank(codeword, phase, delta):
-            acc.append(RamAccess(ram, stage, "W"))
-    for j in range(M):  # arriving block's messages land in the freed slots
-        ph = (phase + 1 + j) % M
-        for ram in rams.edge_bank(codeword, ph, j):
-            acc.append(RamAccess(ram, stage, "W"))
-    for ram in rams.channel_bank(codeword, (phase + 1) % M):
-        acc.append(RamAccess(ram, stage, "W"))
-    return tuple(acc)
+    chan = (phase + 1) % M  # freed by the leaving block, refilled by the arriving one
+    reads = [rams.edge_bank(codeword, phase, delta) for delta in range(M)]
+    # stored check-to-variable values of the leaving block
+    reads += [rams.edge_bank(codeword, (phase + 1 + j) % M, j) for j in range(M - 1)]
+    reads.append(rams.channel_bank(codeword, chan))
+    # write-back toward blocks that stay resident
+    writes = [rams.edge_bank(codeword, phase, delta) for delta in range(M - 1)]
+    # arriving block's messages land in the freed slots
+    writes += [rams.edge_bank(codeword, (phase + 1 + j) % M, j) for j in range(M)]
+    writes.append(rams.channel_bank(codeword, chan))
+    return ([("R", ram) for bank in reads for ram in bank]
+            + [("W", ram) for bank in writes for ram in bank])
 
 
 def _emit(p: ArchParams, kind: str, phases: tuple[str, ...], steps: int) -> Schedule:
     rams = _RamMap(p)
+    patterns = [[_stage_accesses(p, rams, cw, ph) for ph in range(p.period)]
+                for cw in range(p.codewords)]
     cycles_per_step = p.stages + p.stage_delay
-    events = []
-    for cw in range(p.codewords):
-        for step in range(steps):
-            phase = step % p.period
-            bpu = phase if p.codewords == 1 else cw
-            start = step * cycles_per_step
-            for stage in range(p.stages):
-                events.append(
-                    StageEvent(
-                        cycle=start + stage,
-                        step=step,
-                        stage=stage,
-                        codeword=cw,
-                        bpu=bpu,
-                        phases=phases,
-                        accesses=_stage_accesses(p, rams, cw, phase, stage),
-                    )
-                )
-    events.sort(key=lambda ev: (ev.cycle, ev.bpu))
+    # step-major, then stage, then codeword: cycles grow with (step, stage)
+    # and the BPUs of one cycle are its codewords, so this is (cycle, bpu) order
+    step, stage, cw = (a.ravel() for a in np.meshgrid(
+        np.arange(steps), np.arange(p.stages), np.arange(p.codewords), indexing="ij"))
     return Schedule(
-        params=p,
-        kind=kind,
-        events=tuple(events),
-        cycles_per_step=cycles_per_step,
-        group_span=len(phases),
+        p, kind, phases, cycles_per_step,
+        cycle=step * cycles_per_step + stage,
+        step=step,
+        stage=stage,
+        codeword=cw,
+        bpu=step % p.period if p.codewords == 1 else cw,
+        ops=tuple(op for op, _ram in patterns[0][0]),  # the same for every pattern
+        rams=[[[ram for _op, ram in pat] for pat in row] for row in patterns],
     )
 
 
@@ -589,3 +644,53 @@ FPGA_REFERENCE: dict[str, dict] = {
     "3-P": {"memory_bits": 23283712, "throughput_bps": 2.0e9},
     "4-P": {"memory_bits": 19348480, "throughput_bps": 2.0e9},
 }
+
+
+# ---------------------------------------------------------------------------
+# text reports
+
+
+def report_arch(params: ArchParams, name: str = "custom") -> str:
+    """One-configuration report with the reference-hardware comparison row."""
+    rep = derive_report(params)
+    ref = FPGA_REFERENCE.get(name)
+    lines = [
+        f"{'config':<10} {'G':>6} {'depth':>6} {'memory bits':>12} "
+        f"{'clock':>9} {'throughput':>12}",
+        f"{name:<10} {params.stages:>6} {rep.ram_depth:>6} {rep.memory_bits:>12} "
+        f"{params.clock_hz / 1e6:>6.0f} MHz {rep.throughput_bps / 1e9:>7.2f} Gbps",
+    ]
+    if ref is not None:
+        delta = rep.memory_bits / ref["memory_bits"] - 1.0
+        lines.append(
+            f"{'reference':<10} {'':>6} {'':>6} {ref['memory_bits']:>12} "
+            f"{'':>9} {ref['throughput_bps'] / 1e9:>7.2f} Gbps "
+            f"(model memory {delta:+.2%})"
+        )
+    lines.append("")
+    lines.append(
+        f"CNPs/BPU {rep.cnp_count}, VNPs/BPU {rep.vnp_count}, "
+        f"edge RAMs {rep.edge_rams}, channel RAMs {rep.channel_rams}, "
+        f"RAM width {rep.ram_width}, cycles/step {rep.cycles_per_step}"
+    )
+    return "\n".join(lines)
+
+
+def report_presets() -> str:
+    """Table of every built-in configuration, model vs reference hardware."""
+    head = (
+        f"{'config':<8} {'z':>5} {'I':>3} {'G':>5} {'cw':>3} {'depth':>6} "
+        f"{'model bits':>11} {'ref bits':>11} {'delta':>7} {'Gbps':>6}"
+    )
+    lines = [head]
+    for name, params in PRESETS.items():
+        rep = derive_report(params)
+        ref = FPGA_REFERENCE[name]
+        delta = rep.memory_bits / ref["memory_bits"] - 1.0
+        lines.append(
+            f"{name:<8} {params.z:>5} {params.processors:>3} {params.stages:>5} "
+            f"{params.codewords:>3} {rep.ram_depth:>6} {rep.memory_bits:>11} "
+            f"{ref['memory_bits']:>11} {delta:>+7.2%} "
+            f"{rep.throughput_bps / 1e9:>6.2f}"
+        )
+    return "\n".join(lines)

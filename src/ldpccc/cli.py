@@ -26,8 +26,6 @@ from .construction import (
 from .decoder import VARIANT_FLOAT, VARIANT_QSPA
 from .harness import (
     ExperimentConfig,
-    report_arch,
-    report_presets,
     run_ber,
     run_block_baseline,
     write_csv,
@@ -140,6 +138,10 @@ class ArchPresetError(ValueError):
 
 
 def _cmd_arch(args) -> int:
+    if args.all_presets and args.schedule_csv and not args.preset:
+        raise ArchPresetError(
+            "--schedule-csv needs one configuration, not --all-presets"
+        )
     if args.preset:
         if args.preset not in arch_mod.PRESETS:
             raise ArchPresetError(
@@ -147,9 +149,9 @@ def _cmd_arch(args) -> int:
                 + ", ".join(arch_mod.PRESETS)
             )
         params = arch_mod.PRESETS[args.preset]
-        print(report_arch(params, args.preset))
+        print(arch_mod.report_arch(params, args.preset))
     elif args.all_presets:
-        print(report_presets())
+        print(arch_mod.report_presets())
         params = None
     else:
         params = arch_mod.ArchParams(
@@ -163,15 +165,13 @@ def _cmd_arch(args) -> int:
             stage_delay=args.dpipe,
             codewords=args.codewords,
         )
-        print(report_arch(params))
+        print(arch_mod.report_arch(params))
     if args.trace_demo:
         print()
         print(arch_mod.ram_trace_example().render())
-    if args.schedule_csv and params is not None:
-        sched = arch_mod.schedule_multi(params)
-        lines = ["cycle,bpu,activity,ram_id,address"]
-        lines += [",".join(str(x) for x in row) for row in sched.csv_rows()]
-        Path(args.schedule_csv).write_text("\n".join(lines) + "\n")
+    if args.schedule_csv:
+        with open(args.schedule_csv, "w") as out:
+            arch_mod.schedule_multi(params).write_csv(out)
         print(f"wrote {args.schedule_csv}")
     return 0
 
@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="summarize a base matrix and its code")
     p.add_argument("--base", required=True, help="base matrix file or bundled name")
     p.add_argument("--skip-girth", action="store_true",
-                   help="skip the quadratic girth computation")
+                   help="skip the girth search (breadth-first from every "
+                   "vertex at once, linear in the edge count per root)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_construct, subparser=p)
 

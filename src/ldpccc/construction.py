@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -474,57 +473,61 @@ def window_matrix(code: ConvCode, t_start: int, n_block_rows: int) -> SparseBina
     return SparseBinaryMatrix(n_rows, n_cols, entries)
 
 
+# bytes of one vertex-by-root array in girth, which sets the root chunk
+_GIRTH_CHUNK_BYTES = 1 << 21
+
+
 def girth(matrix: SparseBinaryMatrix) -> float:
     """Shortest cycle length of the bipartite adjacency graph.
 
-    BFS from each edge: the shortest cycle through edge (r, c) is one plus
-    the shortest path from c back to r that avoids the edge itself.
-    Returns math.inf for acyclic matrices.  Quadratic in the edge count, so
-    intended for desk-scale matrices.
+    Breadth-first search from every vertex at once, level by level.  The
+    graph is bipartite, so the first level L at which a vertex is reached
+    from two frontier vertices closes a cycle of length 2L through the
+    root, and the smallest such 2L over all roots is the girth.  A level
+    counts each vertex's frontier parents for a chunk of roots, one
+    gather-and-add per neighbour slot; a chunk stops at the first level
+    that cannot beat the best cycle found so far.  Time is at most
+    (rows + cols) * 2 * nnz additions per level below girth / 2; memory is
+    a few vertex-by-root arrays of about ``_GIRTH_CHUNK_BYTES`` bytes each,
+    plus O(rows + cols + nnz).  Returns math.inf for acyclic matrices.
     """
-    if matrix.nnz == 0:
-        return math.inf
-    n_rows, n_cols = matrix.shape
-    row_adj = [matrix.row_support(r) for r in range(n_rows)]
-    col_adj = [matrix.col_support(c) for c in range(n_cols)]
+    n_rows = matrix.rows
+    src = np.concatenate([matrix._rows, matrix._cols + n_rows])
+    dst = np.concatenate([matrix._cols + n_rows, matrix._rows])
+    deg = np.bincount(src, minlength=n_rows + matrix.cols)
+    starts = np.cumsum(deg) - deg
+    # vertices (checks, then variables) renumbered by falling degree,
+    # those without an edge dropped
+    order = np.argsort(-deg, kind="stable")[: np.count_nonzero(deg)]
+    rank = np.empty(deg.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    nbr = rank[dst[np.argsort(src, kind="stable")]]
+    deg, starts = deg[order], starts[order]
+    n, max_deg = order.size, int(deg.max(initial=0))
+    # slot j: the j-th neighbour of every vertex of degree > j, a prefix
+    slots = [nbr[starts[: np.count_nonzero(deg > j)] + j] for j in range(max_deg)]
+    count_dtype = np.min_scalar_type(max_deg)  # parent counts never exceed it
     best = math.inf
-    # node ids: checks 0..n_rows-1, variables n_rows..n_rows+n_cols-1
-    dist = np.empty(n_rows + n_cols, dtype=np.int64)
-    for r in range(n_rows):
-        for c in row_adj[r]:
-            c = int(c)
-            dist.fill(-1)
-            start = n_rows + c
-            dist[start] = 0
-            queue = deque([start])
-            found = None
-            while queue:
-                node = queue.popleft()
-                d = dist[node]
-                if d + 1 >= best:  # cannot improve on current best cycle
-                    break
-                if node >= n_rows:
-                    v = node - n_rows
-                    for nxt in col_adj[v]:
-                        nxt = int(nxt)
-                        if nxt == r and v == c:
-                            continue  # the banned edge itself
-                        if nxt == r:
-                            found = d + 1
-                            break
-                        if dist[nxt] < 0:
-                            dist[nxt] = d + 1
-                            queue.append(nxt)
-                else:
-                    for nxt in row_adj[node]:
-                        nxt = n_rows + int(nxt)
-                        if dist[nxt] < 0:
-                            dist[nxt] = d + 1
-                            queue.append(nxt)
-                if found is not None:
-                    break
-            if found is not None and found + 1 < best:
-                best = found + 1
+    chunk = max(1, _GIRTH_CHUNK_BYTES // max(1, n))
+    for lo in range(0, n, chunk):
+        roots = np.arange(lo, min(n, lo + chunk))
+        frontier = np.zeros((n, roots.size), dtype=bool)  # vertex x root
+        frontier[roots, np.arange(roots.size)] = True
+        seen = frontier.copy()
+        level = 1
+        while 2 * level < best:
+            parents = np.zeros((n, roots.size), dtype=count_dtype)
+            for idx in slots:
+                parents[: idx.size] += frontier[idx]
+            parents[seen] = 0
+            if (parents > 1).any():
+                best = 2 * level
+                break
+            frontier = parents.astype(bool)
+            if not frontier.any():
+                break
+            seen |= frontier
+            level += 1
     return best
 
 

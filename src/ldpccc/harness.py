@@ -1,4 +1,4 @@
-"""Monte-Carlo BER experiments and architecture report formatting.
+"""Monte-Carlo BER experiments.
 
 A BER point streams seeded all-zero-codeword frames through the channel
 and decoder until enough bit-error events accumulate.  Frames are seeded
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arch
 from .channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
 from .construction import BaseMatrix, expand_base, split_and_unwrap
 from .decoder import (
@@ -38,8 +37,6 @@ __all__ = [
     "run_block_baseline",
     "write_csv",
     "CSV_COLUMNS",
-    "report_arch",
-    "report_presets",
 ]
 
 CSV_COLUMNS = (
@@ -274,49 +271,3 @@ def write_csv(points: list[BerPoint], path, timings: bool = False) -> None:
             f"{p.ber:.8e},{p.bler:.8e},{p.seed},{int(p.truncated)},{wall}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def report_arch(params: arch.ArchParams, name: str = "custom") -> str:
-    """One-configuration report with the reference-hardware comparison row."""
-    rep = arch.derive_report(params)
-    ref = arch.FPGA_REFERENCE.get(name)
-    lines = [
-        f"{'config':<10} {'G':>6} {'depth':>6} {'memory bits':>12} "
-        f"{'clock':>9} {'throughput':>12}",
-        f"{name:<10} {params.stages:>6} {rep.ram_depth:>6} {rep.memory_bits:>12} "
-        f"{params.clock_hz / 1e6:>6.0f} MHz {rep.throughput_bps / 1e9:>7.2f} Gbps",
-    ]
-    if ref is not None:
-        delta = rep.memory_bits / ref["memory_bits"] - 1.0
-        lines.append(
-            f"{'reference':<10} {'':>6} {'':>6} {ref['memory_bits']:>12} "
-            f"{'':>9} {ref['throughput_bps'] / 1e9:>7.2f} Gbps "
-            f"(model memory {delta:+.2%})"
-        )
-    lines.append("")
-    lines.append(
-        f"CNPs/BPU {rep.cnp_count}, VNPs/BPU {rep.vnp_count}, "
-        f"edge RAMs {rep.edge_rams}, channel RAMs {rep.channel_rams}, "
-        f"RAM width {rep.ram_width}, cycles/step {rep.cycles_per_step}"
-    )
-    return "\n".join(lines)
-
-
-def report_presets() -> str:
-    """Table of every built-in configuration, model vs reference hardware."""
-    head = (
-        f"{'config':<8} {'z':>5} {'I':>3} {'G':>5} {'cw':>3} {'depth':>6} "
-        f"{'model bits':>11} {'ref bits':>11} {'delta':>7} {'Gbps':>6}"
-    )
-    lines = [head]
-    for name, params in arch.PRESETS.items():
-        rep = arch.derive_report(params)
-        ref = arch.FPGA_REFERENCE[name]
-        delta = rep.memory_bits / ref["memory_bits"] - 1.0
-        lines.append(
-            f"{name:<8} {params.z:>5} {params.processors:>3} {params.stages:>5} "
-            f"{params.codewords:>3} {rep.ram_depth:>6} {rep.memory_bits:>11} "
-            f"{ref['memory_bits']:>11} {delta:>+7.2%} "
-            f"{rep.throughput_bps / 1e9:>6.2f}"
-        )
-    return "\n".join(lines)

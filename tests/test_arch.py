@@ -1,22 +1,34 @@
+import hashlib
+import io
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpccc.arch import (
+    CONVENTIONAL_PHASES,
+    PROPOSED_PHASES,
     ArchModelError,
     ArchParams,
     FPGA_REFERENCE,
     PRESETS,
+    Schedule,
     complexity_estimates,
     derive_report,
     proposed_conventional_ratio,
     ram_trace_example,
+    report_arch,
+    report_presets,
     schedule_conventional,
     schedule_multi,
     schedule_single,
 )
+from ldpccc.cli import main
+
+from reference_hw import ref_audit, ref_csv_rows, ref_events
 
 GOLDEN = Path(__file__).parent / "data" / "ram_trace_golden.txt"
 
@@ -47,6 +59,46 @@ def test_params_reject_codeword_overflow():
 def test_params_reject_degenerate_grid():
     with pytest.raises(ArchModelError, match="period"):
         ArchParams(z=8, block_rows=3, block_cols=8, stages=1, processors=2)
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 4), (8, 4)])
+def test_params_reject_rate_at_or_below_zero(rows, cols):
+    with pytest.raises(ArchModelError, match="rate"):
+        ArchParams(z=8, block_rows=rows, block_cols=cols, stages=1, processors=2)
+
+
+@pytest.mark.parametrize("clock", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_params_reject_non_finite_or_non_positive_clock(clock):
+    with pytest.raises(ArchModelError, match="clock_hz"):
+        params_2s(clock_hz=clock)
+
+
+@pytest.mark.parametrize("clock", ["nan", "inf"])
+def test_cli_arch_rejects_non_finite_clock(clock, capsys):
+    assert main(["arch", "--clock", clock]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "clock_hz" in captured.err
+    assert "Gbps" not in captured.out
+
+
+_ints = st.integers(-3, 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_ints, block_rows=_ints, block_cols=_ints, stages=_ints, processors=_ints,
+       quant_bits=_ints, stage_delay=_ints, codewords=_ints,
+       clock_hz=st.floats(allow_nan=True, allow_infinity=True)
+       | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e8]))
+def test_params_validate_or_raise_model_error(**kw):
+    try:
+        p = ArchParams(**kw)
+    except ArchModelError:
+        return
+    assert math.isfinite(p.clock_hz) and p.clock_hz > 0
+    assert p.period >= 2 and 1 <= p.codewords <= p.period
+    assert min(p.z, p.stages, p.processors, p.quant_bits) >= 1 and p.stage_delay >= 0
+    rep = derive_report(p)
+    assert math.isfinite(rep.throughput_bps) and rep.throughput_bps > 0
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +147,33 @@ def test_all_presets_match_reference_hardware():
         ref = FPGA_REFERENCE[name]
         assert rep.throughput_bps == pytest.approx(ref["throughput_bps"])
         assert abs(rep.memory_bits / ref["memory_bits"] - 1.0) < 0.02
+
+
+REPORT_1S = (
+    "config          G  depth  memory bits     clock   throughput\n"
+    "1-S           422    512      4423680    100 MHz    0.50 Gbps\n"
+    "reference                     4402268              0.50 Gbps (model memory +0.49%)\n"
+    "\n"
+    "CNPs/BPU 1, VNPs/BPU 6, edge RAMs 96, channel RAMs 24, RAM width 72, cycles/step 422"
+)
+
+
+def test_report_arch_text_for_1s():
+    assert report_arch(PRESETS["1-S"], "1-S") == REPORT_1S
+
+
+def test_report_presets_lists_every_preset():
+    lines = report_presets().splitlines()
+    assert lines[0].split() == ["config", "z", "I", "G", "cw", "depth", "model",
+                                "bits", "ref", "bits", "delta", "Gbps"]
+    assert [line.split()[0] for line in lines[1:]] == list(PRESETS)
+    assert lines[1].split() == ["1-S", "422", "18", "422", "1", "512", "4423680",
+                                "4402268", "+0.49%", "0.50"]
+
+
+def test_cli_arch_preset_prints_report(capsys):
+    assert main(["arch", "--preset", "1-S"]) == 0
+    assert capsys.readouterr().out == REPORT_1S + "\n"
 
 
 def test_throughput_monotonicity():
@@ -203,6 +282,96 @@ def test_schedule_csv_rows_shape():
     assert all(len(r) == 5 for r in rows)
     ops = {r[2] for r in rows}
     assert "R" in ops and "W" in ops
+
+
+SCHEDULE_CASES = [
+    ("single", schedule_single, {}, PROPOSED_PHASES),
+    ("multi-1", schedule_multi, {"codewords": 1}, PROPOSED_PHASES),
+    ("multi-2", schedule_multi, {"codewords": 2}, PROPOSED_PHASES),
+    ("multi-4", schedule_multi, {"codewords": 4}, PROPOSED_PHASES),
+    ("multi-2-delay", schedule_multi, {"codewords": 2, "stage_delay": 2}, PROPOSED_PHASES),
+    ("single-delay", schedule_single, {"stage_delay": 3}, PROPOSED_PHASES),
+    ("conventional", schedule_conventional, {}, CONVENTIONAL_PHASES),
+    ("period-2", schedule_multi,
+     {"z": 8, "block_rows": 2, "block_cols": 4, "stages": 2, "codewords": 2},
+     PROPOSED_PHASES),
+]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 9])
+@pytest.mark.parametrize("name,build,kw,phases", SCHEDULE_CASES,
+                         ids=[c[0] for c in SCHEDULE_CASES])
+def test_schedule_matches_object_per_access_reference(name, build, kw, phases, steps):
+    p = sched_params(**kw)
+    sched = build(p, steps=steps)
+    single = p if build is schedule_multi else sched_params(**dict(kw, codewords=1))
+    want = ref_events(single, phases, steps)
+    assert sched.events == tuple(want)
+    rows = sched.csv_rows()
+    assert rows == ref_csv_rows(want)
+    text = io.StringIO()
+    sched.write_csv(text)
+    assert text.getvalue() == "cycle,bpu,activity,ram_id,address\n" + "".join(
+        f"{','.join(map(str, r))}\n" for r in rows)
+    assert sched.audit_collisions() == ref_audit(sched.events) == []
+
+
+def _with_rams(sched, rams):
+    return Schedule(sched.params, sched.kind, sched.phases, sched.cycles_per_step,
+                    sched.cycle, sched.step, sched.stage, sched.codeword, sched.bpu,
+                    sched.ops, rams)
+
+
+def test_audit_finds_injected_port_collisions():
+    p = sched_params(codewords=4)
+    sched = schedule_multi(p, steps=p.period + 1)
+    rams = sched.rams.copy()
+    rams[2] = rams[0]          # codeword 2 reuses codeword 0's RAM banks
+    rams[3, 1, 5] = rams[3, 1, 0]  # and one access of codeword 3 repeats a port
+    bad = _with_rams(sched, rams)
+    found = bad.audit_collisions()
+    assert found == ref_audit(bad.events)
+    # every access of codeword 2 in all 5 steps, plus one per stage of step 1
+    assert len(found) == p.stages * (p.period + 1) * len(sched.ops) + p.stages
+    assert found[0] == f"cycle 0: RAM {rams[0, 0, 0]} R by BPU 0 and BPU 2"
+    assert bad != sched and _with_rams(sched, sched.rams.copy()) == sched
+
+
+def test_schedule_column_statistics_match_events():
+    for _name, build, kw, _phases in SCHEDULE_CASES:
+        sched = build(sched_params(**kw), steps=7)
+        events = sched.events
+        span = max(ev.cycle for ev in events) + 1
+        busy = {}
+        for ev in events:
+            busy.setdefault(ev.bpu, set()).add(ev.cycle)
+        assert sched.bpu_busy_fraction() == {
+            b: len(c) / span for b, c in sorted(busy.items())}
+        assert sched.steps_per_cycle() == len(
+            {(ev.codeword, ev.step) for ev in events}) / span
+    empty = schedule_single(sched_params(), steps=0)
+    assert empty.events == () and empty.csv_rows() == []
+    assert empty.bpu_busy_fraction() == {} and empty.steps_per_cycle() == 0.0
+    assert empty.gantt() == "(empty schedule)"
+
+
+PRESET_1S_CSV_SHA256 = "625f1b5491ad13d6939e3f2928f4e07e458b32167c4b32afe90cd647ed225b61"
+
+
+def test_cli_schedule_csv_for_1s_is_pinned(tmp_path, capsys):
+    path = tmp_path / "sched.csv"
+    assert main(["arch", "--preset", "1-S", "--schedule-csv", str(path)]) == 0
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PRESET_1S_CSV_SHA256
+    assert data.count(b"\n") - 1 == 327_472
+
+
+def test_cli_schedule_csv_with_all_presets_is_an_error(tmp_path, capsys):
+    path = tmp_path / "sched.csv"
+    assert main(["arch", "--all-presets", "--schedule-csv", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--schedule-csv" in captured.err
+    assert not path.exists()
 
 
 def test_gantt_renders():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 # random bases are allowed to have rank-deficient phases; the warning is
 # exercised explicitly in its own test
@@ -19,6 +21,9 @@ from ldpccc.construction import (
     syndrome_check,
     window_matrix,
 )
+from ldpccc import construction
+
+from reference_hw import ref_girth_by_edge_bfs
 
 
 def random_base(rng, rows=None, cols=None, z=None, zero_prob=0.0):
@@ -331,6 +336,69 @@ def test_girth_matches_vertex_bfs_oracle():
         b = random_base(rng, zero_prob=0.2)
         m = expand_base(b)
         assert girth(m) == _girth_by_vertex_bfs(m)
+
+
+@st.composite
+def qc_bases(draw):
+    rows = draw(st.integers(2, 3))
+    cols = rows * draw(st.integers(2, 3))
+    z = draw(st.integers(2, 4))
+    exps = draw(st.lists(st.lists(st.integers(-1, z - 1), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    grid = np.array(exps)
+    assume((grid != -1).any(axis=0).all() and (grid != -1).any(axis=1).all())
+    return BaseMatrix(z=z, exponents=tuple(map(tuple, exps)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=qc_bases(), periods=st.sampled_from([0, 1, 2, 3]))
+def test_girth_matches_slow_references(base, periods):
+    """periods 0: the expanded block matrix; k: a window of k periods."""
+    if periods == 0:
+        m = expand_base(base)
+    else:
+        code = split_and_unwrap(base)
+        m = window_matrix(code, 0, periods * code.period)
+    g = girth(m)
+    assert g == ref_girth_by_edge_bfs(m) == _girth_by_vertex_bfs(m)
+    assert g == math.inf or (type(g) is int and g % 2 == 0)
+
+
+def _cycle(n, offset=0):
+    """Entries of a cycle of length 2n on n checks and n variables."""
+    return [(offset + i, offset + i) for i in range(n)] + [
+        (offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+GIRTH_SPECIAL_CASES = {
+    "empty": (SparseBinaryMatrix(3, 4, []), math.inf),
+    "tree": (SparseBinaryMatrix(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)]),
+             math.inf),
+    "four-cycle": (SparseBinaryMatrix(2, 2, _cycle(2)), 4),
+    "six-cycle-and-isolated": (SparseBinaryMatrix(5, 6, _cycle(3, 1)), 6),
+    "disconnected-8-and-6": (SparseBinaryMatrix(7, 7, _cycle(4) + _cycle(3, 4)), 6),
+    "disconnected-tree-and-10": (
+        SparseBinaryMatrix(8, 8, [(0, 0), (0, 1), (1, 1), (1, 2)] + _cycle(5, 3)), 10),
+}
+
+
+@pytest.mark.parametrize("case", list(GIRTH_SPECIAL_CASES))
+def test_girth_special_cases(case):
+    m, want = GIRTH_SPECIAL_CASES[case]
+    assert girth(m) == want
+    assert ref_girth_by_edge_bfs(m) == want and _girth_by_vertex_bfs(m) == want
+
+
+@pytest.mark.parametrize("budget", [1, 100, 1000])
+def test_girth_same_for_any_root_chunk(monkeypatch, budget):
+    rng = np.random.default_rng(11)
+    mats = [m for m, _ in GIRTH_SPECIAL_CASES.values()]
+    for _ in range(4):
+        code = split_and_unwrap(random_base(rng, zero_prob=0.2))
+        mats += [code.h_block, window_matrix(code, 0, 2 * code.period)]
+    want = [girth(m) for m in mats]
+    monkeypatch.setattr(construction, "_GIRTH_CHUNK_BYTES", budget)
+    assert [girth(m) for m in mats] == want
 
 
 def test_girth_preserved_by_unwrapping():
