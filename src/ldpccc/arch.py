@@ -175,13 +175,6 @@ class ComplexityScores:
     memory_score: float        # ~ z * processors * block_cols^2 * (1 - rate)
     logic_score: float         # memory_score / stages
 
-    def as_dict(self) -> dict:
-        return {
-            "throughput_score": self.throughput_score,
-            "memory_score": self.memory_score,
-            "logic_score": self.logic_score,
-        }
-
 
 def complexity_estimates(p: ArchParams) -> ComplexityScores:
     mem = p.z * p.processors * p.block_cols ** 2 * (1.0 - p.rate)

@@ -52,22 +52,18 @@ def _apply_config(args: argparse.Namespace):
         return
     values = _load_config_file(args.config)
     # only the subcommand's own options; not help, config or dispatch attributes
-    defaults = {a.dest: a.default for a in args.subparser._actions
-                if a.option_strings and a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in args.subparser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, raw in values.items():
-        if key not in defaults:
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        current = defaults[key]
-        if getattr(args, key) != current:
+        action = actions[key]
+        if getattr(args, key) != action.default:
             continue  # explicitly set on the command line
-        if isinstance(current, bool):
+        if isinstance(action.default, bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
         else:
-            setattr(args, key, raw)
+            setattr(args, key, (action.type or str)(raw))
 
 
 def _resolve_base(name_or_path: str) -> BaseMatrix:
@@ -137,10 +133,28 @@ class ArchPresetError(ValueError):
     pass
 
 
+# custom-configuration flags of ``arch``: the ArchParams field each sets and
+# its default; the parser leaves them None, so that one given beside a
+# preset is seen even when it repeats its default
+_ARCH_CUSTOM = {"z": ("z", 512), "nc": ("block_rows", 4), "nv": ("block_cols", 24),
+                "g": ("stages", 512), "iters": ("processors", 18),
+                "bits": ("quant_bits", 4), "clock": ("clock_hz", 1.0e8),
+                "dpipe": ("stage_delay", 0), "codewords": ("codewords", 1)}
+
+
 def _cmd_arch(args) -> int:
-    if args.all_presets and args.schedule_csv and not args.preset:
+    if args.preset and args.all_presets:  # both can come from a config file
+        raise ArchPresetError("--preset and --all-presets exclude each other")
+    if args.all_presets and args.schedule_csv:
         raise ArchPresetError(
             "--schedule-csv needs one configuration, not --all-presets"
+        )
+    custom = {k: getattr(args, k) for k in _ARCH_CUSTOM if getattr(args, k) is not None}
+    if custom and (args.preset or args.all_presets):
+        flags = ", ".join(f"--{k}" for k in custom)
+        raise ArchPresetError(
+            f"{flags} cannot be combined with "
+            f"{'--preset' if args.preset else '--all-presets'} (custom model only)"
         )
     if args.preset:
         if args.preset not in arch_mod.PRESETS:
@@ -154,17 +168,8 @@ def _cmd_arch(args) -> int:
         print(arch_mod.report_presets())
         params = None
     else:
-        params = arch_mod.ArchParams(
-            z=args.z,
-            block_rows=args.nc,
-            block_cols=args.nv,
-            stages=args.g,
-            processors=args.iters,
-            quant_bits=args.bits,
-            clock_hz=args.clock,
-            stage_delay=args.dpipe,
-            codewords=args.codewords,
-        )
+        params = arch_mod.ArchParams(**{field: custom.get(flag, default)
+                                        for flag, (field, default) in _ARCH_CUSTOM.items()})
         print(arch_mod.report_arch(params))
     if args.trace_demo:
         print()
@@ -227,19 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ber, subparser=p)
 
     p = sub.add_parser("arch", help="hardware model report")
-    p.add_argument("--preset", default=None,
-                   help="built-in configuration name (1-S..4-P)")
-    p.add_argument("--all-presets", action="store_true",
-                   help="print the full preset comparison table")
-    p.add_argument("--z", type=int, default=512)
-    p.add_argument("--nc", type=int, default=4)
-    p.add_argument("--nv", type=int, default=24)
-    p.add_argument("--g", type=int, default=512)
-    p.add_argument("--iters", type=int, default=18)
-    p.add_argument("--bits", type=int, default=4)
-    p.add_argument("--clock", type=float, default=1.0e8)
-    p.add_argument("--dpipe", type=int, default=0)
-    p.add_argument("--codewords", type=int, default=1)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--preset", default=None,
+                       help="built-in configuration name (1-S..4-P)")
+    which.add_argument("--all-presets", action="store_true",
+                       help="print the full preset comparison table")
+    for flag, (_, default) in _ARCH_CUSTOM.items():
+        p.add_argument(f"--{flag}", type=type(default), default=None,
+                       help=f"custom configuration (default {default:g}); "
+                       "not with a preset")
     p.add_argument("--schedule-csv", default=None)
     p.add_argument("--trace-demo", action="store_true",
                    help="print the canonical RAM storage walkthrough")

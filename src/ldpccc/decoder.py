@@ -24,8 +24,12 @@ plane for the last processor's output.  Channel values sit in
 entering row is ring row t mod 2*period, so one set of per-phase slot
 tables, built once per code, drives a fixed set of array operations over
 whole words for all processors and frames; a leaving block enters the next
-plane at the same slots, period ring rows on.  The float and 4-bit table-driven variants share this
-machinery and differ only in the kernels.
+plane at the same slots, period ring rows on.  The float and 4-bit
+table-driven variants share this machinery and differ only in the kernels.
+Both check-update kernels take a degree-major ``(degree, n)`` block, row k
+holding input k of n checks: the layout in which the ring's slot tables
+gather a row and the block decoder stores its messages, so no call site
+transposes.
 """
 
 from __future__ import annotations
@@ -76,47 +80,57 @@ _TANH_CEIL = 1.0 - 1e-15
 
 
 def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
-    """Check update on a (n_checks, degree) block of variable-to-check values.
+    """Check update on a (degree, n) block of variable-to-check values.
 
-    Magnitudes are combined in the log-tanh domain; an exact zero input
-    zeroes every other output of its check.  Row sums run in memory order,
-    so the input is made C-contiguous: a check's output never depends on
-    the layout it came in.
+    Row k holds input k of n checks, as for ``_cnp_qspa_rows``.  Magnitudes
+    are combined in the log-tanh domain; an exact zero input zeroes every
+    other output of its check.  Each check's log terms are summed as one
+    contiguous row, in numpy's order for a row (pairwise from 8 terms), so
+    a check's output never depends on the layout it came in.
     """
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    sign = np.where(v < 0, -1.0, 1.0)
+    v = np.asarray(v, dtype=np.float64)
+    n = v.shape[1]
+    neg = v < 0
     zero = v == 0.0
-    n_zero = zero.sum(axis=1, keepdims=True)
+    any_zero = np.count_nonzero(zero)
     av = np.abs(v)
     # in-place steps keep the temporaries few on wide batches
     lt = np.multiply(av, 0.5)
     np.tanh(lt, out=lt)
     np.clip(lt, _TANH_FLOOR, _TANH_CEIL, out=lt)
     np.log(lt, out=lt)
-    np.copyto(lt, 0.0, where=zero)
-    total = lt.sum(axis=1, keepdims=True)
+    if any_zero:
+        np.copyto(lt, 0.0, where=zero)
+    # numpy sums a contiguous row of fewer than 8 terms left to right, as a
+    # sum over this block's rows does; longer rows it sums pairwise, so
+    # those are summed as rows of a transposed copy
+    total = lt.sum(axis=0) if len(lt) < 8 else np.ascontiguousarray(lt.T).sum(axis=1)
     mag = np.subtract(total, lt, out=lt)
     np.exp(mag, out=mag)
-    np.clip(mag, 0.0, _TANH_CEIL, out=mag)
+    np.minimum(mag, _TANH_CEIL, out=mag)
     np.arctanh(mag, out=mag)
     mag *= 2.0
     # each output magnitude is mathematically bounded by the smallest other
-    # input; clip to that bound so atanh noise never breaks it
-    arg = np.argmin(av, axis=1)
-    rows = np.arange(av.shape[0])
-    min1 = av[rows, arg]
-    av[rows, arg] = np.inf  # av has no other use from here on
-    min2 = av.min(axis=1)
-    min_excl = np.broadcast_to(min1[:, None], av.shape).copy()
-    min_excl[rows, arg] = min2
-    np.minimum(mag, min_excl, out=mag)
+    # input; clip to that bound so atanh noise never breaks it: the first
+    # smallest input is bounded by the second smallest, every other one by
+    # the smallest
+    cols = np.arange(n)
+    arg = np.argmin(av, axis=0)
+    min1 = av[arg, cols]
+    at_min = mag[arg, cols]
+    av[arg, cols] = np.inf  # av has no other use from here on
+    np.minimum(mag, min1, out=mag)
+    mag[arg, cols] = np.minimum(at_min, av.min(axis=0))
     np.minimum(mag, clamp, out=mag)
-    sign_all = np.where(zero, 1.0, sign).prod(axis=1, keepdims=True)
-    alpha = np.multiply(sign_all, sign, out=sign)
-    alpha *= mag
-    np.copyto(alpha, 0.0, where=(n_zero == 1) & ~zero)
-    np.copyto(alpha, 0.0, where=n_zero >= 2)
-    return alpha
+    # output k is negative iff the other inputs hold an odd count of
+    # negatives; multiplying by -1.0 keeps the sign of a zero magnitude
+    flip = np.bitwise_xor(neg, np.bitwise_xor.reduce(neg, axis=0), out=neg)
+    mag *= np.where(flip, -1.0, 1.0)
+    if any_zero:
+        n_zero = zero.sum(axis=0)
+        np.copyto(mag, 0.0, where=(n_zero == 1) & ~zero)
+        np.copyto(mag, 0.0, where=n_zero >= 2)
+    return mag
 
 
 def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
@@ -124,7 +138,7 @@ def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("check update needs at least two inputs")
-    return _cnp_float_rows(values[None, :], clamp)[0]
+    return _cnp_float_rows(values[:, None], clamp)[:, 0]
 
 
 def _cnp_qspa_rows(codes: np.ndarray, table: np.ndarray,
@@ -248,7 +262,7 @@ class _StepTables(NamedTuple):
     order.
     """
 
-    cnp: tuple            # per degree group, (checks, degree): the entering row
+    cnp: tuple            # per degree group, (degree, checks): the entering row
     vnp: np.ndarray       # (K,) edges of the leaving block
     nxt: np.ndarray       # (K,) the same edges in the next processor's plane
     cols: np.ndarray      # (K,) their columns
@@ -258,7 +272,7 @@ class _StepTables(NamedTuple):
 
 class _PipelineTables(NamedTuple):
     steps: tuple          # _StepTables per step phase
-    warm: tuple           # per row r < memory: (checks, degree) groups within the row
+    warm: tuple           # per row r < memory: (degree, checks) groups within the row
     row_len: int          # edge slots per ring row
     plane: int            # edge slots per processor
     col_degree: int       # most edges any column of a block has
@@ -296,7 +310,8 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     for s in range(ring):
         # the entering row is ring row s; the leaving block's rows start m
         # rows back, and p rows further on in the next processor's plane
-        cnp = tuple(s * row_len + pos for _, _, pos in full[s % p].by_degree)
+        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
+                    for _, _, pos in full[s % p].by_degree)
         leaving = blocks[(s - m) % ring]
         steps.append(_StepTables(cnp, leaving[0], blocks[(s - m + p) % ring][0],
                                  leaving[1], *blocks[s]))
@@ -306,7 +321,7 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     warm = []
     for r in range(m):
         kept = np.flatnonzero(full[r].edge_delta <= r)
-        warm.append(tuple(kept[pos] for _, _, pos in code.row_structure(r).by_degree))
+        warm.append(tuple(kept[pos.T] for _, _, pos in code.row_structure(r).by_degree))
     col_degree = max(int(np.bincount(cols).max()) for _, cols in blocks)
     return _PipelineTables(tuple(steps), tuple(warm), row_len, ring * row_len, col_degree)
 
@@ -347,11 +362,6 @@ class StreamDecoder:
     def steps_run(self) -> int:
         return self._t
 
-    @property
-    def phase(self) -> int:
-        """Current time instant modulo the code period."""
-        return self._t % self.code.period
-
     def _allocate(self, frames: tuple):
         """Rings and word-wide tables for the frame count of the first step."""
         n_frames, n_proc = (frames or (1,))[0], self.config.iterations
@@ -372,16 +382,16 @@ class StreamDecoder:
         self._frames = frames
 
     def _check_update(self, groups, words: slice, offset: int = 0):
-        """Check update in place on the ring slots that the (checks, degree)
+        """Check update in place on the ring slots that the (degree, checks)
         groups name, at the given word positions."""
         edges = self._edges
         for idx in groups:
-            idx = idx.T + offset  # (degree, checks)
+            if offset:
+                idx = idx + offset
             vals = edges[idx, words]  # (degree, checks, word positions)
-            if self.quantized:
-                out = _cnp_qspa_rows(vals.reshape(len(idx), -1), self._table, self._max_pos)
-            else:
-                out = _cnp_float_rows(vals.reshape(len(idx), -1).T, self.config.clamp).T
+            rows = vals.reshape(len(idx), -1)
+            out = (_cnp_qspa_rows(rows, self._table, self._max_pos) if self.quantized
+                   else _cnp_float_rows(rows, self.config.clamp))
             edges[idx, words] = out.reshape(vals.shape)
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
@@ -633,9 +643,8 @@ class BlockDecoder:
         alpha = np.empty_like(lam_s)
         for it in range(self.iterations):
             for deg, lo, hi in self._groups:
-                rows = v2c[lo:hi].reshape(deg, -1, n_frames).transpose(1, 2, 0)
-                out = _cnp_float_rows(rows.reshape(-1, deg), self.clamp)
-                alpha[lo:hi] = out.reshape(-1, n_frames, deg).transpose(2, 0, 1).reshape(-1, n_frames)
+                alpha[lo:hi] = _cnp_float_rows(v2c[lo:hi].reshape(deg, -1),
+                                               self.clamp).reshape(-1, n_frames)
             weights = alpha.take(self._edge_slot, axis=0).ravel()
             total = np.bincount(bins, weights, lam.size).reshape(lam.shape)
             if it + 1 < self.iterations:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,54 +182,73 @@ def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
 
 
 def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
-    """Every grid point, its batches run in ``pool`` or, without one, here."""
-    run_batch = _batch_runner(cfg, baseline) if pool is None else None
+    """Every grid point, its batches run in ``pool`` or, without one, here.
+
+    The batches of the whole grid form one sequence in (point, frame)
+    order.  A pool keeps up to ``2 * workers`` of them in flight, across
+    point boundaries, so no worker waits for a point's last batch; results
+    are consumed strictly in order, so the stopping point never depends on
+    the worker count.  When a point stops, its batches still queued are
+    cancelled and the sequence skips past it.  Batches hold up to
+    ``min(64, max_frames // workers)`` frames.  In a pool a point's batches
+    start at one frame and double up to that, which bounds the frames
+    decoded past an early stop; run here, a batch starts only once the
+    previous one did not stop the point, so every batch is full size.
+    ``wall_time_s`` is the time from the previous point's end (or the
+    sweep's start) to this point's end.
+    """
     blocks_per_frame = 1 if baseline else cfg.frame_blocks
+    max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
+    cap = max(1, min(64, max_frames // cfg.workers))
+    first = cap if pool is None else 1
+    # seeding imports numpy.random; doing it before the first submit forks
+    # the pool lets the workers inherit that module instead of loading it
+    seeds = [derive_seed(cfg.seed, p) for p in range(len(cfg.ebno_grid))]
+    point_idx = 0
+
+    def grid_batches():
+        for p in range(len(cfg.ebno_grid)):
+            lo, size = 0, first
+            while lo < max_frames and point_idx <= p:
+                yield p, lo, min(lo + size, max_frames)
+                lo, size = min(lo + size, max_frames), min(2 * size, cap)
+
+    if pool is None:
+        run_batch = _batch_runner(cfg, baseline)
+
+        def submit(args):
+            fut = Future()
+            fut.set_result(run_batch(*args))
+            return fut
+        window = 1
+    else:
+        def submit(args):
+            return pool.submit(_worker_batch, *args)
+        window = 2 * cfg.workers
+
+    batches = grid_batches()
+    pending: deque = deque()  # (point, frame_hi, future) in sequence order
     points = []
+    t_start = time.perf_counter()
     for point_idx, ebno_db in enumerate(cfg.ebno_grid):
-        t_start = time.perf_counter()
         blocks = decoded_bits = bit_errors = block_errors = 0
-        point_seed = derive_seed(cfg.seed, point_idx)
-        max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
-        batch = max(1, min(64, max_frames // max(1, cfg.workers)))
-
-        def batches():
-            for lo in range(0, max_frames, batch):
-                yield point_idx, lo, min(lo + batch, max_frames)
-
-        def consume_one(results) -> bool:
-            nonlocal blocks, decoded_bits, bit_errors, block_errors
-            for nb, n_bits, be, blke in results:
+        stop = False
+        while not stop:
+            while len(pending) < window and (args := next(batches, None)) is not None:
+                pending.append((args[0], args[2], submit(args)))
+            _, frame_hi, fut = pending.popleft()
+            for nb, n_bits, be, blke in fut.result():
                 blocks += nb
                 decoded_bits += n_bits
                 bit_errors += be
                 block_errors += blke
                 if bit_errors >= cfg.min_error_events or blocks >= cfg.max_blocks:
-                    return True
-            return False
-
-        if run_batch is not None:
-            for args in batches():
-                if consume_one(run_batch(*args)):
+                    stop = True
                     break
-        else:
-            # submit a bounded window of batches ahead, consume strictly in
-            # order so the stopping point never depends on the worker count
-            gen = batches()
-            pending: deque = deque()
-            stop = False
-            while not stop:
-                while len(pending) < 2 * cfg.workers:
-                    args = next(gen, None)
-                    if args is None:
-                        break
-                    pending.append(pool.submit(_worker_batch, *args))
-                if not pending:
-                    break
-                stop = consume_one(pending.popleft().result())
-            for fut in pending:
-                fut.cancel()
-
+            stop = stop or frame_hi == max_frames
+        while pending and pending[0][0] == point_idx:
+            pending.popleft()[2].cancel()
+        t_end = time.perf_counter()
         points.append(
             BerPoint(
                 ebno_db=ebno_db,
@@ -238,11 +257,12 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
                 block_errors=block_errors,
                 ber=bit_errors / decoded_bits if decoded_bits else 0.0,
                 bler=block_errors / blocks if blocks else 0.0,
-                seed=point_seed,
+                seed=seeds[point_idx],
                 truncated=bit_errors < cfg.min_error_events,
-                wall_time_s=time.perf_counter() - t_start,
+                wall_time_s=t_end - t_start,
             )
         )
+        t_start = t_end
     return points
 
 

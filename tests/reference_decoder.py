@@ -14,7 +14,49 @@ while the input-to-output sensitivity of the update is at most one.
 
 import numpy as np
 
-from ldpccc.decoder import cnp_float
+from ldpccc.decoder import _TANH_CEIL, _TANH_FLOOR, cnp_float
+
+
+def ref_cnp_float_rows(v, clamp):
+    """Row-major float check update on a (n_checks, degree) block.
+
+    The slow path that the engine's degree-major kernel replaced, kept
+    verbatim so the fast kernel is pinned bit for bit: magnitudes combine
+    in the log-tanh domain, each check's log terms are summed as one
+    contiguous row, and an exact zero input zeroes every other output of
+    its check.
+    """
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    sign = np.where(v < 0, -1.0, 1.0)
+    zero = v == 0.0
+    n_zero = zero.sum(axis=1, keepdims=True)
+    av = np.abs(v)
+    lt = np.multiply(av, 0.5)
+    np.tanh(lt, out=lt)
+    np.clip(lt, _TANH_FLOOR, _TANH_CEIL, out=lt)
+    np.log(lt, out=lt)
+    np.copyto(lt, 0.0, where=zero)
+    total = lt.sum(axis=1, keepdims=True)
+    mag = np.subtract(total, lt, out=lt)
+    np.exp(mag, out=mag)
+    np.clip(mag, 0.0, _TANH_CEIL, out=mag)
+    np.arctanh(mag, out=mag)
+    mag *= 2.0
+    arg = np.argmin(av, axis=1)
+    rows = np.arange(av.shape[0])
+    min1 = av[rows, arg]
+    av[rows, arg] = np.inf
+    min2 = av.min(axis=1)
+    min_excl = np.broadcast_to(min1[:, None], av.shape).copy()
+    min_excl[rows, arg] = min2
+    np.minimum(mag, min_excl, out=mag)
+    np.minimum(mag, clamp, out=mag)
+    sign_all = np.where(zero, 1.0, sign).prod(axis=1, keepdims=True)
+    alpha = np.multiply(sign_all, sign, out=sign)
+    alpha *= mag
+    np.copyto(alpha, 0.0, where=(n_zero == 1) & ~zero)
+    np.copyto(alpha, 0.0, where=n_zero >= 2)
+    return alpha
 
 
 def ref_check_update_float(beta, clamp):

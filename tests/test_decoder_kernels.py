@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpccc.decoder import _cnp_qspa_rows, app_decide, cnp_float, cnp_qspa, vnp
+from ldpccc.decoder import (
+    _cnp_float_rows,
+    _cnp_qspa_rows,
+    app_decide,
+    cnp_float,
+    cnp_qspa,
+    vnp,
+)
 from ldpccc.quantization import Quantizer, build_pair_lut, to_twos_complement
 
-from reference_decoder import ref_check_update_lut
+from reference_decoder import ref_check_update_lut, ref_cnp_float_rows
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +95,81 @@ def test_cnp_float_brute_force_product_agreement():
             prod = np.prod(np.tanh(0.5 * np.delete(beta, i)))
             expect = 2.0 * np.arctanh(np.clip(prod, -(1 - 1e-15), 1 - 1e-15))
             assert out[i] == pytest.approx(np.clip(expect, -25, 25), abs=1e-9)
+
+
+def bits_of(x):
+    """The float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def hard_block(rng, degree, n, clamp):
+    """(degree, n) inputs with the kernel's hard cases: +-0.0, checks with
+    one and with two zeros, tied magnitudes, values at and above the clamp
+    and large magnitudes, mixed into ordinary values."""
+    v = rng.normal(0.0, 4.0, (degree, n))
+    pick = rng.random((degree, n))
+    v[pick < 0.05] = 0.0
+    v[(pick >= 0.05) & (pick < 0.08)] = -0.0
+    v[(pick >= 0.08) & (pick < 0.12)] = rng.choice([-1.0, 1.0]) * clamp
+    v[(pick >= 0.12) & (pick < 0.16)] *= 1e3  # far above the clamp
+    v[(pick >= 0.16) & (pick < 0.18)] = rng.choice([-1e300, 1e300, -1e-300, 1e-300])
+    cols = rng.permutation(n)
+    k = rng.integers(0, degree, n)
+    one, two, tie = np.array_split(cols[: 3 * (n // 4)], 3)
+    v[:, one] = np.where(v[:, one] == 0.0, 1.5, v[:, one])
+    v[k[one], one] = 0.0  # exactly one zero
+    if degree >= 2:
+        v[0, two], v[1, two] = 0.0, -0.0  # two zeros of either sign
+        v[:, tie] = rng.choice([-2.0, 2.0, 0.75, -0.75], (degree, tie.size))  # ties
+    return v
+
+
+@pytest.mark.parametrize("degree", range(1, 65))
+def test_degree_major_kernel_matches_row_major_reference(degree):
+    # bitwise against the row-major kernel the engine ran before, sign of
+    # zero included, at every degree from 1 to 64 and at several widths
+    rng = np.random.default_rng(1000 + degree)
+    for n, clamp in ((1, 25.0), (7, 25.0), (64, 25.0), (301, 8.0)):
+        v = hard_block(rng, degree, n, clamp)
+        want = ref_cnp_float_rows(v.T, clamp).T
+        got = _cnp_float_rows(v, clamp)
+        assert got.shape == v.shape and got.dtype == np.float64
+        assert np.array_equal(bits_of(got), bits_of(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 64), n=st.integers(1, 400),
+       clamp=st.sampled_from([25.0, 5.0, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_degree_major_kernel_matches_reference_on_random_blocks(degree, n, clamp, seed):
+    v = hard_block(np.random.default_rng(seed), degree, n, clamp)
+    assert np.array_equal(bits_of(_cnp_float_rows(v, clamp)),
+                          bits_of(ref_cnp_float_rows(v.T, clamp).T))
+
+
+def test_degree_major_kernel_reads_any_layout_and_keeps_its_input():
+    rng = np.random.default_rng(7)
+    v = hard_block(rng, 24, 90, 25.0)
+    want = bits_of(ref_cnp_float_rows(v.T, 25.0).T)
+    kept = v.copy()
+    assert np.array_equal(bits_of(_cnp_float_rows(np.asfortranarray(v), 25.0)), want)
+    wide = np.zeros((24, 180))
+    wide[:, ::2] = v
+    assert np.array_equal(bits_of(_cnp_float_rows(wide[:, ::2], 25.0)), want)
+    assert np.array_equal(bits_of(v), bits_of(kept))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(2, 40), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_cnp_float_sign_symmetry(degree, n, seed):
+    # flipping input k by s_k flips output k by s_k * prod(s), bit for bit:
+    # magnitudes depend on |v| only
+    rng = np.random.default_rng(seed)
+    v = hard_block(rng, degree, n, 25.0)
+    v[v == 0.0] = 0.5
+    s = rng.choice([-1.0, 1.0], (degree, n))
+    out = _cnp_float_rows(v, 25.0)
+    flipped = _cnp_float_rows(s * v, 25.0)
+    assert np.array_equal(bits_of(flipped), bits_of(s * s.prod(axis=0) * out))
 
 
 # ---------------------------------------------------------------------------

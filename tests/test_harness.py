@@ -198,6 +198,46 @@ def test_pool_builds_the_code_once_per_worker(small_cfg, monkeypatch, tmp_path):
     assert str(os.getpid()) not in pids
 
 
+def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_path):
+    # a point that stops on its first frame with a budget of thousands:
+    # batches start at one frame and double, so the 2 * workers batches in
+    # flight hold at most 2**(2 * workers) - 1 frames, not 64 per batch;
+    # forked workers inherit the counting decoder and log each call's frames
+    log = tmp_path / "frames.txt"
+
+    def counting(decoder, llrs):
+        with open(log, "a") as fh:
+            fh.write(f"{len(llrs)}\n")
+        return decode_stream(decoder, llrs)
+
+    monkeypatch.setattr(harness, "decode_stream", counting)
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(0.0,), min_error_events=1,
+                              max_blocks=16_000, frame_blocks=8)
+    for workers in (2, 3):
+        log.write_text("")
+        (point,) = run_ber(dataclasses.replace(cfg, workers=workers))
+        assert point.blocks_sent == cfg.frame_blocks and not point.truncated
+        decoded = sum(int(n) for n in log.read_text().split())
+        assert 1 <= decoded <= 2 ** (2 * workers) - 1
+
+
+def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):
+    # points that stop within their first batches, later, and at the block
+    # cap, with the pool window running across point boundaries
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(0.0, 2.0, 3.0, 9.0),
+                              min_error_events=15, max_blocks=400, frame_blocks=8)
+    texts = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"w{workers}.csv"
+        write_csv(run_ber(dataclasses.replace(cfg, workers=workers)), path)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
+    blocks = [int(r[1]) for r in rows]
+    assert blocks[0] <= 16 and blocks[0] < blocks[2] < 400
+    assert blocks[-1] == 400 and rows[-1][7] == "1"
+
+
 def test_conv_vs_block_reported_not_asserted(small_cfg, capsys):
     # qualitative comparison only: print the paired result for inspection
     cfg = dataclasses.replace(
@@ -283,6 +323,44 @@ def test_cli_arch_all_presets(capsys):
     assert row_4s.rstrip().endswith("0.50")
     row_2p = next(ln for ln in out.splitlines() if ln.startswith("2-P"))
     assert row_2p.rstrip().endswith("2.00")
+
+
+def test_cli_arch_preset_and_all_presets_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["arch", "--preset", "1-S", "--all-presets"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--z", "512"), ("--nc", "2"), ("--nv", "6"), ("--g", "3"), ("--iters", "2"),
+    ("--bits", "5"), ("--clock", "2e8"), ("--dpipe", "1"), ("--codewords", "2"),
+])
+@pytest.mark.parametrize("which", [["--preset", "1-S"], ["--all-presets"]])
+def test_cli_arch_custom_flag_beside_a_preset_is_an_error(flag, value, which, capsys):
+    # even a flag that repeats its default value: the preset would ignore it
+    assert main(["arch", *which, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+
+
+def test_cli_arch_config_file_obeys_the_preset_rules(tmp_path, capsys):
+    cfg = tmp_path / "arch.cfg"
+    cfg.write_text("preset=1-S\nz=12\n")
+    assert main(["arch", "--config", str(cfg)]) == 1
+    assert "--z" in capsys.readouterr().err
+    cfg.write_text("preset=1-S\nall-presets=1\n")
+    assert main(["arch", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    # custom flags from a file equal the same flags on the command line
+    cfg.write_text("z=12\nnc=2\nnv=4\ng=3\niters=2\nclock=2e8\n")
+    assert main(["arch", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["arch", "--z", "12", "--nc", "2", "--nv", "4", "--g", "3",
+                 "--iters", "2", "--clock", "2e8"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert "200 MHz" in from_file
 
 
 def test_cli_arch_schedule_csv(tmp_path):

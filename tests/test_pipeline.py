@@ -1,8 +1,13 @@
+import functools
 import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ldpccc.decoder
 
 from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
@@ -24,7 +29,12 @@ from ldpccc.decoder import (
 )
 from ldpccc.quantization import Quantizer, build_pair_lut
 
-from reference_decoder import ref_decode_block, ref_decode_float, ref_decode_qspa
+from reference_decoder import (
+    ref_cnp_float_rows,
+    ref_decode_block,
+    ref_decode_float,
+    ref_decode_qspa,
+)
 
 
 @pytest.fixture(scope="module")
@@ -642,3 +652,74 @@ def test_block_decoder_rejects_non_finite_llrs(toy_code, bad, quantizer):
         dec.decode(llrs[1])
     with pytest.raises(ValueError, match="finite"):
         dec.decode(llrs)
+
+
+# ---------------------------------------------------------------------------
+# float check update: the degree-major kernel inside both engines
+
+BUNDLED = ("toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31")
+
+
+@functools.cache
+def bundled_pair(name):
+    """A bundled base's convolutional code and its block code's matrix."""
+    return split_and_unwrap(demo_base(name)), expand_base(demo_base(name))
+
+
+def row_major_kernel(v, clamp):
+    """The row-major reference in the engine's degree-major kernel slot."""
+    return ref_cnp_float_rows(v.T, clamp).T
+
+
+def test_float_engines_match_the_row_major_kernel(monkeypatch):
+    # every bundled code through both decoders, batched, with some zero
+    # LLRs: the engines give the same bytes with the reference kernel
+    rng = np.random.default_rng(77)
+    cases = []
+    for name in BUNDLED:
+        code, matrix = bundled_pair(name)
+        stream = rng.normal(1.0, 1.5, (3, (2 * code.period + 1) * code.block_len)) * 2.0
+        block = rng.normal(1.0, 1.5, (4, matrix.cols)) * 2.0
+        for llrs in (stream, block):
+            llrs[1, rng.random(llrs.shape[1]) < 0.2] = 0.0
+        cases.append((code, matrix, stream, block))
+
+    def decode_all():
+        out = []
+        for code, matrix, stream, block in cases:
+            res = decode_stream(StreamDecoder(code, DecoderConfig(3)), stream)
+            out += [res.soft, res.bits, BlockDecoder(matrix, 3).decode(block)[1]]
+        return out
+
+    fast = decode_all()
+    monkeypatch.setattr(ldpccc.decoder, "_cnp_float_rows", row_major_kernel)
+    slow = decode_all()
+    for got, want in zip(fast, slow):
+        assert_identical(got, want)
+
+
+def same_up_to_zero_sign(a, b):
+    """Bit patterns equal once -0.0 reads as 0.0: a sum that cancels to
+    zero is +0.0 on both signs of its inputs."""
+    return np.array_equal((a + 0.0).view(np.int64), (b + 0.0).view(np.int64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(BUNDLED), iterations=st.integers(1, 4),
+       n_blocks=st.integers(1, 6), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_float_decoders_are_sign_symmetric(name, iterations, n_blocks, zeros, seed):
+    # every check of the bundled codes has even degree, so negating all
+    # LLRs negates every message and soft value exactly
+    code, matrix = bundled_pair(name)
+    rng = np.random.default_rng(seed)
+    stream = rng.normal(0.5, 2.0, n_blocks * code.block_len)
+    block = rng.normal(0.5, 2.0, (2, matrix.cols))
+    if zeros:
+        stream[rng.random(stream.shape) < 0.1] = 0.0
+        block[rng.random(block.shape) < 0.1] = 0.0
+    cfg = DecoderConfig(iterations)
+    pos = decode_stream(StreamDecoder(code, cfg), stream).soft
+    neg = decode_stream(StreamDecoder(code, cfg), -stream).soft
+    assert same_up_to_zero_sign(neg, -pos)
+    dec = BlockDecoder(matrix, iterations)
+    assert same_up_to_zero_sign(dec.decode(-block)[1], -dec.decode(block)[1])
