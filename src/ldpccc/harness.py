@@ -148,23 +148,32 @@ def _block_batch(cfg, decoder, point_idx, frame_lo, frame_hi):
 
 
 def _batch_runner(cfg: ExperimentConfig, baseline: bool):
-    """(point_idx, frame_lo, frame_hi) -> one (blocks, bits, bit errors,
-    block errors) row per frame, with the code built once."""
+    """The batch runner, (point_idx, frame_lo, frame_hi) -> one (blocks,
+    bits, bit errors, block errors) row per frame, with the code built
+    once, and the frames its decoder takes per call."""
     dec_cfg = _decoder_config(cfg)
     if baseline:
         decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations,
                                dec_cfg.quantizer, cfg.clamp)
-        return functools.partial(_block_batch, cfg, decoder)
-    return functools.partial(_stream_batch, cfg, split_and_unwrap(cfg.base), dec_cfg)
+        return functools.partial(_block_batch, cfg, decoder), decoder.frames_per_call
+    code = split_and_unwrap(cfg.base)
+    return (functools.partial(_stream_batch, cfg, code, dec_cfg),
+            _stream_frames_per_call(code, dec_cfg.iterations))
 
 
-# the batch runner of a pool worker, built once by _init_worker
+# the batch runner of a pool worker and its frames per call, built once by
+# _init_worker
 _worker_runner = None
+_worker_per_call = 0
 
 
 def _init_worker(cfg: ExperimentConfig, baseline: bool) -> None:
-    global _worker_runner
-    _worker_runner = _batch_runner(cfg, baseline)
+    global _worker_runner, _worker_per_call
+    _worker_runner, _worker_per_call = _batch_runner(cfg, baseline)
+
+
+def _worker_frames_per_call() -> int:
+    return _worker_per_call
 
 
 def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
@@ -189,32 +198,22 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
     point boundaries, so no worker waits for a point's last batch; results
     are consumed strictly in order, so the stopping point never depends on
     the worker count.  When a point stops, its batches still queued are
-    cancelled and the sequence skips past it.  Batches hold up to
-    ``min(64, max_frames // workers)`` frames.  In a pool a point's batches
-    start at one frame and double up to that, which bounds the frames
-    decoded past an early stop; run here, a batch starts only once the
-    previous one did not stop the point, so every batch is full size.
+    cancelled and the sequence skips past it.  A point's first batch holds
+    the frames of one decoder call, and each next batch twice as many, up
+    to ``min(64, max_frames // workers)``.  Batches below that size hold
+    whole calls, so they cost no more decoder calls than full-size ones,
+    and where a call holds few frames few are decoded past an early stop.
     ``wall_time_s`` is the time from the previous point's end (or the
     sweep's start) to this point's end.
     """
     blocks_per_frame = 1 if baseline else cfg.frame_blocks
     max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
     cap = max(1, min(64, max_frames // cfg.workers))
-    first = cap if pool is None else 1
     # seeding imports numpy.random; doing it before the first submit forks
     # the pool lets the workers inherit that module instead of loading it
     seeds = [derive_seed(cfg.seed, p) for p in range(len(cfg.ebno_grid))]
-    point_idx = 0
-
-    def grid_batches():
-        for p in range(len(cfg.ebno_grid)):
-            lo, size = 0, first
-            while lo < max_frames and point_idx <= p:
-                yield p, lo, min(lo + size, max_frames)
-                lo, size = min(lo + size, max_frames), min(2 * size, cap)
-
     if pool is None:
-        run_batch = _batch_runner(cfg, baseline)
+        run_batch, per_call = _batch_runner(cfg, baseline)
 
         def submit(args):
             fut = Future()
@@ -222,9 +221,19 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
             return fut
         window = 1
     else:
+        per_call = pool.submit(_worker_frames_per_call).result()
+
         def submit(args):
             return pool.submit(_worker_batch, *args)
         window = 2 * cfg.workers
+    point_idx = 0
+
+    def grid_batches():
+        for p in range(len(cfg.ebno_grid)):
+            lo, size = 0, min(per_call, cap)
+            while lo < max_frames and point_idx <= p:
+                yield p, lo, min(lo + size, max_frames)
+                lo, size = min(lo + size, max_frames), min(2 * size, cap)
 
     batches = grid_batches()
     pending: deque = deque()  # (point, frame_hi, future) in sequence order

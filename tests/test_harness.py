@@ -198,27 +198,50 @@ def test_pool_builds_the_code_once_per_worker(small_cfg, monkeypatch, tmp_path):
     assert str(os.getpid()) not in pids
 
 
-def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_path):
-    # a point that stops on its first frame with a budget of thousands:
-    # batches start at one frame and double, so the 2 * workers batches in
-    # flight hold at most 2**(2 * workers) - 1 frames, not 64 per batch;
-    # forked workers inherit the counting decoder and log each call's frames
-    log = tmp_path / "frames.txt"
-
+def _log_decoder_calls(monkeypatch, log):
+    """Log the frames of each stream decoder call; forked pool workers
+    inherit the counting decoder."""
     def counting(decoder, llrs):
         with open(log, "a") as fh:
             fh.write(f"{len(llrs)}\n")
         return decode_stream(decoder, llrs)
 
     monkeypatch.setattr(harness, "decode_stream", counting)
-    cfg = dataclasses.replace(small_cfg, ebno_grid=(0.0,), min_error_events=1,
-                              max_blocks=16_000, frame_blocks=8)
-    for workers in (2, 3):
+
+
+def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_path):
+    # a point that stops on its first frame with a budget of thousands: a
+    # point's first batch is one decoder call and each next one doubles, so
+    # the batches in flight hold at most per_call * (2**window - 1) frames,
+    # not 64 per batch
+    log = tmp_path / "frames.txt"
+    _log_decoder_calls(monkeypatch, log)
+    cfg = dataclasses.replace(small_cfg, base=demo_base("rate56_4x24_z31"), iterations=4,
+                              ebno_grid=(0.0,), min_error_events=1, max_blocks=8_000,
+                              frame_blocks=2)
+    per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations)
+    assert 1 < per_call < 64
+    for workers in (1, 2, 3):
         log.write_text("")
         (point,) = run_ber(dataclasses.replace(cfg, workers=workers))
         assert point.blocks_sent == cfg.frame_blocks and not point.truncated
-        decoded = sum(int(n) for n in log.read_text().split())
-        assert 1 <= decoded <= 2 ** (2 * workers) - 1
+        calls = [int(n) for n in log.read_text().split()]
+        window = 1 if workers == 1 else 2 * workers
+        assert calls and all(n == per_call for n in calls)
+        assert sum(calls) <= per_call * (2 ** window - 1)
+
+
+def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
+    # where a call holds a full batch, every batch is one call, from a
+    # point's first batch on
+    log = tmp_path / "frames.txt"
+    _log_decoder_calls(monkeypatch, log)
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0), min_error_events=10**9,
+                              max_blocks=256 * 8, frame_blocks=8, workers=2)
+    assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations) >= 64
+    points = run_ber(cfg)
+    assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
+    assert log.read_text().split() == ["64"] * 8
 
 
 def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):
