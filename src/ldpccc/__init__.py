@@ -35,7 +35,6 @@ from .decoder import (
     VARIANT_QSPA,
     BlockDecoder,
     DecoderConfig,
-    StepOutput,
     StreamDecoder,
     StreamResult,
     app_decide,

@@ -15,25 +15,30 @@ t - i*period, so all processors share one phase and one address sequence,
 which is why the hardware can stack their memories into one RAM word.  The
 software does the same, and also stacks F independent frames into the word,
 as the hardware interleaves codewords through the same processors.  The
-edge ring is ``(2*period*n_edges, (I + 1)*F)``: a word of edge slots for
-each of 2*period ring rows, where processor i keeps block row r in ring
-row (r + i*period) mod 2*period in its phase's full-band edge layout, and a
-word position per (processor, frame), frames innermost, with one extra
-plane for the last processor's output.  Channel values sit in
-``(period, block_len, I*F)`` by block mod period.  Every processor's
-entering row is ring row t mod 2*period, so one set of per-phase slot
-tables, built once per code, drives a fixed set of array operations over
-whole words for all processors and frames; a leaving block enters the next
-plane at the same slots, period ring rows on.  The float and 4-bit
-table-driven variants share this machinery and differ only in the kernels.
-Both check-update kernels take a degree-major ``(degree, n)`` block, row k
-holding input k of n checks: the layout in which the ring's slot tables
-gather a row and the block decoder stores its messages, so no call site
-transposes.
+edge ring is ``(period*row_len + 1, (I + 1)*F)``: every processor keeps
+block row r in ring row r mod period, in its phase's full-band edge layout,
+and the last slot holds 0; a word has a position per (processor, frame),
+frames innermost, and one extra plane for the last processor's output.  A
+processor holds period consecutive blocks, so a (row phase, block phase)
+pair names one resident message, and a leaving block takes the same slots
+in the next plane, which the block of the same phase leaves in the same
+step.  As in the paper's RAM, arriving messages overwrite the ones a
+leaving block frees: a step gathers every plane's leaving block before it
+writes any.  Channel values sit in ``(period, block_len, I*F)`` by block
+mod period.  One set of per-phase slot tables, built once per code, drives
+a fixed set of array operations for all processors and frames.
+
+Every decoder, and the scalar ``vnp``/``app_decide``, runs one variable
+update, ``_variable_update``: column sums through a padded slot table, in
+float64 or, for codes, in the smallest signed type that holds them.  Both
+check-update kernels take a degree-major ``(degree, n)`` block, row k
+holding input k of n checks: the layout in which the ring's tables gather
+a row and the block decoder stores its messages, so no call transposes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +49,9 @@ from .construction import syndrome_check  # noqa: F401  (traced here by perfbenc
 from .quantization import (
     PairLut,
     Quantizer,
+    _checked_codes,
+    _code_values,
+    _saturated_codes,
     build_pair_lut,
     from_twos_complement,
     to_twos_complement,
@@ -54,7 +62,6 @@ __all__ = [
     "VARIANT_QSPA",
     "DecoderConfig",
     "StreamDecoder",
-    "StepOutput",
     "StreamResult",
     "cnp_float",
     "cnp_qspa",
@@ -189,10 +196,56 @@ def cnp_qspa(codes, lut: PairLut) -> np.ndarray:
     if codes.ndim != 1 or codes.size < 2:
         raise ValueError("check update needs at least two inputs")
     q = lut.quantizer
-    if codes.min() < 0 or codes.max() >= q.n_codes:
-        raise ValueError(f"codes must lie in [0, {q.n_codes})")
-    codes = codes.astype(np.uint8)
+    codes = _checked_codes(codes, q).astype(np.uint8)
     return _cnp_qspa_rows(codes[:, None], lut.table, q.max_magnitude_int)[:, 0]
+
+
+def _variable_update(alpha: np.ndarray, slots: np.ndarray, cols: np.ndarray,
+                     channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A-posteriori sums ``post`` and messages ``post[cols] - alpha``.
+
+    Row e of ``alpha`` holds the messages into edge e, of column
+    ``cols[e]``; its last row holds 0 and pads short columns of the slot
+    table.  A sum starts from 0 and adds the table's rows in order in
+    alpha's dtype, then the channel value: floats sum in table order.
+    """
+    post = np.zeros(channel.shape, dtype=alpha.dtype)
+    for row in slots:
+        post += alpha.take(row, axis=0)
+    post += channel
+    beta = post.take(cols, axis=0)
+    beta -= alpha[:cols.size]
+    return post, beta
+
+
+def _column_table(cols: np.ndarray, rows: np.ndarray, n_cols: int, pad: int) -> np.ndarray:
+    """Slot table of ``_variable_update``: each column's ``rows`` in the
+    order listed, as a (most rows of any column, n_cols) table whose short
+    columns end in ``pad``."""
+    order = np.argsort(cols, kind="stable")
+    by_col = cols[order]
+    rank = np.arange(cols.size) - np.searchsorted(by_col, np.arange(n_cols))[by_col]
+    table = np.full((rank.max(initial=-1) + 1, n_cols), pad, dtype=np.intp)
+    table[rank, by_col] = rows[order]
+    return table
+
+
+def _sum_dtype(q: Quantizer, col_degree: int) -> type:
+    """Smallest signed type that holds a channel value plus a full column."""
+    bound = q.max_magnitude_int * (col_degree + 1)
+    return next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
+
+
+def _node_update(channel, incoming, quantizer: Quantizer | None):
+    """``_variable_update`` on one variable node: its soft value and its
+    outgoing messages, as integers for codes."""
+    numbers = (functools.partial(np.asarray, dtype=np.float64) if quantizer is None
+               else functools.partial(to_twos_complement, quantizer=quantizer))
+    alpha = numbers(np.ravel(incoming))
+    post, beta = _variable_update(np.append(alpha, 0)[:, None], np.arange(alpha.size)[:, None],
+                                  np.zeros(alpha.size, dtype=np.intp),
+                                  np.reshape(numbers(channel), (1, 1)))
+    return post[0, 0], beta[:, 0]
 
 
 def vnp(channel, incoming, quantizer: Quantizer | None = None):
@@ -202,21 +255,14 @@ def vnp(channel, incoming, quantizer: Quantizer | None = None):
     the sum runs in two's complement and each output saturates at the
     quantizer range before converting back to sign-magnitude.
     """
-    if quantizer is None:
-        alpha = np.asarray(incoming, dtype=np.float64)
-        return float(channel) + (alpha.sum() - alpha)
-    alpha = to_twos_complement(np.asarray(incoming), quantizer)
-    total = int(to_twos_complement(channel, quantizer)) + int(alpha.sum())
-    return from_twos_complement(total - alpha, quantizer)
+    beta = _node_update(channel, incoming, quantizer)[1]
+    return beta if quantizer is None else from_twos_complement(beta, quantizer)
 
 
 def app_decide(channel, incoming, quantizer: Quantizer | None = None):
     """A-posteriori soft value and hard bit; a zero soft value decides 0."""
-    if quantizer is None:
-        soft = float(channel) + float(np.sum(np.asarray(incoming, dtype=np.float64)))
-    else:
-        alpha = to_twos_complement(np.asarray(incoming), quantizer)
-        soft = int(to_twos_complement(channel, quantizer)) + int(alpha.sum())
+    post = _node_update(channel, incoming, quantizer)[0]
+    soft = float(post) if quantizer is None else int(post)
     return soft, int(soft < 0)
 
 
@@ -241,13 +287,6 @@ class DecoderConfig:
 
 
 @dataclass(frozen=True)
-class StepOutput:
-    block_index: int
-    bits: np.ndarray
-    soft: np.ndarray
-
-
-@dataclass(frozen=True)
 class StreamResult:
     bits: np.ndarray
     soft: np.ndarray
@@ -255,28 +294,27 @@ class StreamResult:
 
 
 class _StepTables(NamedTuple):
-    """Edge-ring slots for one step phase (t mod 2*period).
+    """Edge-ring slots for one step phase (t mod period).
 
     Every processor and frame uses the same slots at its own word
-    position.  A block's edges are listed newest row first, then the older
-    rows from oldest to newest, which is the variable update's summation
-    order.
+    position.  The leaving block's edges are listed newest row first, then
+    the older rows from oldest to newest: the variable update's summation
+    order.  The fresh block of phase s takes the leaving slots of phase
+    s + memory.  ``vnp`` ends in zero slots up to one past the largest
+    leaving block of any phase, the row that ``slots`` pads with.
     """
 
-    cnp: tuple            # per degree group, (degree, checks): the entering row
-    vnp: np.ndarray       # (K,) edges of the leaving block
-    nxt: np.ndarray       # (K,) the same edges in the next processor's plane
-    cols: np.ndarray      # (K,) their columns
-    new: np.ndarray       # (K,) edges of the fresh block in plane 0
-    new_cols: np.ndarray  # (K,) their columns
+    cnp: tuple          # per degree group, (degree, checks): the entering row
+    vnp: np.ndarray     # (largest K + 1,) slots of the leaving block's K edges, then zero slots
+    cols: np.ndarray    # (K,) their columns
+    slots: np.ndarray   # (column degree, block_len) each column's positions in vnp
 
 
 class _PipelineTables(NamedTuple):
     steps: tuple          # _StepTables per step phase
     warm: tuple           # per row r < memory: (degree, checks) groups within the row
     row_len: int          # edge slots per ring row
-    plane: int            # edge slots per processor
-    col_degree: int       # most edges any column of a block has
+    plane: int            # edge slots per processor; slot `plane` of each word holds 0
 
 
 def _full_rows(code: ConvCode) -> list:
@@ -293,29 +331,29 @@ def _pipeline_tables(code: ConvCode) -> _PipelineTables:
 
 def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     p, m = code.period, code.memory
-    ring = 2 * p
     full = _full_rows(code)
     row_len = max(s.n_edges for s in full)
+    plane = p * row_len
 
-    def block_edges(q):
-        """Ring positions and columns of a block whose first row is ring row q."""
+    def leaving(s):
+        """Ring slots and columns of the block that leaves at phase s; its
+        rows are ring rows s - memory .. s."""
         pos, cols = [], []
         for j in (m, *range(m)):
-            positions, columns, _ = full[(q + j) % p].delta_slices[j]
-            pos.append((q + j) % ring * row_len + positions)
+            r = (s - m + j) % p
+            positions, columns, _ = full[r].delta_slices[j]
+            pos.append(r * row_len + positions)
             cols.append(columns)
         return np.concatenate(pos), np.concatenate(cols).astype(np.intp)
 
-    blocks = [block_edges(q) for q in range(ring)]
+    blocks = [leaving(s) for s in range(p)]
+    pad = max(vnp.size for vnp, _ in blocks)
     steps = []
-    for s in range(ring):
-        # the entering row is ring row s; the leaving block's rows start m
-        # rows back, and p rows further on in the next processor's plane
-        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
-                    for _, _, pos in full[s % p].by_degree)
-        leaving = blocks[(s - m) % ring]
-        steps.append(_StepTables(cnp, leaving[0], blocks[(s - m + p) % ring][0],
-                                 leaving[1], *blocks[s]))
+    for s, (vnp, cols) in enumerate(blocks):
+        # the entering row is ring row s
+        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T) for _, _, pos in full[s].by_degree)
+        steps.append(_StepTables(cnp, np.append(vnp, np.full(pad + 1 - vnp.size, plane)), cols,
+                                 _column_table(cols, np.arange(cols.size), code.block_len, pad)))
     # rows before `memory` lack the blocks before block 0: their edges are
     # the full layout's edges with delta <= row, in the same order, grouped
     # by their own check degrees
@@ -323,8 +361,7 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     for r in range(m):
         kept = np.flatnonzero(full[r].edge_delta <= r)
         warm.append(tuple(kept[pos.T] for _, _, pos in code.row_structure(r).by_degree))
-    col_degree = max(int(np.bincount(cols).max()) for _, cols in blocks)
-    return _PipelineTables(tuple(steps), tuple(warm), row_len, ring * row_len, col_degree)
+    return _PipelineTables(tuple(steps), tuple(warm), row_len, plane)
 
 
 class StreamDecoder:
@@ -345,18 +382,25 @@ class StreamDecoder:
             self.lut = build_pair_lut(q)
             self._table = self.lut.table
             self._max_pos = q.max_magnitude_int
-            # code -> integer value, and integer -> saturated code for every
-            # variable-update output; negative integers index from the end
-            self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(np.float64)
-            bound = q.max_magnitude_int * self._tables.col_degree
+            col_degree = max(len(st.slots) for st in self._tables.steps)
+            self._dtype = _sum_dtype(q, col_degree)
+            # code -> integer and integer -> saturated code (negative
+            # integers index from the end), tabulated from the conversion
+            # pair, which is slower on a step's small words: on (8, 16) words
+            # the tables take 1.7 / 1.1 us against 7.7 / 17.9 us (the pair
+            # wins on the block decoder's (2,976, 22): 75 / 59 against 108 /
+            # 118 us), and the pair made a toy qspa decode_stream 40% slower
+            self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(self._dtype)
+            bound = q.max_magnitude_int * col_degree
             ints = np.arange(2 * bound + 1)
             ints[ints > bound] -= ints.size
             self._i2c = from_twos_complement(ints, q)
         else:
             self.quantizer = None
+            self._dtype = np.float64
         self.output_delay = (code.memory + 1) * config.iterations
         self._t = 0
-        self._pending: StepOutput | None = None
+        self._pending: tuple | None = None
         self._frames: tuple | None = None  # leading shape of every step's input
 
     @property
@@ -364,22 +408,17 @@ class StreamDecoder:
         return self._t
 
     def _allocate(self, frames: tuple):
-        """Rings and word-wide tables for the frame count of the first step."""
+        """Rings for the frame count of the first step."""
         n_frames, n_proc = (frames or (1,))[0], self.config.iterations
         self._n_frames = n_frames
         # a word holds every plane's copy of one slot, frames innermost; one
         # extra plane takes the last processor's output
         width = (n_proc + 1) * n_frames
-        self._edges = np.zeros((self._tables.plane, width),
+        self._edges = np.zeros((self._tables.plane + 1, width),
                                dtype=np.uint8 if self.quantized else np.float64)
         # channel values as the variable update adds them: integers for codes
-        self._chan = np.zeros((self.code.period, self.code.block_len, n_proc * n_frames))
-        # per step phase: the variable update's bin of each (edge, word
-        # position), and the flat ring positions of the fresh block
-        words = np.arange(n_proc * n_frames)
-        self._bins = [st.cols[:, None] * words.size + words for st in self._tables.steps]
-        self._new_slots = [st.new[:, None] * width + np.arange(n_frames)
-                           for st in self._tables.steps]
+        self._chan = np.zeros((self.code.period, self.code.block_len, n_proc * n_frames),
+                              dtype=self._dtype)
         self._frames = frames
 
     def _check_update(self, groups, words: slice, offset: int = 0):
@@ -405,23 +444,19 @@ class StreamDecoder:
             raise ValueError(f"frame count changed: the first step had shape "
                              f"{self._frames + (c,)}, this one {values.shape}")
         if self.quantized:
-            if values.dtype.kind not in "iu":
-                raise ValueError(f"codes must be integers, not {values.dtype}")
-            if ((values.dtype.kind == "i" and values.min() < 0)
-                    or values.max() >= self.quantizer.n_codes):
-                raise ValueError(f"codes must lie in [0, {self.quantizer.n_codes})")
-            return values
+            return _checked_codes(values, self.quantizer)
         if not np.isfinite(values).all():
             raise ValueError("channel LLRs must be finite")
         return values.astype(np.float64, copy=False)
 
-    def step(self, new_llrs: np.ndarray) -> StepOutput | None:
-        """One decoding step; returns a decided block once the delay elapsed.
+    def step(self, new_llrs: np.ndarray) -> tuple | None:
+        """One decoding step; once the delay elapsed, returns a decided
+        block as ``(block_index, bits, soft)``.
 
         ``new_llrs`` holds one block of channel values (codes for the
         quantized variant, floats otherwise) for one stream ``(c,)`` or for
-        F streams ``(F, c)``; the decided block has the same shape.  The
-        first step fixes F for the decoder's life.
+        F streams ``(F, c)``; the decided bits and soft values have the
+        same shape.  The first step fixes F for the decoder's life.
         """
         lam_new = self._validate(np.asarray(new_llrs))
         if self._frames is None:
@@ -431,13 +466,13 @@ class StreamDecoder:
         period, memory = self.code.period, self.code.memory
         n_proc, f = self.config.iterations, self._n_frames
         tables = self._tables
-        s = t % (2 * period)
-        st = tables.steps[s]
+        s = t % period
+        st, fresh = tables.steps[s], tables.steps[(s + memory) % period]
         edges, chan = self._edges, self._chan
         out_slot = (t + 1) % period  # channel slot of every leaving block
 
-        chan[t % period, :, :f] = self._c2i[lam_new] if self.quantized else lam_new
-        edges.ravel()[self._new_slots[s]] = lam_new[st.new_cols]
+        chan[s, :, :f] = self._c2i[lam_new] if self.quantized else lam_new
+        edges[fresh.vnp[:fresh.cols.size], :f] = lam_new.take(fresh.cols, axis=0)
         # processors 0..n-1 are on full-band rows; processor n may be on a
         # first row (< memory), which has no leaving block yet
         n = min(n_proc, (t - memory) // period + 1)
@@ -449,28 +484,24 @@ class StreamDecoder:
                                s * tables.row_len)
 
         # the variable update reads the entering row's check-to-variable
-        # values just written back; no other slot a step reads is written
-        # in that step, since the next plane's rows for the leaving block
-        # are not yet resident there
+        # values just written back.  Every plane's leaving block is gathered
+        # before any is written one plane on, into the slots that the next
+        # plane's own leaving block, of the same phase, has just left
         decision = None
         if n:
             busy = slice(0, n * f)
-            bins = self._bins[s][:, busy]
-            alpha = edges[st.vnp, busy]  # (edges, word positions)
+            alpha = edges[st.vnp, busy]  # (edges + pad, word positions)
             if self.quantized:
                 alpha = self._c2i[alpha]
-            post = np.bincount(bins.ravel(), alpha.ravel(), chan[0].size).reshape(chan[0].shape)
-            post[:, busy] += chan[out_slot, :, busy]
-            beta = post.ravel()[bins] - alpha
+            post, beta = _variable_update(alpha, st.slots, st.cols, chan[out_slot, :, busy])
             if self.quantized:
-                beta = self._i2c[beta.astype(np.intp)]
-            edges[st.nxt, f:(n + 1) * f] = beta
+                beta = self._i2c.take(beta)
+            edges[st.vnp[:st.cols.size], f:(n + 1) * f] = beta
             if n == n_proc:
                 soft = post[:, -f:].T.reshape(self._frames + (-1,))
                 if self.quantized:
                     soft = soft.astype(np.int64)
-                decision = StepOutput(block_index=t - memory - (n_proc - 1) * period,
-                                      bits=(soft < 0).astype(np.uint8), soft=soft)
+                decision = (t - memory - (n_proc - 1) * period, (soft < 0).astype(np.uint8), soft)
         chan[out_slot, :, f:] = chan[out_slot, :, :-f]
 
         self._t += 1
@@ -543,8 +574,9 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     for k in range(n_blocks + decoder.output_delay):
         out = decoder.step(feed[k] if k < n_blocks else pad)
         if out is not None:
-            sl = slice(out.block_index * c, (out.block_index + 1) * c)
-            bits[..., sl], soft[..., sl] = out.bits, out.soft
+            index, out_bits, out_soft = out
+            sl = slice(index * c, (index + 1) * c)
+            bits[..., sl], soft[..., sl] = out_bits, out_soft
     flags = _block_syndromes(decoder.code, bits)
     return StreamResult(bits=bits, soft=soft, syndrome_ok=flags)
 
@@ -577,10 +609,9 @@ class BlockDecoder:
         self.iterations = iterations
         self.quantizer = quantizer
         self.clamp = clamp
-        ent = matrix.entries()  # edge order: by row, then by column
-        edge_row, edge_col = ent[:, 0], ent[:, 1]
+        edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
         n_edges = edge_col.size
-        degrees = np.bincount(edge_row, minlength=matrix.rows)
+        degrees = matrix.row_weights()
         starts = np.cumsum(degrees) - degrees
         self._groups = []  # (degree, first slot, end slot) per check degree
         slot_edge = []
@@ -591,25 +622,15 @@ class BlockDecoder:
             self._groups.append((deg, lo, lo + slot_edge[-1].size))
         slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
         self._slot_col = edge_col[slot_edge].astype(np.intp)
-        # the float variable update sums in edge order
-        self._edge_slot = np.empty(n_edges, dtype=np.intp)
-        self._edge_slot[slot_edge] = np.arange(n_edges)
-        self._edge_col = edge_col.astype(np.intp)
-        # per column, its slots; short columns are padded with slot
-        # n_edges, which holds a zero
-        col_degree = np.bincount(self._slot_col, minlength=matrix.cols)
-        by_col = np.lexsort((self._slot_col,))
-        rank = np.arange(n_edges) - (np.cumsum(col_degree) - col_degree)[self._slot_col[by_col]]
-        self._col_slots = np.full((int(col_degree.max(initial=0)), matrix.cols), n_edges,
-                                 dtype=np.intp)
-        self._col_slots[rank, self._slot_col[by_col]] = by_col
+        # per column, its slots in edge order, the order of a float column
+        # sum; short columns are padded with slot n_edges, which holds 0
+        edge_slot = np.empty(n_edges, dtype=np.intp)
+        edge_slot[slot_edge] = np.arange(n_edges)
+        self._col_slots = _column_table(edge_col, edge_slot, matrix.cols, n_edges)
         self.frames_per_call = max(1, _EDGE_BUDGET // max(1, n_edges))
         if quantizer is not None:
             self.lut = build_pair_lut(quantizer)
-            # smallest signed type that holds a channel value plus a full column
-            bound = quantizer.max_magnitude_int * (self._col_slots.shape[0] + 1)
-            self._sum_dtype = next(t for t in (np.int8, np.int16, np.int32)
-                                   if bound <= np.iinfo(t).max)
+            self._sum_dtype = _sum_dtype(quantizer, len(self._col_slots))
 
     def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hard decisions and soft a-posteriori values after all iterations.
@@ -637,20 +658,14 @@ class BlockDecoder:
         """(n, F) soft values of a (F, n) batch."""
         n_frames = len(llrs)
         lam = llrs.T
-        lam_s = lam.take(self._slot_col, axis=0)
-        # column sums run in edge order, as the stream decoder's do
-        bins = (self._edge_col[:, None] * n_frames + np.arange(n_frames)).ravel()
-        v2c = lam_s
-        alpha = np.empty_like(lam_s)
-        for it in range(self.iterations):
+        v2c = lam.take(self._slot_col, axis=0)
+        alpha = np.zeros((self._slot_col.size + 1, n_frames))  # slot n_edges stays 0
+        for _ in range(self.iterations):
             for deg, lo, hi in self._groups:
                 alpha[lo:hi] = _cnp_float_rows(v2c[lo:hi].reshape(deg, -1),
                                                self.clamp).reshape(-1, n_frames)
-            weights = alpha.take(self._edge_slot, axis=0).ravel()
-            total = np.bincount(bins, weights, lam.size).reshape(lam.shape)
-            if it + 1 < self.iterations:
-                v2c = lam_s + total.take(self._slot_col, axis=0) - alpha
-        return lam + total
+            post, v2c = _variable_update(alpha, self._col_slots, self._slot_col, lam)
+        return post
 
     def _decode_qspa(self, llrs: np.ndarray) -> np.ndarray:
         """(n, F) soft values of a (F, n) batch; messages stay codes."""
@@ -667,37 +682,9 @@ class BlockDecoder:
             for deg, lo, hi in self._groups:
                 _code_values(_cnp_qspa_rows(v2c[lo:hi].reshape(deg, -1), table, max_pos),
                              q, alpha[lo:hi].reshape(deg, -1))
-            post = alpha.take(self._col_slots, axis=0).sum(axis=0, dtype=dtype)
-            post += lam
+            post, beta = _variable_update(alpha, self._col_slots, self._slot_col, lam)
             if it + 1 < self.iterations:
-                beta = post.take(self._slot_col, axis=0)
-                beta -= alpha[:n_edges]
                 _saturated_codes(beta, q, v2c)
-                del beta  # the next check update needs the room
+            del beta  # the next check update needs the room
         return post
 
-
-def _code_values(codes: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
-    """Signed integer value of each code into ``out`` (int8 or wider);
-    both zeros map to 0 and ``codes`` is overwritten.  Branch-free in small
-    integers with no temporary: numpy's masked ufuncs are many times
-    slower, and batch-sized temporaries raise the peak memory."""
-    c = codes.view(np.int8)
-    np.left_shift(c, 8 - q.bits, out=out)
-    np.right_shift(out, 7, out=out)  # -1 for a negative code, else 0
-    np.bitwise_and(c, q.sign_bit - 1, out=c)
-    np.bitwise_xor(c, out, out=c)
-    np.subtract(c, out, out=out)  # (v ^ -1) + 1 == -v
-
-
-def _saturated_codes(values: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
-    """Code of each integer into ``out``, saturating at the quantizer range;
-    0 -> +0.  ``values`` is overwritten."""
-    m = q.max_magnitude_int
-    np.clip(values, -m, m, out=values)
-    sign = out.view(np.int8)
-    np.right_shift(values, 8 * values.itemsize - 1, out=sign)  # -1 for a negative value
-    values ^= sign  # magnitude, as in _code_values
-    values -= sign
-    out &= q.sign_bit
-    np.bitwise_or(out, values, out=out, casting="unsafe")

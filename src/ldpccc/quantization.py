@@ -103,21 +103,57 @@ class Quantizer:
         return out if out.ndim else out[()]
 
 
+def _checked_codes(code, q: Quantizer) -> np.ndarray:
+    """``code`` as an array; anything but integers in [0, n_codes) raises."""
+    codes = np.asarray(code)
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, not {codes.dtype}")
+    if codes.size and ((codes.dtype.kind == "i" and codes.min() < 0)
+                       or codes.max() >= q.n_codes):
+        raise ValueError(f"codes must lie in [0, {q.n_codes})")
+    return codes
+
+
+def _code_values(codes: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
+    """Signed integer value of each uint8 code into ``out`` (int8 or wider);
+    both zeros map to 0 and ``codes`` is overwritten.  Branch-free in small
+    integers with no temporary: numpy's masked ufuncs are many times
+    slower, and batch-sized temporaries raise the peak memory."""
+    c = codes.view(np.int8)
+    np.left_shift(c, 8 - q.bits, out=out)
+    np.right_shift(out, 7, out=out)  # -1 for a negative code, else 0
+    np.bitwise_and(c, q.sign_bit - 1, out=c)
+    np.bitwise_xor(c, out, out=c)
+    np.subtract(c, out, out=out)  # (v ^ -1) + 1 == -v
+
+
+def _saturated_codes(values: np.ndarray, q: Quantizer, out: np.ndarray) -> None:
+    """Code of each signed integer into the uint8 ``out``, saturating at the
+    quantizer range; 0 -> +0.  ``values`` is overwritten."""
+    m = q.max_magnitude_int
+    np.clip(values, -m, m, out=values)
+    sign = out.view(np.int8)
+    np.right_shift(values, 8 * values.itemsize - 1, out=sign)  # -1 for a negative value
+    values ^= sign  # magnitude, as in _code_values
+    values -= sign
+    out &= q.sign_bit
+    np.bitwise_or(out, values, out=out, casting="unsafe")
+
+
 def to_twos_complement(code, quantizer: Quantizer):
     """Signed integer value(code)/step; both zero codes map to 0."""
-    code = np.asarray(code, dtype=np.int64)
-    mag = code & (quantizer.sign_bit - 1)
-    out = np.where(code & quantizer.sign_bit, -mag, mag)
+    codes = _checked_codes(code, quantizer).astype(np.uint8)
+    out = np.empty(codes.shape, dtype=np.int64)
+    _code_values(codes, quantizer, out)
     return out if out.ndim else int(out)
 
 
 def from_twos_complement(v, quantizer: Quantizer):
     """Sign-magnitude code for a signed integer, saturating at +-max; 0 -> +0."""
-    v = np.asarray(v, dtype=np.int64)
-    m = quantizer.max_magnitude_int
-    v = np.clip(v, -m, m)
-    code = np.where(v < 0, quantizer.sign_bit - v, v).astype(np.uint8)
-    return code if code.ndim else code[()]
+    values = np.array(v, dtype=np.int64)  # a copy: the conversion overwrites it
+    out = np.empty(values.shape, dtype=np.uint8)
+    _saturated_codes(values, quantizer, out)
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -156,8 +192,8 @@ def parse_lut(text: str, quantizer: Quantizer) -> PairLut:
     n = quantizer.n_codes
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected a {n}x{n} code table")
-    table = np.array(rows, dtype=np.uint8)
-    if table.max(initial=0) >= n:
+    if any(not 0 <= c < n for row in rows for c in row):
         raise ValueError("table contains out-of-range codes")
+    table = np.array(rows, dtype=np.uint8)
     table.setflags(write=False)
     return PairLut(quantizer=quantizer, table=table)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ldpccc.decoder import (
     _cnp_float_rows,
     _cnp_qspa_rows,
+    _column_table,
+    _variable_update,
     app_decide,
     cnp_float,
     cnp_qspa,
@@ -304,6 +306,77 @@ def test_vnp_quantized_integer_sum(q4):
     out = vnp(lam, alphas, quantizer=q4)
     assert int(to_twos_complement(out[0], q4)) == -1 - 3
     assert int(to_twos_complement(out[1], q4)) == -1 + 2
+
+
+def test_scalar_updates_reject_invalid_codes(q4):
+    for channel, incoming in ((3, [20, 200]), (300, [20]), (3, [-1]), (2.0, [1]), (3, [1.7])):
+        with pytest.raises(ValueError, match="codes must"):
+            vnp(channel, incoming, q4)
+        with pytest.raises(ValueError, match="codes must"):
+            app_decide(channel, incoming, q4)
+
+
+# ---------------------------------------------------------------------------
+# _variable_update: the one variable update of every decoder
+
+
+def literal_variable_update(alpha, slots, cols, channel):
+    """Per column and word, a sum from 0 over the slot table's rows in
+    order, in alpha's dtype, then the channel value."""
+    n_cols, width = channel.shape
+    zero = alpha.dtype.type(0)
+    post = np.empty(channel.shape, dtype=alpha.dtype)
+    for c in range(n_cols):
+        for w in range(width):
+            total = zero
+            for k in range(len(slots)):
+                total = total + alpha[slots[k, c], w]
+            post[c, w] = total + channel[c, w]
+    beta = np.empty((cols.size, width), dtype=alpha.dtype)
+    for e, c in enumerate(cols):
+        for w in range(width):
+            beta[e, w] = post[c, w] - alpha[e, w]
+    return post, beta
+
+
+# columns of 11 edges over 6 columns, listed out of column order: column 5
+# has no edge, columns 1 and 4 are short and padded
+VU_COLS = np.array([2, 0, 3, 1, 0, 2, 3, 4, 0, 2, 3])
+
+
+def test_column_table_lists_each_column_in_order_then_pads():
+    rows = np.array([10, 3, 7, 0, 1, 9, 2, 8, 4, 6, 5])
+    table = _column_table(VU_COLS, rows, 6, 99)
+    assert table.shape == (3, 6)
+    for col in range(6):
+        listed = [r for r, c in zip(rows, VU_COLS) if c == col]
+        assert table[:, col].tolist() == listed + [99] * (3 - len(listed))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int16])
+def test_variable_update_matches_literal_loop(dtype):
+    rng = np.random.default_rng(11)
+    k, width = VU_COLS.size, 4
+    if dtype is np.float64:
+        alpha = rng.normal(0.0, 3.0, (k + 1, width)) * 10.0 ** rng.integers(-8, 9, (k + 1, width))
+        alpha[rng.random(alpha.shape) < 0.2] = -0.0
+        channel = rng.normal(0.0, 2.0, (6, width))
+        channel[0] = -0.0
+    else:
+        m = 7 if dtype is np.int8 else 127  # a channel value and 3 edges fit the type
+        alpha = rng.integers(-m, m + 1, (k + 1, width)).astype(dtype)
+        channel = rng.integers(-m, m + 1, (6, width)).astype(dtype)
+    alpha[k] = 0
+    # an order per column that is neither edge nor column order
+    slots = _column_table(VU_COLS, rng.permutation(k), 6, k)
+    post, beta = _variable_update(alpha, slots, VU_COLS, channel)
+    want_post, want_beta = literal_variable_update(alpha, slots, VU_COLS, channel)
+    assert post.dtype == beta.dtype == alpha.dtype
+    assert np.array_equal(post[5], channel[5])  # the column with no edge
+    if dtype is np.float64:
+        post, beta = post.view(np.int64), beta.view(np.int64)
+        want_post, want_beta = want_post.view(np.int64), want_beta.view(np.int64)
+    assert np.array_equal(post, want_post) and np.array_equal(beta, want_beta)
 
 
 # ---------------------------------------------------------------------------

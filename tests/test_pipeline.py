@@ -13,6 +13,7 @@ from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
     BaseMatrix,
     demo_base,
+    demo_base_names,
     expand_base,
     split_and_unwrap,
     syndrome_check,
@@ -66,14 +67,14 @@ def test_initial_delay(toy_code):
     for _ in range(delay):
         assert dec.step(block) is None
     out = dec.step(block)
-    assert out is not None and out.block_index == 0
+    assert out is not None and out[0] == 0  # (block_index, bits, soft)
 
 
 def test_continuous_output_after_delay(toy_code):
     dec = StreamDecoder(toy_code, DecoderConfig(iterations=2))
     block = np.full(toy_code.block_len, 2.0)
     outs = [dec.step(block) for _ in range(dec.output_delay + 5)]
-    emitted = [o.block_index for o in outs if o is not None]
+    emitted = [o[0] for o in outs if o is not None]
     assert emitted == [0, 1, 2, 3, 4]
 
 
@@ -126,13 +127,19 @@ def test_slot_conservation_audit():
     for code in table_codes():
         tabs = _pipeline_tables(code)
         p, m = code.period, code.memory
-        ring, row_len = 2 * p, tabs.row_len
-        # deliveries of blocks r - m .. r into ring row r partition its
-        # edge slots, offset j carrying exactly the row's delta-j edges
-        for r in range(ring):
+        row_len = tabs.row_len
+
+        def leaving(s):
+            st = tabs.steps[s % p]
+            return st.vnp[:st.cols.size]
+
+        # the fresh block of phase q enters at the leaving slots of phase
+        # q + m: deliveries of blocks r - m .. r into ring row r partition
+        # its edge slots, offset j carrying exactly the row's delta-j edges
+        for r in range(p):
             got = []
             for j in range(m + 1):
-                new = tabs.steps[(r - j) % ring].new
+                new = leaving(r - j + m)
                 mine = new[new // row_len == r] - r * row_len
                 assert np.array_equal(np.sort(mine), full_row(code, r).delta_slices[j][0])
                 got.append(mine)
@@ -140,24 +147,23 @@ def test_slot_conservation_audit():
                                   np.arange(full_row(code, r).n_edges))
         # the variable update gathers each edge of the leaving block once,
         # where it was delivered, with its column; the next processor
-        # holds the same edges `period` ring rows further on
+        # holds the same edges at the same slots, and the gather ends in
+        # the ring's zero slot
         for s, st in enumerate(tabs.steps):
-            first = (s - m) % ring
+            first = (s - m) % p
             want = np.concatenate([
-                (first + j) % ring * row_len + full_row(code, first + j).delta_slices[j][0]
+                (first + j) % p * row_len + full_row(code, first + j).delta_slices[j][0]
                 for j in range(m + 1)
             ])
-            assert np.unique(st.vnp).size == st.vnp.size
-            assert np.array_equal(np.sort(st.vnp), np.sort(want))
-            assert np.array_equal(st.vnp, tabs.steps[first].new)
-            assert np.array_equal(st.cols, tabs.steps[first].new_cols)
-            rows, pos = np.divmod(st.vnp, row_len)
-            for e in range(st.vnp.size):
+            vnp = leaving(s)
+            assert np.unique(vnp).size == vnp.size
+            assert np.array_equal(np.sort(vnp), np.sort(want))
+            rows, pos = np.divmod(vnp, row_len)
+            for e in range(vnp.size):
                 struct = full_row(code, rows[e])
-                assert struct.edge_delta[pos[e]] == (rows[e] - first) % ring
+                assert struct.edge_delta[pos[e]] == (rows[e] - first) % p
                 assert struct.edge_col[pos[e]] == st.cols[e]
-            assert np.array_equal(st.nxt // row_len, (rows + p) % ring)
-            assert np.array_equal(st.nxt % row_len, pos)
+            assert (st.vnp[vnp.size:] == tabs.plane).all()
         # rows before `memory` check only the edges they have
         for r in range(m):
             pos = np.concatenate([idx.ravel() for idx in tabs.warm[r]])
@@ -168,6 +174,37 @@ def test_slot_conservation_audit():
             assert np.array_equal(full.edge_check[pos], struct.edge_check)
             assert np.array_equal(full.edge_delta[pos], struct.edge_delta)
             assert np.array_equal(full.edge_col[pos], struct.edge_col)
+
+
+def test_ring_is_the_paper_edge_memory():
+    # one ring row per row phase: a processor keeps one slot per edge of
+    # the expanded base matrix, the hardware's edge memory
+    for name in demo_base_names():
+        base = demo_base(name)
+        code = split_and_unwrap(base)
+        tabs = _pipeline_tables(code)
+        assert tabs.plane == expand_base(base).nnz
+        assert len(tabs.steps) == code.period
+
+
+def test_stream_pad_row_sits_past_the_largest_leaving_block():
+    # the leaving block's size varies by phase on the period-4 code; every
+    # phase pads short columns with the gathered row at the largest size,
+    # the ring's zero slot, and lists each column's edges in gather order
+    tabs = _pipeline_tables(period_four_code(np.random.default_rng(5)))
+    sizes = [st.cols.size for st in tabs.steps]
+    pad = max(sizes)
+    assert min(sizes) < pad
+    assert any((st.slots == pad).any() for st in tabs.steps)
+    for st in tabs.steps:
+        assert st.vnp.size == pad + 1 and (st.vnp[st.cols.size:] == tabs.plane).all()
+        real = st.slots < st.cols.size
+        assert (st.slots[~real] == pad).all()
+        assert np.array_equal(np.sort(st.slots[real]), np.arange(st.cols.size))
+        for col, rows in enumerate(st.slots.T):
+            kept = rows[rows < pad]
+            assert (st.cols[kept] == col).all() and (np.diff(kept) > 0).all()
+            assert (rows[kept.size:] == pad).all()
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +444,8 @@ def test_batched_stream_output_shapes(toy_code):
         dec = StreamDecoder(toy_code, cfg)
         block = np.ones((4, c), dtype=np.uint8 if variant == VARIANT_QSPA else np.float64)
         outs = [dec.step(block) for _ in range(dec.output_delay + 1)]
-        assert outs[-1].bits.shape == outs[-1].soft.shape == (4, c)
+        _, bits, soft = outs[-1]
+        assert bits.shape == soft.shape == (4, c)
 
 
 def test_step_rejects_a_changed_frame_count(toy_code):

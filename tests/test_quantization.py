@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpccc.construction import demo_base, demo_base_names, expand_base
 from ldpccc.quantization import (
     PairLut,
     Quantizer,
+    _code_values,
+    _saturated_codes,
     build_pair_lut,
     dump_lut,
     from_twos_complement,
@@ -122,6 +127,37 @@ def test_twos_roundtrip_all_values(q4):
         assert to_twos_complement(from_twos_complement(v, q4), q4) == v
 
 
+def test_twos_complement_rejects_invalid_codes(q4):
+    for bad in (1.7, np.array([2.0]), True, -1, 16, [3, 300]):
+        with pytest.raises(ValueError, match="codes must"):
+            to_twos_complement(bad, q4)
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_conversion_pair_matches_its_definitions(bits):
+    for q in (Quantizer(bits), Quantizer(bits, 0.25)):
+        m = q.max_magnitude_int
+        codes = np.arange(q.n_codes)
+        want = q.value(codes) / q.step
+        assert to_twos_complement(codes, q).tolist() == want.tolist()
+        assert [to_twos_complement(int(c), q) for c in codes] == want.tolist()
+        # every integer a variable update can reach on a bundled code
+        col_degree = max(int(expand_base(demo_base(n)).col_weights().max())
+                         for n in demo_base_names())
+        ints = np.arange(-m * (col_degree + 2), m * (col_degree + 2) + 1)
+        v = np.clip(ints, -m, m)
+        want_codes = np.where(v < 0, q.sign_bit | -v, v)
+        assert from_twos_complement(ints, q).tolist() == want_codes.tolist()
+        for dtype in (np.int8, np.int16, np.int64):
+            out = np.empty(codes.shape, dtype=dtype)
+            _code_values(codes.astype(np.uint8), q, out)
+            assert out.tolist() == want.tolist()
+            if ints.max() <= np.iinfo(dtype).max:
+                codes_out = np.empty(ints.shape, dtype=np.uint8)
+                _saturated_codes(ints.astype(dtype), q, codes_out)
+                assert codes_out.tolist() == want_codes.tolist()
+
+
 # ---------------------------------------------------------------------------
 # pair lut
 
@@ -205,3 +241,19 @@ def test_lut_dump_roundtrip(lut4, q4, tmp_path):
     assert np.array_equal(again.table, lut4.table)
     with pytest.raises(ValueError):
         parse_lut("1 2 3\n", q4)
+
+
+def test_parse_lut_rejects_codes_outside_the_table(lut4, q4):
+    rows = dump_lut(lut4).splitlines()
+    for first in ("-1", "300", "16", str(10**30)):
+        text = "\n".join([" ".join([first] + rows[0].split()[1:])] + rows[1:])
+        with pytest.raises(ValueError, match="out-of-range codes"):
+            parse_lut(text, q4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bits=st.integers(2, 8),
+       step=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False))
+def test_parse_lut_inverts_dump_lut(bits, step):
+    lut = build_pair_lut(Quantizer(bits, step))
+    assert np.array_equal(parse_lut(dump_lut(lut), lut.quantizer).table, lut.table)
