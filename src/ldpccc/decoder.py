@@ -20,13 +20,12 @@ block row r in ring row r mod period, in its phase's full-band edge layout,
 and the last slot holds 0; a word has a position per (processor, frame),
 frames innermost, and one extra plane for the last processor's output.  A
 processor holds period consecutive blocks, so a (row phase, block phase)
-pair names one resident message, and a leaving block takes the same slots
-in the next plane, which the block of the same phase leaves in the same
-step.  As in the paper's RAM, arriving messages overwrite the ones a
-leaving block frees: a step gathers every plane's leaving block before it
-writes any.  Channel values sit in ``(period, block_len, I*F)`` by block
-mod period.  One set of per-phase slot tables, built once per code, drives
-a fixed set of array operations for all processors and frames.
+pair names one resident message.  As in the paper's RAM, a leaving block's
+messages take the slots that the next plane's leaving block, of the same
+phase, frees in the same step, so a step gathers all leaving blocks before
+it writes any.  Channel values sit in ``(period, block_len, I*F)`` by
+block mod period.  One set of per-phase slot tables, built once per code,
+drives a fixed set of array operations for all processors and frames.
 
 Every decoder, and the scalar ``vnp``/``app_decide``, runs one variable
 update, ``_variable_update``: column sums through a padded slot table, in
@@ -219,9 +218,8 @@ def _variable_update(alpha: np.ndarray, slots: np.ndarray, cols: np.ndarray,
 
 
 def _column_table(cols: np.ndarray, rows: np.ndarray, n_cols: int, pad: int) -> np.ndarray:
-    """Slot table of ``_variable_update``: each column's ``rows`` in the
-    order listed, as a (most rows of any column, n_cols) table whose short
-    columns end in ``pad``."""
+    """(most rows of a column, n_cols) slot table of ``_variable_update``:
+    each column's ``rows`` in the order listed, then ``pad``."""
     order = np.argsort(cols, kind="stable")
     by_col = cols[order]
     rank = np.arange(cols.size) - np.searchsorted(by_col, np.arange(n_cols))[by_col]
@@ -298,16 +296,14 @@ class _StepTables(NamedTuple):
 
     Every processor and frame uses the same slots at its own word
     position.  The leaving block's edges are listed newest row first, then
-    the older rows from oldest to newest: the variable update's summation
-    order.  The fresh block of phase s takes the leaving slots of phase
-    s + memory.  ``vnp`` ends in zero slots up to one past the largest
-    leaving block of any phase, the row that ``slots`` pads with.
+    the older rows from oldest to newest (the summation order), and the
+    fresh block of phase s takes the leaving slots of phase s + memory.
     """
 
     cnp: tuple          # per degree group, (degree, checks): the entering row
-    vnp: np.ndarray     # (largest K + 1,) slots of the leaving block's K edges, then zero slots
+    vnp: np.ndarray     # the leaving block's K slots, then zero slots up to the largest K + 1
     cols: np.ndarray    # (K,) their columns
-    slots: np.ndarray   # (column degree, block_len) each column's positions in vnp
+    slots: np.ndarray   # (column degree, block_len) positions in vnp, padded with the largest K
 
 
 class _PipelineTables(NamedTuple):
@@ -336,8 +332,7 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     plane = p * row_len
 
     def leaving(s):
-        """Ring slots and columns of the block that leaves at phase s; its
-        rows are ring rows s - memory .. s."""
+        """Slots and columns of the block leaving at phase s, in rows s - m .. s."""
         pos, cols = [], []
         for j in (m, *range(m)):
             r = (s - m + j) % p
@@ -351,9 +346,11 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     steps = []
     for s, (vnp, cols) in enumerate(blocks):
         # the entering row is ring row s
-        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T) for _, _, pos in full[s].by_degree)
-        steps.append(_StepTables(cnp, np.append(vnp, np.full(pad + 1 - vnp.size, plane)), cols,
-                                 _column_table(cols, np.arange(cols.size), code.block_len, pad)))
+        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
+                    for _, _, pos in full[s].by_degree)
+        zeros = np.full(pad + 1 - vnp.size, plane)
+        slots = _column_table(cols, np.arange(cols.size), code.block_len, pad)
+        steps.append(_StepTables(cnp, np.append(vnp, zeros), cols, slots))
     # rows before `memory` lack the blocks before block 0: their edges are
     # the full layout's edges with delta <= row, in the same order, grouped
     # by their own check degrees
@@ -387,9 +384,10 @@ class StreamDecoder:
             # code -> integer and integer -> saturated code (negative
             # integers index from the end), tabulated from the conversion
             # pair, which is slower on a step's small words: on (8, 16) words
-            # the tables take 1.7 / 1.1 us against 7.7 / 17.9 us (the pair
-            # wins on the block decoder's (2,976, 22): 75 / 59 against 108 /
-            # 118 us), and the pair made a toy qspa decode_stream 40% slower
+            # the tables take 2.2 / 1.5 us against 8.3 / 19.4 us (the pair
+            # wins on the block decoder's (2,976, 22): 55 / 52 against 224 /
+            # 453 us), and in the step it made a toy qspa decode_stream 47%
+            # slower (13.8 against 9.4 ms; 2-core host, numpy 2.4)
             self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(self._dtype)
             bound = q.max_magnitude_int * col_degree
             ints = np.arange(2 * bound + 1)
@@ -484,9 +482,8 @@ class StreamDecoder:
                                s * tables.row_len)
 
         # the variable update reads the entering row's check-to-variable
-        # values just written back.  Every plane's leaving block is gathered
-        # before any is written one plane on, into the slots that the next
-        # plane's own leaving block, of the same phase, has just left
+        # values just written back; all planes' leaving blocks are gathered
+        # before each is written one plane on, where the same phase leaves
         decision = None
         if n:
             busy = slice(0, n * f)
@@ -501,7 +498,8 @@ class StreamDecoder:
                 soft = post[:, -f:].T.reshape(self._frames + (-1,))
                 if self.quantized:
                     soft = soft.astype(np.int64)
-                decision = (t - memory - (n_proc - 1) * period, (soft < 0).astype(np.uint8), soft)
+                index = t - memory - (n_proc - 1) * period
+                decision = (index, (soft < 0).astype(np.uint8), soft)
         chan[out_slot, :, f:] = chan[out_slot, :, :-f]
 
         self._t += 1
@@ -672,12 +670,11 @@ class BlockDecoder:
         q = self.quantizer
         table, max_pos = self.lut.table, q.max_magnitude_int
         n_edges, n_frames = self._slot_col.size, len(llrs)
-        dtype = self._sum_dtype
-        lam = np.empty((llrs.shape[1], n_frames), dtype=dtype)
+        lam = np.empty((llrs.shape[1], n_frames), dtype=self._sum_dtype)
         _code_values(q.quantize(llrs).T, q, lam)
         v2c = np.empty((n_edges, n_frames), dtype=np.uint8)
         _saturated_codes(lam.take(self._slot_col, axis=0), q, v2c)
-        alpha = np.zeros((n_edges + 1, n_frames), dtype=dtype)  # slot n_edges stays 0
+        alpha = np.zeros((n_edges + 1, n_frames), dtype=lam.dtype)  # slot n_edges stays 0
         for it in range(self.iterations):
             for deg, lo, hi in self._groups:
                 _code_values(_cnp_qspa_rows(v2c[lo:hi].reshape(deg, -1), table, max_pos),

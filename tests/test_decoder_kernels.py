@@ -358,7 +358,8 @@ def test_variable_update_matches_literal_loop(dtype):
     rng = np.random.default_rng(11)
     k, width = VU_COLS.size, 4
     if dtype is np.float64:
-        alpha = rng.normal(0.0, 3.0, (k + 1, width)) * 10.0 ** rng.integers(-8, 9, (k + 1, width))
+        scale = 10.0 ** rng.integers(-8, 9, (k + 1, width))
+        alpha = rng.normal(0.0, 3.0, (k + 1, width)) * scale
         alpha[rng.random(alpha.shape) < 0.2] = -0.0
         channel = rng.normal(0.0, 2.0, (6, width))
         channel[0] = -0.0
