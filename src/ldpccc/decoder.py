@@ -1,4 +1,4 @@
-"""Pipelined stream decoder and its message-update kernels.
+"""Pipelined stream decoder, the flooding engine, and their kernels.
 
 The decoder holds I serially connected processors.  Each decoding step
 feeds one new block of channel LLRs into the first processor, shifts the
@@ -10,29 +10,41 @@ in processor i consumes variable-to-check messages produced by processor
 i - 1, the pipeline computes exactly I flooding iterations per variable
 block, one iteration per processor, in systolic form.
 
-At step t processor i receives block t - i*period and checks block row
-t - i*period, so all processors share one phase and one address sequence,
-which is why the hardware can stack their memories into one RAM word.  The
-software does the same, and also stacks F independent frames into the word,
-as the hardware interleaves codewords through the same processors.  The
-edge ring is ``(period*row_len + 1, (I + 1)*F)``: every processor keeps
-block row r in ring row r mod period, in its phase's full-band edge layout,
-and the last slot holds 0; a word has a position per (processor, frame),
-frames innermost, and one extra plane for the last processor's output.  A
-processor holds period consecutive blocks, so a (row phase, block phase)
-pair names one resident message.  As in the paper's RAM, a leaving block's
-messages take the slots that the next plane's leaving block, of the same
-phase, frees in the same step, so a step gathers all leaving blocks before
-it writes any.  Channel values sit in ``(period, block_len, I*F)`` by
-block mod period.  One set of per-phase slot tables, built once per code,
-drives a fixed set of array operations for all processors and frames.
+A stream fed through ``StreamDecoder.step`` is decoded step-major, as the
+hardware runs.  At step t processor i receives block t - i*period and
+checks block row t - i*period, so all processors share one phase and one
+address sequence, which is why the hardware can stack their memories into
+one RAM word.  The software does the same, and also stacks F independent
+frames into the word, as the hardware interleaves codewords through the
+same processors.  The edge ring is ``(period*row_len + 1, I*F)``: every
+processor keeps block row r in ring row r mod period, in its phase's
+full-band edge layout, and the last slot holds 0; a word has a position per
+(processor, frame), frames innermost.  A processor holds period consecutive
+blocks, so a (row phase, block phase) pair names one resident message.  As
+in the paper's RAM, a leaving block's messages take the slots that the next
+plane's leaving block, of the same phase, frees in the same step, so a step
+gathers all leaving blocks before it writes any; the last processor's
+output goes nowhere.  Channel values sit in ``(period, block_len, I*F)`` by
+block mod period.  One set of per-phase slot tables, built once per code at
+the first step, drives a fixed set of array operations for all processors
+and frames.
 
-Every decoder, and the scalar ``vnp``/``app_decide``, runs one variable
-update, ``_variable_update``: column sums through a padded slot table, in
-float64 or, for codes, in the smallest signed type that holds them.  Both
-check-update kernels take a degree-major ``(degree, n)`` block, row k
-holding input k of n checks: the layout in which the ring's tables gather
-a row and the block decoder stores its messages, so no call transposes.
+A frame whose end is known is decoded processor-major by
+``decode_stream``: processor i depends only on processor i - 1 and on its
+own earlier steps, so its work over the whole frame is one flooding
+iteration over block rows 0 .. n_blocks + I*memory - 1, the rows a decided
+block can depend on, with zero-LLR blocks past the frame.  Each check
+lists its edges in row-structure order and each column its sum in the
+pipeline's order, so even float sums match the step-major engine bit for
+bit.  ``_flood`` is that flooding loop, for the window and for the block
+decoder's matrix alike.
+
+Every decoder, and the scalar ``vnp``/``app_decide``, sums columns the
+same way, through a padded slot table, in float64 or, for codes, in the
+smallest signed type that holds them.  Both check-update kernels take a
+degree-major ``(degree, n)`` block, row k holding input k of n checks: the
+layout in which the ring's tables gather a row and the flooding engine
+stores its messages, so no call transposes.
 """
 
 from __future__ import annotations
@@ -199,19 +211,26 @@ def cnp_qspa(codes, lut: PairLut) -> np.ndarray:
     return _cnp_qspa_rows(codes[:, None], lut.table, q.max_magnitude_int)[:, 0]
 
 
-def _variable_update(alpha: np.ndarray, slots: np.ndarray, cols: np.ndarray,
-                     channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A-posteriori sums ``post`` and messages ``post[cols] - alpha``.
+def _column_sums(alpha: np.ndarray, slots: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """A-posteriori sums: per column, its rows of ``alpha`` and its channel value.
 
-    Row e of ``alpha`` holds the messages into edge e, of column
-    ``cols[e]``; its last row holds 0 and pads short columns of the slot
-    table.  A sum starts from 0 and adds the table's rows in order in
-    alpha's dtype, then the channel value: floats sum in table order.
+    ``slots`` lists each column's rows of ``alpha``; its last row holds 0
+    and pads short columns.  A sum starts from 0 and adds the table's rows
+    in order in alpha's dtype, then the channel value: floats sum in table
+    order.
     """
     post = np.zeros(channel.shape, dtype=alpha.dtype)
     for row in slots:
         post += alpha.take(row, axis=0)
     post += channel
+    return post
+
+
+def _variable_update(alpha: np.ndarray, slots: np.ndarray, cols: np.ndarray,
+                     channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A-posteriori sums ``post`` and messages ``post[cols] - alpha``, row
+    e of ``alpha`` holding the messages into edge e, of column ``cols[e]``."""
+    post = _column_sums(alpha, slots, channel)
     beta = post.take(cols, axis=0)
     beta -= alpha[:cols.size]
     return post, beta
@@ -325,32 +344,43 @@ def _pipeline_tables(code: ConvCode) -> _PipelineTables:
     return code._decoder_tables["pipeline"]
 
 
+def _leaving_edges(code: ConvCode) -> tuple[list, int]:
+    """Per step phase s, the K edges of the block that leaves there, in the
+    summation order, as ``(rows, positions, cols, slots)``: each edge's row
+    as an offset from the block, its position in that row's full-band
+    layout, its column, and the ``_column_table`` over the K edges, padded
+    with ``pad``, the largest K, which is returned too.  The block's newest
+    row comes first, then its older rows from oldest to newest."""
+    p, m = code.period, code.memory
+    full = _full_rows(code)
+    edges = []
+    for s in range(p):
+        rows, pos, cols = [], [], []
+        for j in (m, *range(m)):
+            positions, columns, _ = full[(s - m + j) % p].delta_slices[j]
+            rows.append(np.full(positions.size, j))
+            pos.append(positions)
+            cols.append(columns)
+        edges.append((np.concatenate(rows), np.concatenate(pos),
+                      np.concatenate(cols).astype(np.intp)))
+    pad = max(cols.size for _, _, cols in edges)
+    return [(rows, pos, cols, _column_table(cols, np.arange(cols.size), code.block_len, pad))
+            for rows, pos, cols in edges], pad
+
+
 def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     p, m = code.period, code.memory
     full = _full_rows(code)
     row_len = max(s.n_edges for s in full)
     plane = p * row_len
-
-    def leaving(s):
-        """Slots and columns of the block leaving at phase s, in rows s - m .. s."""
-        pos, cols = [], []
-        for j in (m, *range(m)):
-            r = (s - m + j) % p
-            positions, columns, _ = full[r].delta_slices[j]
-            pos.append(r * row_len + positions)
-            cols.append(columns)
-        return np.concatenate(pos), np.concatenate(cols).astype(np.intp)
-
-    blocks = [leaving(s) for s in range(p)]
-    pad = max(vnp.size for vnp, _ in blocks)
+    leaving, pad = _leaving_edges(code)
     steps = []
-    for s, (vnp, cols) in enumerate(blocks):
-        # the entering row is ring row s
+    for s, (rows, pos, cols, slots) in enumerate(leaving):
+        # the entering row is ring row s; block row r is kept in ring row r mod period
         cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
                     for _, _, pos in full[s].by_degree)
-        zeros = np.full(pad + 1 - vnp.size, plane)
-        slots = _column_table(cols, np.arange(cols.size), code.block_len, pad)
-        steps.append(_StepTables(cnp, np.append(vnp, zeros), cols, slots))
+        vnp = np.append((s - m + rows) % p * row_len + pos, np.full(pad + 1 - pos.size, plane))
+        steps.append(_StepTables(cnp, vnp, cols, slots))
     # rows before `memory` lack the blocks before block 0: their edges are
     # the full layout's edges with delta <= row, in the same order, grouped
     # by their own check degrees
@@ -373,13 +403,13 @@ class StreamDecoder:
         self.code = code
         self.config = config
         self.quantized = config.variant == VARIANT_QSPA
-        self._tables = _pipeline_tables(code)
         if self.quantized:
             q = self.quantizer = config.quantizer
             self.lut = build_pair_lut(q)
             self._table = self.lut.table
             self._max_pos = q.max_magnitude_int
-            col_degree = max(len(st.slots) for st in self._tables.steps)
+            # the unwrapped code keeps the block code's column weights
+            col_degree = int(code.h_block.col_weights().max())
             self._dtype = _sum_dtype(q, col_degree)
             # code -> integer and integer -> saturated code (negative
             # integers index from the end), tabulated from the conversion
@@ -406,12 +436,12 @@ class StreamDecoder:
         return self._t
 
     def _allocate(self, frames: tuple):
-        """Rings for the frame count of the first step."""
+        """Ring tables, and rings for the frame count of the first step."""
+        self._tables = _pipeline_tables(self.code)
         n_frames, n_proc = (frames or (1,))[0], self.config.iterations
         self._n_frames = n_frames
-        # a word holds every plane's copy of one slot, frames innermost; one
-        # extra plane takes the last processor's output
-        width = (n_proc + 1) * n_frames
+        # a word holds every plane's copy of one slot, frames innermost
+        width = n_proc * n_frames
         self._edges = np.zeros((self._tables.plane + 1, width),
                                dtype=np.uint8 if self.quantized else np.float64)
         # channel values as the variable update adds them: integers for codes
@@ -483,7 +513,8 @@ class StreamDecoder:
 
         # the variable update reads the entering row's check-to-variable
         # values just written back; all planes' leaving blocks are gathered
-        # before each is written one plane on, where the same phase leaves
+        # before each is written one plane on, where the same phase leaves;
+        # the last processor's messages have no next plane
         decision = None
         if n:
             busy = slice(0, n * f)
@@ -491,9 +522,11 @@ class StreamDecoder:
             if self.quantized:
                 alpha = self._c2i[alpha]
             post, beta = _variable_update(alpha, st.slots, st.cols, chan[out_slot, :, busy])
+            passed = min(n, n_proc - 1) * f
+            beta = beta[:, :passed]
             if self.quantized:
                 beta = self._i2c.take(beta)
-            edges[st.vnp[:st.cols.size], f:(n + 1) * f] = beta
+            edges[st.vnp[:st.cols.size], f:f + passed] = beta
             if n == n_proc:
                 soft = post[:, -f:].T.reshape(self._frames + (-1,))
                 if self.quantized:
@@ -542,46 +575,153 @@ def _block_syndromes(code: ConvCode, bits: np.ndarray) -> np.ndarray:
 
 
 def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResult:
-    """Decode a finite stream and drain the pipeline with zero-LLR padding.
+    """Decode a finite stream, padded with zero-LLR blocks past its end.
 
     ``llr_stream`` is one stream ``(n,)`` or F streams ``(F, n)`` decoded
     side by side, each exactly as it would be alone; every output gains
     the same leading axis.  The stream length must be a multiple of the
-    block length.  Unlike the hardware's continuous operation, the flush
-    pads with erasures (zero LLRs) so every fed block is decided.  One
-    syndrome flag is returned per block, checking the block row that the
-    block completes.
+    block length.  Unlike the hardware's continuous operation, the stream
+    ends in erasures (zero LLRs), so every fed block is decided with the
+    bits that stepping the decoder through that flush would give.  The
+    pipeline runs processor-major: each processor is one flooding
+    iteration over the stream's window.  One syndrome flag is returned per
+    block, checking the block row that the block completes.
     """
     llr_stream = np.asarray(llr_stream, dtype=np.float64)
-    c = decoder.code.block_len
+    code = decoder.code
+    c = code.block_len
     if llr_stream.ndim not in (1, 2) or llr_stream.shape[-1] % c != 0:
         raise ValueError(f"expected (n,) or (F, n) channel values with n a multiple "
                          f"of {c}, got shape {llr_stream.shape}")
     if decoder.steps_run != 0:
         raise ValueError("decode_stream needs a fresh decoder")
+    if llr_stream.ndim == 2 and len(llr_stream) == 0:
+        raise ValueError(f"expected {c} channel values in each of one or more "
+                         f"frames, got shape {llr_stream.shape}")
     frames, n = llr_stream.shape[:-1], llr_stream.shape[-1]
-    n_blocks = n // c
-    # block k of every frame is one step's input
-    feed = np.moveaxis(llr_stream.reshape(frames + (n_blocks, c)), -2, 0)
-    pad = np.zeros(frames + (c,))
+    values = np.atleast_2d(llr_stream).T  # (n, F): frames innermost, as the engine's
     if decoder.quantized:
-        feed, pad = decoder.quantizer.quantize(feed), decoder.quantizer.quantize(pad)
-    bits = np.zeros(frames + (n,), dtype=np.uint8)
-    soft = np.zeros(frames + (n,), dtype=np.int64 if decoder.quantized else np.float64)
-    # outputs arrive in block order, exactly blocks 0..n_blocks-1
-    for k in range(n_blocks + decoder.output_delay):
-        out = decoder.step(feed[k] if k < n_blocks else pad)
-        if out is not None:
-            index, out_bits, out_soft = out
-            sl = slice(index * c, (index + 1) * c)
-            bits[..., sl], soft[..., sl] = out_bits, out_soft
-    flags = _block_syndromes(decoder.code, bits)
-    return StreamResult(bits=bits, soft=soft, syndrome_ok=flags)
+        q = decoder.quantizer
+        codes = q.quantize(values)  # NaN raises, infinities saturate
+        values = np.empty(values.shape, dtype=decoder._dtype)
+        _code_values(codes, q, values)
+    elif not np.isfinite(values).all():
+        raise ValueError("channel LLRs must be finite")
+    iterations = decoder.config.iterations
+    tables = _window_tables(code, n // c + iterations * code.memory)
+    lam = np.zeros((tables.col_slots.shape[1], values.shape[1]), dtype=values.dtype)
+    lam[:n] = values
+    post = _flood(tables, lam, iterations, decoder.lut if decoder.quantized else None,
+                  decoder.config.clamp)
+    soft = np.ascontiguousarray(post[:n].T, dtype=np.int64 if decoder.quantized else np.float64)
+    soft = soft.reshape(frames + (n,))
+    bits = (soft < 0).astype(np.uint8)
+    return StreamResult(bits=bits, soft=soft, syndrome_ok=_block_syndromes(code, bits))
 
 
-def _stream_frames_per_call(code: ConvCode, iterations: int) -> int:
-    """Frames a StreamDecoder takes at once within the edge budget."""
-    return max(1, _EDGE_BUDGET // ((iterations + 1) * _pipeline_tables(code).plane))
+def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int) -> int:
+    """Frames of ``n_blocks`` blocks that decode_stream takes at once within
+    the edge budget."""
+    tables = _window_tables(code, n_blocks + iterations * code.memory)
+    return max(1, _EDGE_BUDGET // tables.slot_col.size)
+
+
+# ---------------------------------------------------------------------------
+# flooding engine
+
+
+class _FloodTables(NamedTuple):
+    """Slot layout of one flooding problem.
+
+    Messages sit in slot order with frames innermost.  Each group is a run
+    of checks of one degree in ``(degree, checks)`` order, so the check
+    update reads the group's slots in place.  ``col_slots`` lists each
+    column's slots in summation order, padded with slot ``slots``, which
+    holds 0.
+    """
+
+    groups: tuple           # (degree, first slot, end slot) per group
+    slot_col: np.ndarray    # (slots,) the column of each slot's edge
+    col_slots: np.ndarray   # (column degree, columns)
+
+
+def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
+           lut: PairLut | None, clamp: float) -> np.ndarray:
+    """(columns, F) a-posteriori sums after flooding iterations.
+
+    ``lam`` holds the channel values, (columns, F): floats, or the codes'
+    integers in the sum's dtype with ``lut`` the quantized check update.
+    One array holds the check-to-variable messages; a group's
+    variable-to-check messages are formed from the last sums just before
+    its check update writes over the group's messages, so beside the
+    messages only one group's values are live.
+    """
+    groups, slot_col, col_slots = tables
+    q = None if lut is None else lut.quantizer
+    msg = np.zeros((slot_col.size + 1, lam.shape[1]), dtype=lam.dtype)
+    post = lam  # the first variable-to-check messages are the channel values
+    for _ in range(iterations):
+        for deg, lo, hi in groups:
+            v2c = post.take(slot_col[lo:hi], axis=0)
+            v2c -= msg[lo:hi]
+            v2c, out = v2c.reshape(deg, -1), msg[lo:hi].reshape(deg, -1)
+            if lut is None:
+                out[...] = _cnp_float_rows(v2c, clamp)
+            else:
+                codes = np.empty(v2c.shape, dtype=np.uint8)
+                _saturated_codes(v2c, q, codes)
+                _code_values(_cnp_qspa_rows(codes, lut.table, q.max_magnitude_int), q, out)
+        post = _column_sums(msg, col_slots, lam)
+    return post
+
+
+def _window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
+    """Flooding tables of block rows 0 .. n_rows - 1 over blocks 0 .. n_rows - 1."""
+    key = ("window", n_rows)
+    if key not in code._decoder_tables:
+        code._decoder_tables[key] = _build_window_tables(code, n_rows)
+    return code._decoder_tables[key]
+
+
+def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
+    """Slots by row part and check degree: each row before ``memory`` is a
+    part, with its own layout, and the later rows of each phase are one,
+    with the phase's full-band layout.  Each column lists its slots in the
+    order of the pipeline's variable update (``_leaving_edges``).  The
+    tables stay cached, so they take the smallest unsigned type that holds
+    their values (uint16 for a 64-block frame of the rate-5/6 code)."""
+    p, m, c = code.period, code.memory, code.block_len
+    full = _full_rows(code)
+    parts = [(np.array([r]), code.row_structure(r), np.flatnonzero(full[r].edge_delta <= r))
+             for r in range(min(m, n_rows))]
+    parts += [(np.arange(m + (k - m) % p, n_rows, p), full[k], np.arange(full[k].n_edges))
+              for k in range(p) if m + (k - m) % p < n_rows]
+    n_slots = sum(rows.size * struct.n_edges for rows, struct, _ in parts)
+    dtype = np.min_scalar_type(max(n_slots, n_rows * c))
+    # slot of each (row, full-layout position), flat; rows past the window
+    # and positions no row uses read as the zero slot
+    row_len = max(s.n_edges for s in full)
+    where = np.full((n_rows + m) * row_len, n_slots, dtype=dtype)
+    slot_col = np.empty(n_slots, dtype=dtype)
+    groups, lo = [], 0
+    for rows, struct, to_full in parts:
+        for deg, _, pos in struct.by_degree:
+            e = pos.T[:, None, :]  # (degree, 1, checks), against rows (rows, 1)
+            hi = lo + deg * rows.size * e.shape[2]
+            where[(rows[:, None] * row_len + to_full[e]).ravel()] = np.arange(lo, hi)
+            slot_col[lo:hi] = ((rows[:, None] - struct.edge_delta[e]) * c
+                               + struct.edge_col[e]).ravel()
+            groups.append((deg, lo, hi))
+            lo = hi
+    leaving, pad = _leaving_edges(code)
+    col_slots = np.full((max(len(e[3]) for e in leaving), n_rows, c), n_slots, dtype=dtype)
+    for s, (rows, pos, _, table) in enumerate(leaving):
+        first = (s - m) % p  # the blocks leaving at phase s are first, first + p, ...
+        blocks = np.arange(first, n_rows, p)[:, None]
+        slots = np.full((blocks.size, pad + 1), n_slots, dtype=dtype)
+        where.take((blocks + rows) * row_len + pos, out=slots[:, :rows.size])
+        col_slots[:len(table), first::p] = slots[:, table].transpose(1, 0, 2)
+    return _FloodTables(tuple(groups), slot_col, col_slots.reshape(len(col_slots), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +731,11 @@ def _stream_frames_per_call(code: ConvCode, iterations: int) -> int:
 class BlockDecoder:
     """Standard flooding decoder over an arbitrary parity-check matrix.
 
-    Runs a fixed number of iterations with the same check-update kernels as
-    the stream decoder; used to compare a block code against its unwrapped
-    form.  A batch of frames is one array problem, ``frames_per_call``
-    frames at a time, with messages in slot order and frames innermost:
-    the checks of one degree occupy one contiguous ``(degree, checks,
-    frames)`` run of slots, so the check update reads them in place.
+    Runs a fixed number of iterations of the flooding engine that also
+    decodes stream frames, on tables built from the matrix; used to compare
+    a block code against its unwrapped form.  A batch of frames is one
+    array problem, ``frames_per_call`` frames at a time; each check degree
+    is one group of slots, and each column sums in edge order.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
@@ -611,24 +750,23 @@ class BlockDecoder:
         n_edges = edge_col.size
         degrees = matrix.row_weights()
         starts = np.cumsum(degrees) - degrees
-        self._groups = []  # (degree, first slot, end slot) per check degree
+        groups = []
         slot_edge = []
         for deg in sorted(set(degrees.tolist()) - {0}):
             first = starts[degrees == deg]
             slot_edge.append((first + np.arange(deg)[:, None]).ravel())
-            lo = self._groups[-1][2] if self._groups else 0
-            self._groups.append((deg, lo, lo + slot_edge[-1].size))
+            lo = groups[-1][2] if groups else 0
+            groups.append((deg, lo, lo + slot_edge[-1].size))
         slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
-        self._slot_col = edge_col[slot_edge].astype(np.intp)
-        # per column, its slots in edge order, the order of a float column
-        # sum; short columns are padded with slot n_edges, which holds 0
         edge_slot = np.empty(n_edges, dtype=np.intp)
         edge_slot[slot_edge] = np.arange(n_edges)
-        self._col_slots = _column_table(edge_col, edge_slot, matrix.cols, n_edges)
+        self._tables = _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
+                                    _column_table(edge_col, edge_slot, matrix.cols, n_edges))
         self.frames_per_call = max(1, _EDGE_BUDGET // max(1, n_edges))
+        self.lut = None
         if quantizer is not None:
             self.lut = build_pair_lut(quantizer)
-            self._sum_dtype = _sum_dtype(quantizer, len(self._col_slots))
+            self._sum_dtype = _sum_dtype(quantizer, len(self._tables.col_slots))
 
     def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hard decisions and soft a-posteriori values after all iterations.
@@ -643,45 +781,19 @@ class BlockDecoder:
         if not np.isfinite(llrs).all():
             raise ValueError("channel LLRs must be finite")
         frames = llrs.reshape(-1, n)
-        decode = self._decode_float if self.quantizer is None else self._decode_qspa
         # the output is allocated once no decode temporaries are left
-        posts = [decode(frames[lo:lo + self.frames_per_call]).T
+        posts = [self._decode(frames[lo:lo + self.frames_per_call]).T
                  for lo in range(0, len(frames), self.frames_per_call)]
         soft = np.concatenate(posts or [np.zeros((0, n), np.int8)],
                               dtype=np.float64 if self.quantizer is None else np.int64)
         soft = soft.reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft
 
-    def _decode_float(self, llrs: np.ndarray) -> np.ndarray:
+    def _decode(self, llrs: np.ndarray) -> np.ndarray:
         """(n, F) soft values of a (F, n) batch."""
-        n_frames = len(llrs)
         lam = llrs.T
-        v2c = lam.take(self._slot_col, axis=0)
-        alpha = np.zeros((self._slot_col.size + 1, n_frames))  # slot n_edges stays 0
-        for _ in range(self.iterations):
-            for deg, lo, hi in self._groups:
-                alpha[lo:hi] = _cnp_float_rows(v2c[lo:hi].reshape(deg, -1),
-                                               self.clamp).reshape(-1, n_frames)
-            post, v2c = _variable_update(alpha, self._col_slots, self._slot_col, lam)
-        return post
-
-    def _decode_qspa(self, llrs: np.ndarray) -> np.ndarray:
-        """(n, F) soft values of a (F, n) batch; messages stay codes."""
-        q = self.quantizer
-        table, max_pos = self.lut.table, q.max_magnitude_int
-        n_edges, n_frames = self._slot_col.size, len(llrs)
-        lam = np.empty((llrs.shape[1], n_frames), dtype=self._sum_dtype)
-        _code_values(q.quantize(llrs).T, q, lam)
-        v2c = np.empty((n_edges, n_frames), dtype=np.uint8)
-        _saturated_codes(lam.take(self._slot_col, axis=0), q, v2c)
-        alpha = np.zeros((n_edges + 1, n_frames), dtype=lam.dtype)  # slot n_edges stays 0
-        for it in range(self.iterations):
-            for deg, lo, hi in self._groups:
-                _code_values(_cnp_qspa_rows(v2c[lo:hi].reshape(deg, -1), table, max_pos),
-                             q, alpha[lo:hi].reshape(deg, -1))
-            post, beta = _variable_update(alpha, self._col_slots, self._slot_col, lam)
-            if it + 1 < self.iterations:
-                _saturated_codes(beta, q, v2c)
-            del beta  # the next check update needs the room
-        return post
-
+        if self.quantizer is not None:
+            q = self.quantizer
+            lam = np.empty(lam.shape, dtype=self._sum_dtype)
+            _code_values(q.quantize(llrs).T, q, lam)
+        return _flood(self._tables, lam, self.iterations, self.lut, self.clamp)

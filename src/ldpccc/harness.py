@@ -124,7 +124,7 @@ def _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, rate, n):
 def _stream_batch(cfg, code, dec_cfg, point_idx, frame_lo, frame_hi):
     """Frames go to a fresh decoder per call, as many as the edge budget takes."""
     n_blocks, c = cfg.frame_blocks, code.block_len
-    per_call = _stream_frames_per_call(code, dec_cfg.iterations)
+    per_call = _stream_frames_per_call(code, dec_cfg.iterations, n_blocks)
     out = []
     for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, code.rate,
                            n_blocks * c):
@@ -158,7 +158,7 @@ def _batch_runner(cfg: ExperimentConfig, baseline: bool):
         return functools.partial(_block_batch, cfg, decoder), decoder.frames_per_call
     code = split_and_unwrap(cfg.base)
     return (functools.partial(_stream_batch, cfg, code, dec_cfg),
-            _stream_frames_per_call(code, dec_cfg.iterations))
+            _stream_frames_per_call(code, dec_cfg.iterations, cfg.frame_blocks))
 
 
 # the batch runner of a pool worker and its frames per call, built once by

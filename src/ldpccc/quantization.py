@@ -88,17 +88,15 @@ class Quantizer:
         return code if code.ndim else code[()]
 
     def value(self, code):
-        """Level of each code; codes outside [0, n_codes) raise."""
-        code = np.asarray(code, dtype=np.int64)
-        if code.size and (code.min() < 0 or code.max() >= self.n_codes):
-            raise ValueError(f"codes must lie in [0, {self.n_codes})")
+        """Level of each code; anything but integer codes in [0, n_codes) raises."""
+        code = _checked_codes(code, self).astype(np.int64)
         mag = code & (self.sign_bit - 1)
         val = np.where(code & self.sign_bit, -mag, mag) * self.step
         return val if val.ndim else float(val)
 
     def negate(self, code):
         """Flip the sign bit (value negation; +0 <-> -0)."""
-        code = np.asarray(code, dtype=np.uint8)
+        code = _checked_codes(code, self).astype(np.uint8)
         out = code ^ np.uint8(self.sign_bit)
         return out if out.ndim else out[()]
 
@@ -165,7 +163,8 @@ class PairLut:
 
     def combine(self, a, b):
         """Combine two codes (or arrays of codes) through the table."""
-        out = self.table[np.asarray(a, np.int64), np.asarray(b, np.int64)]
+        q = self.quantizer
+        out = self.table[_checked_codes(a, q), _checked_codes(b, q)]
         return out if out.ndim else out[()]
 
 

@@ -79,6 +79,24 @@ def test_base_matrix_text_roundtrip(tmp_path):
     assert BaseMatrix.load(path) == base
 
 
+@st.composite
+def valid_bases(draw):
+    """Any valid base: fewer block rows than columns, and -1 entries anywhere."""
+    z = draw(st.integers(2, 40))
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(rows + 1, 12))
+    entry = st.integers(-1, z - 1)
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return BaseMatrix(z=z, exponents=tuple(map(tuple, grid)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=valid_bases())
+def test_base_matrix_text_roundtrip_property(base):
+    assert BaseMatrix.from_text(base.to_text()) == base
+
+
 def test_demo_bases_load():
     names = demo_base_names()
     assert "toy_2x4_z8" in names

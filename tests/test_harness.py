@@ -160,23 +160,25 @@ def test_stream_batches_match_frame_by_frame_decoding():
     # equal one decode per seeded frame, over more frames than one call
     # takes, with any workers
     base = demo_base("toy_3x6_z16")
+    n_blocks = 16
     cfg = ExperimentConfig(base=base, variant="qspa", iterations=8, ebno_grid=(2.0,),
-                           min_error_events=10**9, max_blocks=30 * 4, seed=6,
-                           frame_blocks=4)
+                           min_error_events=10**9, max_blocks=30 * n_blocks, seed=6,
+                           frame_blocks=n_blocks)
     code = split_and_unwrap(base)
-    assert 30 > _stream_frames_per_call(code, cfg.iterations) > 1
+    assert 30 > _stream_frames_per_call(code, cfg.iterations, n_blocks) > 1
     dec_cfg = DecoderConfig(cfg.iterations, "qspa", Quantizer())
     bit_errors = block_errors = 0
     for f in range(30):
         ch = ChannelConfig(ebno_db=2.0, rate=code.rate, seed=derive_seed(cfg.seed, 0, f))
-        llrs = to_llr(transmit_all_zero(4 * code.block_len, ch), noise_sigma(ch))
+        llrs = to_llr(transmit_all_zero(n_blocks * code.block_len, ch), noise_sigma(ch))
         bits = decode_stream(StreamDecoder(code, dec_cfg), llrs).bits
         bit_errors += int(bits.sum())
-        block_errors += int(bits.reshape(4, -1).any(axis=1).sum())
+        block_errors += int(bits.reshape(n_blocks, -1).any(axis=1).sum())
     assert block_errors > 0
     for workers in (1, 2):
         p = run_ber(dataclasses.replace(cfg, workers=workers))[0]
-        assert (p.blocks_sent, p.bit_errors, p.block_errors) == (120, bit_errors, block_errors)
+        assert (p.blocks_sent, p.bit_errors, p.block_errors) == (
+            cfg.max_blocks, bit_errors, block_errors)
 
 
 def test_pool_builds_the_code_once_per_worker(small_cfg, monkeypatch, tmp_path):
@@ -213,14 +215,15 @@ def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_
     # a point that stops on its first frame with a budget of thousands: a
     # point's first batch is one decoder call and each next one doubles, so
     # the batches in flight hold at most per_call * (2**window - 1) frames,
-    # not 64 per batch
+    # not 64 per batch; per_call divides the batch cap, so every call is full
     log = tmp_path / "frames.txt"
     _log_decoder_calls(monkeypatch, log)
     cfg = dataclasses.replace(small_cfg, base=demo_base("rate56_4x24_z31"), iterations=4,
-                              ebno_grid=(0.0,), min_error_events=1, max_blocks=8_000,
-                              frame_blocks=2)
-    per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations)
-    assert 1 < per_call < 64
+                              ebno_grid=(0.0,), min_error_events=1, max_blocks=32_000,
+                              frame_blocks=8)
+    per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
+                                       cfg.frame_blocks)
+    assert 1 < per_call < 64 and 64 % per_call == 0
     for workers in (1, 2, 3):
         log.write_text("")
         (point,) = run_ber(dataclasses.replace(cfg, workers=workers))
@@ -238,7 +241,8 @@ def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
     _log_decoder_calls(monkeypatch, log)
     cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0), min_error_events=10**9,
                               max_blocks=256 * 8, frame_blocks=8, workers=2)
-    assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations) >= 64
+    assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
+                                   cfg.frame_blocks) >= 64
     points = run_ber(cfg)
     assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
     assert log.read_text().split() == ["64"] * 8

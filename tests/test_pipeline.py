@@ -207,6 +207,20 @@ def test_stream_pad_row_sits_past_the_largest_leaving_block():
             assert (rows[kept.size:] == pad).all()
 
 
+def test_ring_holds_one_plane_per_processor():
+    # a word holds I * F positions: the last processor's output has no
+    # plane; the ring and its tables appear at the first step, so a
+    # decoder that only decode_stream sees builds neither
+    for n_proc, frames in itertools.product((1, 3, 8), ((), (1,), (3,))):
+        code = split_and_unwrap(demo_base("toy_2x4_z8"))
+        dec = StreamDecoder(code, DecoderConfig(n_proc))
+        decode_stream(dec, np.ones(frames + (2 * code.block_len,)))
+        assert "pipeline" not in code._decoder_tables and not hasattr(dec, "_edges")
+        dec.step(np.ones(frames + (code.block_len,)))
+        tabs = code._decoder_tables["pipeline"]
+        assert dec._edges.shape == (tabs.plane + 1, n_proc * (frames or (1,))[0])
+
+
 # ---------------------------------------------------------------------------
 # decode_stream contracts
 
@@ -428,6 +442,59 @@ def test_batched_stream_matches_single_frames():
                 for f in range(len(llrs)):
                     assert_same_result(batched, f,
                                        decode_stream(StreamDecoder(code, cfg), llrs[f]))
+
+
+def stepped_stream(code, cfg, llrs):
+    """decode_stream's bits and soft values from a plain loop over
+    StreamDecoder.step, flushed with zero-LLR blocks until every block is
+    decided."""
+    dec = StreamDecoder(code, cfg)
+    c = code.block_len
+    frames, n_blocks = llrs.shape[:-1], llrs.shape[-1] // c
+    pad = np.zeros(frames + (c,))
+    if dec.quantized:
+        llrs, pad = dec.quantizer.quantize(llrs), dec.quantizer.quantize(pad)
+    bits, soft = [], []
+    for k in range(n_blocks + dec.output_delay):
+        out = dec.step(llrs[..., k * c:(k + 1) * c] if k < n_blocks else pad)
+        if out is not None:
+            assert out[0] == len(bits)
+            bits.append(out[1])
+            soft.append(out[2])
+    return np.concatenate(bits, axis=-1), np.concatenate(soft, axis=-1)
+
+
+def oldest_block_code():
+    """A period-2 code whose odd rows check only the block before them.
+
+    Zero-LLR padding silences a window's last row wherever each of its
+    checks touches a padding block; here the last row of a frame of odd
+    length reaches a real block, so a window one row short shows.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        return split_and_unwrap(BaseMatrix(z=5, exponents=((0, 3, 1, 4), (2, 1, -1, -1))))
+
+
+def test_decode_stream_matches_the_stepped_pipeline():
+    # decode_stream runs processor-major over the frame's window; stepping
+    # the ring with the zero-LLR flush gives the same bits, soft values
+    # (float compared as bit patterns) and dtypes: one block, I * period + 1
+    # blocks and 40; one frame of three is all zeros
+    rng = np.random.default_rng(106)
+    variants = [("float", None), (VARIANT_QSPA, Quantizer(4, 1.0)),
+                (VARIANT_QSPA, Quantizer(8, 0.25))]
+    for code in bundled_codes() + [oldest_block_code()]:
+        for (variant, q), n_proc in itertools.product(variants, (1, 2, 3, 8)):
+            cfg = DecoderConfig(n_proc, variant, q)
+            for k, frames in itertools.product((1, n_proc * code.period + 1, 40), ((), (3,))):
+                llrs = rng.normal(1.0, 1.3, frames + (k * code.block_len,)) * 2.5
+                if frames:
+                    llrs[1] = 0.0
+                res = decode_stream(StreamDecoder(code, cfg), llrs)
+                bits, soft = stepped_stream(code, cfg, llrs)
+                assert_identical(res.bits, bits)
+                assert_identical(res.soft, soft)
 
 
 def test_batched_stream_output_shapes(toy_code):

@@ -133,6 +133,20 @@ def test_twos_complement_rejects_invalid_codes(q4):
             to_twos_complement(bad, q4)
 
 
+def test_code_methods_reject_invalid_codes():
+    # value, negate and combine share the decoders' code check: a float
+    # code is no code, and 20 or 300 lies outside a 4-bit quantizer's 16
+    q = Quantizer()
+    lut = build_pair_lut(q)
+    calls = [q.value, q.negate, lambda c: lut.combine(c, 3), lambda c: lut.combine(3, c)]
+    for call in calls:
+        for bad in (1.7, np.array([2.0]), True, -1, 16, 20, 300, [3, 300]):
+            with pytest.raises(ValueError, match="codes must"):
+                call(bad)
+    assert q.negate(7) == 15 and q.negate(np.uint8(15)) == 7
+    assert lut.combine(15, 3) == lut.table[15, 3]
+
+
 @pytest.mark.parametrize("bits", range(2, 9))
 def test_conversion_pair_matches_its_definitions(bits):
     for q in (Quantizer(bits), Quantizer(bits, 0.25)):

@@ -23,3 +23,25 @@ def test_benchmark_modules_import_and_find_their_bindings(monkeypatch):
     # its tracer patches the syndrome check where the decoder looks it up
     assert callable(ldpccc.decoder._cnp_float_rows)
     assert ldpccc.decoder.syndrome_check is ldpccc.construction.syndrome_check
+
+
+def test_float_kernel_mutation_reaches_the_frame_engine(monkeypatch):
+    # perfbench/selftest.py swaps the float check update for one 5% off and
+    # expects the float oracle to notice: the frame engine must look the
+    # kernel up where that swap puts it, at call time
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import numpy as np
+
+    import ldpccc.decoder as d
+    from ldpccc.construction import demo_base, split_and_unwrap
+
+    code = split_and_unwrap(demo_base("rate56_4x24_z31"))
+    llrs = np.random.default_rng(3).normal(1.0, 1.5, 4 * code.block_len) * 2.0
+
+    def decode():
+        return d.decode_stream(d.StreamDecoder(code, d.DecoderConfig(8)), llrs).soft
+
+    good = decode()
+    original = d._cnp_float_rows
+    monkeypatch.setattr(d, "_cnp_float_rows", lambda v, clamp: 0.95 * original(v, clamp))
+    assert not np.array_equal(decode(), good)
