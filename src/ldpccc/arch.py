@@ -143,13 +143,12 @@ def derive_report(p: ArchParams) -> ArchReport:
     processors) once per interleaved codeword; throughput counts
     information bits per decoding step over the cycles one step occupies.
     """
+    rams = _RamMap(p)
     cnp = p.checks_per_block // p.stages
     vnp = p.block_len * p.checks_per_block // (p.stages * p.z)
-    edge_rams = p.z * p.block_rows * p.block_cols // p.stages
-    channel_rams = p.z * p.block_cols * p.period // (p.block_rows * p.stages)
     depth = _pow2_at_least(p.stages)
     width = p.quant_bits * p.processors
-    bits = (edge_rams + channel_rams) * depth * width * p.codewords
+    bits = rams.per_codeword * depth * width * p.codewords
     cycles = p.stages + p.stage_delay
     info_bits_per_step = (p.block_cols - p.block_rows) * p.z / p.period
     throughput = p.codewords * info_bits_per_step * p.clock_hz / cycles
@@ -157,8 +156,8 @@ def derive_report(p: ArchParams) -> ArchReport:
         params=p,
         cnp_count=cnp,
         vnp_count=vnp,
-        edge_rams=edge_rams,
-        channel_rams=channel_rams,
+        edge_rams=rams.edge_total,
+        channel_rams=rams.chan_total,
         ram_depth=depth,
         ram_width=width,
         memory_bits=bits,
@@ -186,7 +185,7 @@ def complexity_estimates(p: ArchParams) -> ComplexityScores:
 
 
 # ---------------------------------------------------------------------------
-# RAM layout shared by the schedules and the storage trace
+# RAM layout shared by the report, the schedules and the storage trace
 
 
 class _RamMap:
@@ -384,35 +383,37 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _stage_accesses(p: ArchParams, rams: _RamMap, codeword: int,
-                    phase: int) -> list[tuple[str, int]]:
-    """RAM traffic (op, RAM id) of one stage while the row of the given phase
-    is processed; every access goes to the address equal to the stage.
+def _stage_traffic(rams: _RamMap, codeword: int, step: int) -> list[tuple]:
+    """RAM traffic of one stage of the decoding step at which check row
+    u[step] enters, as ``(op, bank, message)`` per bank, reads first; every
+    access goes to the address equal to the stage.
 
     Reads: the entering row's full bank (check update), the stored
     check-to-variable banks of the leaving block, and the leaving block's
     channel bank.  Writes: check-to-variable write-back for blocks that
     stay, the arriving block's variable-to-check messages into the banks
-    freed this stage, and the arriving channel values.
+    freed this stage, and the arriving channel values.  A write's message
+    is a tag template and the block indices it names; a read's is None.
     """
-    M = p.period
-    chan = (phase + 1) % M  # freed by the leaving block, refilled by the arriving one
-    reads = [rams.edge_bank(codeword, phase, delta) for delta in range(M)]
-    # stored check-to-variable values of the leaving block
-    reads += [rams.edge_bank(codeword, (phase + 1 + j) % M, j) for j in range(M - 1)]
-    reads.append(rams.channel_bank(codeword, chan))
-    # write-back toward blocks that stay resident
-    writes = [rams.edge_bank(codeword, phase, delta) for delta in range(M - 1)]
-    # arriving block's messages land in the freed slots
-    writes += [rams.edge_bank(codeword, (phase + 1 + j) % M, j) for j in range(M)]
-    writes.append(rams.channel_bank(codeword, chan))
-    return ([("R", ram) for bank in reads for ram in bank]
-            + [("W", ram) for bank in writes for ram in bank])
+    M = rams.period
+    phase = step % M
+    row = [rams.edge_bank(codeword, phase, delta) for delta in range(M)]
+    # the leaving block's bank in each row phase, by the block's offset j
+    # from that row; the arriving block takes all of them over
+    freed = [rams.edge_bank(codeword, (phase + 1 + j) % M, j) for j in range(M)]
+    # freed by the leaving block, refilled by the arriving one
+    chan = rams.channel_bank(codeword, (phase + 1) % M)
+    return ([("R", bank, None) for bank in row + freed[:-1] + [chan]]
+            + [("W", row[d], ("c2v u[{}]->v[{}]", step, step - d)) for d in range(M - 1)]
+            + [("W", freed[j], ("v2c v[{}]->u[{}]", step + 1, step + 1 + j))
+               for j in range(M)]
+            + [("W", chan, ("ch v[{}]", step + 1))])
 
 
 def _emit(p: ArchParams, kind: str, phases: tuple[str, ...], steps: int) -> Schedule:
     rams = _RamMap(p)
-    patterns = [[_stage_accesses(p, rams, cw, ph) for ph in range(p.period)]
+    patterns = [[[(op, ram) for op, bank, _msg in _stage_traffic(rams, cw, ph)
+                  for ram in bank] for ph in range(p.period)]
                 for cw in range(p.codewords)]
     cycles_per_step = p.stages + p.stage_delay
     # step-major, then stage, then codeword: cycles grow with (step, stage)
@@ -513,79 +514,28 @@ def ram_trace_example() -> RamTrace:
 
     Shows how check-to-variable and variable-to-check messages alternate in
     the same RAM entries over one period of decoding steps, with the read
-    and write address simply incrementing by one per stage.
+    and write address simply incrementing by one per stage.  Every entry is
+    replayed from the schedules' stage writes: one period of steps before
+    t0 fills the RAMs, then each snapshot follows the stages it names.
     """
     p = ArchParams(z=4, block_rows=2, block_cols=4, stages=2, processors=1)
     rams = _RamMap(p)
-    M = p.period
-    G = p.stages
-
+    every = range(p.stages)
     state: dict[tuple[int, int], str] = {}
-
-    def set_bank(bank, addr, tag):
-        for ram in bank:
-            state[(ram, addr)] = tag
-
-    def v2c(src_off, dst_off):
-        return f"v2c v[{_t_label(src_off)}]->u[{_t_label(dst_off)}]"
-
-    def c2v(src_off, dst_off):
-        return f"c2v u[{_t_label(src_off)}]->v[{_t_label(dst_off)}]"
-
-    def lam(off):
-        return f"ch v[{_t_label(off)}]"
-
-    # state at the start of the step processing u[t0] / v[t0-1]:
-    # the entering row's banks hold only variable-to-check messages
-    for addr in range(G):
-        set_bank(rams.edge_bank(0, 0, 0), addr, v2c(0, 0))
-        set_bank(rams.edge_bank(0, 0, 1), addr, v2c(-1, 0))
-        set_bank(rams.edge_bank(0, 1, 1), addr, v2c(0, +1))
-        set_bank(rams.edge_bank(0, 1, 0), addr, c2v(-1, -1))
-        set_bank(rams.channel_bank(0, 0), addr, lam(0))
-        set_bank(rams.channel_bank(0, 1), addr, lam(-1))
-
-    snapshots = [
-        (
-            "step 1: start of BPU_1 processing u[t0], v[t0-1]",
-            tuple((r, a, t) for (r, a), t in sorted(state.items())),
-        )
-    ]
-
-    def run_stage(step: int, stage: int):
-        t = step  # row u[t0 + step] enters at this decoding step
-        phase = t % M
-        # write-back of fresh check-to-variable values toward blocks that stay
-        for delta in range(M - 1):
-            set_bank(rams.edge_bank(0, phase, delta), stage, c2v(t, t - delta))
-        # arriving block v[t0 + step + 1] refills the slots freed this stage
-        for j in range(M):
-            ph = (phase + 1 + j) % M
-            set_bank(rams.edge_bank(0, ph, j), stage, v2c(t + 1, t + 1 + j))
-        set_bank(rams.channel_bank(0, (phase + 1) % M), stage, lam(t + 1))
-
-    run_stage(0, 0)
-    snapshots.append(
-        (
-            "step 2: after stage 1 of BPU_1 (addresses 0 written)",
-            tuple((r, a, t) for (r, a), t in sorted(state.items())),
-        )
-    )
-    run_stage(0, 1)
-    snapshots.append(
-        (
-            "step 3: after stage 2 of BPU_1 (addresses 1 written)",
-            tuple((r, a, t) for (r, a), t in sorted(state.items())),
-        )
-    )
-    run_stage(1, 0)
-    run_stage(1, 1)
-    snapshots.append(
-        (
-            "after BPU_2: RAM 1-8 hold variable-to-check messages for u[t0+2]",
-            tuple((r, a, t) for (r, a), t in sorted(state.items())),
-        )
-    )
+    snapshots = []
+    for label, steps, stages in (
+        ("step 1: start of BPU_1 processing u[t0], v[t0-1]", range(-p.period, 0), every),
+        ("step 2: after stage 1 of BPU_1 (addresses 0 written)", [0], [0]),
+        ("step 3: after stage 2 of BPU_1 (addresses 1 written)", [0], [1]),
+        ("after BPU_2: RAM 1-8 hold variable-to-check messages for u[t0+2]", [1], every),
+    ):
+        for step in steps:
+            for stage in stages:
+                for op, bank, message in _stage_traffic(rams, 0, step):
+                    if op == "W":
+                        tag = message[0].format(*map(_t_label, message[1:]))
+                        state.update(((ram, stage), tag) for ram in bank)
+        snapshots.append((label, tuple((r, a, t) for (r, a), t in sorted(state.items()))))
     return RamTrace(
         params=p,
         edge_rams=rams.edge_total,

@@ -262,15 +262,12 @@ class RowStructure:
     ``t - delta`` for block row t.
     """
 
-    t_is_boundary: bool
-    n_checks: int
     n_edges: int
     edge_check: np.ndarray     # (n_edges,) check index inside the block row
     edge_delta: np.ndarray     # (n_edges,) block offset, 0 = newest block
     edge_col: np.ndarray       # (n_edges,) column inside the variable block
-    degrees: np.ndarray        # (n_checks,) edge count per check
-    by_degree: tuple           # ((degree, check_ids, positions (k, degree)), ...)
-    delta_slices: dict         # delta -> (positions, cols, checks)
+    by_degree: tuple           # ((degree, positions (k, degree)), ...)
+    delta_slices: dict         # delta -> (positions, cols)
 
 
 def _build_row_structure(code: "ConvCode", t: int) -> RowStructure:
@@ -294,8 +291,7 @@ def _build_row_structure(code: "ConvCode", t: int) -> RowStructure:
     edge_delta = np.ascontiguousarray(edge_delta[order])
     edge_col = np.ascontiguousarray(edge_col[order])
 
-    n_checks = code.checks_per_block
-    degrees = np.bincount(edge_check, minlength=n_checks).astype(np.int32)
+    degrees = np.bincount(edge_check, minlength=code.checks_per_block)
     by_degree = []
     positions = np.arange(edge_check.size, dtype=np.int64)
     for deg in sorted(set(degrees.tolist())):
@@ -304,23 +300,16 @@ def _build_row_structure(code: "ConvCode", t: int) -> RowStructure:
         ids = np.flatnonzero(degrees == deg)
         mask = np.isin(edge_check, ids)
         pos = positions[mask].reshape(ids.size, deg)
-        by_degree.append((int(deg), ids, pos))
+        by_degree.append((int(deg), pos))
     delta_slices = {}
     for d in deltas:
         mask = edge_delta == d
-        delta_slices[d] = (
-            positions[mask],
-            np.ascontiguousarray(edge_col[mask]),
-            np.ascontiguousarray(edge_check[mask]),
-        )
+        delta_slices[d] = (positions[mask], np.ascontiguousarray(edge_col[mask]))
     return RowStructure(
-        t_is_boundary=t < code.memory,
-        n_checks=n_checks,
         n_edges=int(edge_check.size),
         edge_check=edge_check,
         edge_delta=edge_delta,
         edge_col=edge_col,
-        degrees=degrees,
         by_degree=tuple(by_degree),
         delta_slices=delta_slices,
     )

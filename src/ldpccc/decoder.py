@@ -357,7 +357,7 @@ def _leaving_edges(code: ConvCode) -> tuple[list, int]:
     for s in range(p):
         rows, pos, cols = [], [], []
         for j in (m, *range(m)):
-            positions, columns, _ = full[(s - m + j) % p].delta_slices[j]
+            positions, columns = full[(s - m + j) % p].delta_slices[j]
             rows.append(np.full(positions.size, j))
             pos.append(positions)
             cols.append(columns)
@@ -378,7 +378,7 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     for s, (rows, pos, cols, slots) in enumerate(leaving):
         # the entering row is ring row s; block row r is kept in ring row r mod period
         cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
-                    for _, _, pos in full[s].by_degree)
+                    for _, pos in full[s].by_degree)
         vnp = np.append((s - m + rows) % p * row_len + pos, np.full(pad + 1 - pos.size, plane))
         steps.append(_StepTables(cnp, vnp, cols, slots))
     # rows before `memory` lack the blocks before block 0: their edges are
@@ -387,7 +387,7 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
     warm = []
     for r in range(m):
         kept = np.flatnonzero(full[r].edge_delta <= r)
-        warm.append(tuple(kept[pos.T] for _, _, pos in code.row_structure(r).by_degree))
+        warm.append(tuple(kept[pos.T] for _, pos in code.row_structure(r).by_degree))
     return _PipelineTables(tuple(steps), tuple(warm), row_len, plane)
 
 
@@ -416,8 +416,10 @@ class StreamDecoder:
             # pair, which is slower on a step's small words: on (8, 16) words
             # the tables take 2.2 / 1.5 us against 8.3 / 19.4 us (the pair
             # wins on the block decoder's (2,976, 22): 55 / 52 against 224 /
-            # 453 us), and in the step it made a toy qspa decode_stream 47%
-            # slower (13.8 against 9.4 ms; 2-core host, numpy 2.4)
+            # 453 us); in the tables' place the pair made a toy_2x4_z16 qspa
+            # step at I = 8 take 188-196 against 106-113 us p50 at F = 1 and
+            # 250-273 against 177-192 us at F = 8 (same process, 2-core host,
+            # numpy 2.4)
             self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(self._dtype)
             bound = q.max_magnitude_int * col_degree
             ints = np.arange(2 * bound + 1)
@@ -705,7 +707,7 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     slot_col = np.empty(n_slots, dtype=dtype)
     groups, lo = [], 0
     for rows, struct, to_full in parts:
-        for deg, _, pos in struct.by_degree:
+        for deg, pos in struct.by_degree:
             e = pos.T[:, None, :]  # (degree, 1, checks), against rows (rows, 1)
             hi = lo + deg * rows.size * e.shape[2]
             where[(rows[:, None] * row_len + to_full[e]).ravel()] = np.arange(lo, hi)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,9 @@ from ldpccc.arch import (
     schedule_single,
 )
 from ldpccc.cli import main
+from ldpccc.construction import demo_base, demo_base_names, split_and_unwrap
+from ldpccc.decoder import VARIANT_QSPA, DecoderConfig, StreamDecoder
+from ldpccc.quantization import Quantizer
 
 from reference_hw import ref_audit, ref_csv_rows, ref_events
 
@@ -421,3 +425,48 @@ def test_ram_trace_narrated_facts():
         for addr in (0, 1):
             assert final[(ram, addr)].startswith("v2c")
             assert final[(ram, addr)].endswith("u[t0+2]")
+
+
+def test_ram_trace_writes_match_schedule():
+    # between snapshots, the entries that change are the schedule's writes
+    # of the stages replayed: step 0 (row phase 0) stage 0, then step 1
+    # (row phase 1) at both addresses
+    t = ram_trace_example()
+    states = [dict(((r, a), tag) for r, a, tag in cells) for _label, cells in t.snapshots]
+    events = schedule_single(t.params, steps=2).events
+
+    def writes(event):
+        return {(acc.ram, acc.address) for acc in event.accesses if acc.op == "W"}
+
+    def changed(before, after):
+        return {key for key in after if after[key] != before[key]}
+
+    assert changed(states[0], states[1]) == writes(events[0])
+    assert changed(states[2], states[3]) == writes(events[2]) | writes(events[3])
+
+
+@pytest.mark.parametrize("name", demo_base_names())
+def test_decoder_ring_is_the_model_memory(name):
+    # per processor, a stepped decoder's ring holds one slot per edge (the
+    # zero slot aside) and per channel value of a period of blocks: the
+    # model's RAM bits at every power-of-two stage count it accepts
+    base = demo_base(name)
+    code = split_and_unwrap(base)
+    for iterations in (1, 3, 8):
+        for bits in (4, 8):
+            dec = StreamDecoder(code, DecoderConfig(iterations, VARIANT_QSPA,
+                                                    Quantizer(bits=bits)))
+            dec.step(np.zeros(code.block_len, dtype=np.uint8))
+            edges, chan = dec._edges, dec._chan
+            assert edges.shape[1] == chan.shape[2] == iterations  # one frame
+            slots = edges.shape[0] - 1 + chan.shape[0] * chan.shape[1]
+            accepted = 0
+            for stages in (1 << k for k in range(code.checks_per_block.bit_length())):
+                try:
+                    p = ArchParams(base.z, base.block_rows, base.block_cols, stages,
+                                   iterations, bits)
+                except ArchModelError:
+                    continue
+                accepted += 1
+                assert derive_report(p).memory_bits == slots * bits * iterations
+            assert accepted

@@ -22,6 +22,7 @@ from ldpccc.construction import (
     window_matrix,
 )
 from ldpccc import construction
+from ldpccc.decoder import _block_syndromes
 
 from reference_hw import ref_girth_by_edge_bfs
 
@@ -95,6 +96,25 @@ def valid_bases(draw):
 @given(base=valid_bases())
 def test_base_matrix_text_roundtrip_property(base):
     assert BaseMatrix.from_text(base.to_text()) == base
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=valid_bases(), data=st.data())
+def test_block_syndromes_match_windows_property(base, data):
+    # flag w is the parity of block row w over the blocks it touches, as one
+    # window per block computes it; zero blocks among random ones let some
+    # rows see even parity
+    assume(math.gcd(base.block_rows, base.block_cols) >= 2)
+    code = split_and_unwrap(base)
+    c, m = code.block_len, code.memory
+    n_blocks = data.draw(st.integers(1, 3 * code.period))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2, (n_blocks, c)).astype(np.uint8)
+    bits[rng.random(n_blocks) < 0.5] = 0
+    bits = bits.ravel()
+    want = [syndrome_check(window_matrix(code, w, 1), bits[max(0, w - m) * c:(w + 1) * c])
+            for w in range(n_blocks)]
+    assert _block_syndromes(code, bits).tolist() == want
 
 
 def test_demo_bases_load():

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,7 +405,9 @@ def test_cli_arch_schedule_csv(tmp_path):
 def test_cli_arch_trace_demo(capsys):
     assert main(["arch", "--preset", "1-S", "--trace-demo"]) == 0
     out = capsys.readouterr().out
-    assert "RAM 13" in out
+    # the walkthrough is printed last, followed by print's newline
+    golden = (Path(__file__).parent / "data" / "ram_trace_golden.txt").read_text()
+    assert out.endswith("\n" + golden + "\n")
 
 
 def test_cli_lut_dump_roundtrip(tmp_path, capsys):
