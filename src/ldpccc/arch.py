@@ -90,8 +90,8 @@ class ArchParams:
             raise ArchModelError(
                 f"stages={self.stages} does not split the edge RAMs evenly"
             )
-        chan = self.z * self.block_cols
-        if chan % (self.block_rows * self.stages) != 0:
+        # a processor's channel RAMs hold a period of blocks
+        if self.block_len % self.stages != 0:
             raise ArchModelError(
                 f"stages={self.stages} does not split the channel RAMs evenly"
             )
@@ -203,7 +203,7 @@ class _RamMap:
         )
         self.edge_per_row = self.edge_per_pair * p.period
         self.edge_total = self.edge_per_row * p.period
-        self.chan_per_block = p.z * p.block_cols // (p.block_rows * p.stages)
+        self.chan_per_block = p.block_len // p.stages
         self.chan_total = self.chan_per_block * p.period
         self.per_codeword = self.edge_total + self.chan_total
 

@@ -37,7 +37,7 @@ block can depend on, with zero-LLR blocks past the frame.  Each check
 lists its edges in row-structure order and each column its sum in the
 pipeline's order, so even float sums match the step-major engine bit for
 bit.  ``_flood`` is that flooding loop, for the window and for the block
-decoder's matrix alike.
+decoder's matrix alike, and ``_decode_frames`` the one way frames enter it.
 
 Every decoder, and the scalar ``vnp``/``app_decide``, sums columns the
 same way, through a padded slot table, in float64 or, for codes, in the
@@ -299,6 +299,8 @@ class DecoderConfig:
             raise ValueError("need at least one processor")
         if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant == VARIANT_FLOAT and self.quantizer is not None:
+            raise ValueError("the float variant takes no quantizer")
         if self.variant == VARIANT_QSPA and self.quantizer is None:
             object.__setattr__(self, "quantizer", Quantizer())
 
@@ -327,7 +329,7 @@ class _StepTables(NamedTuple):
 
 class _PipelineTables(NamedTuple):
     steps: tuple          # _StepTables per step phase
-    warm: tuple           # per row r < memory: (degree, checks) groups within the row
+    warm: tuple           # per row r < memory: (degree, checks) groups in ring row r
     row_len: int          # edge slots per ring row
     plane: int            # edge slots per processor; slot `plane` of each word holds 0
 
@@ -383,10 +385,10 @@ def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
         steps.append(_StepTables(cnp, vnp, cols, slots))
     # rows before `memory` lack the blocks before block 0: their edges are
     # the full layout's edges with delta <= row, in the same order, grouped
-    # by their own check degrees
+    # by their own check degrees; row r < memory < period sits in ring row r
     warm = []
     for r in range(m):
-        kept = np.flatnonzero(full[r].edge_delta <= r)
+        kept = r * row_len + np.flatnonzero(full[r].edge_delta <= r)
         warm.append(tuple(kept[pos.T] for _, pos in code.row_structure(r).by_degree))
     return _PipelineTables(tuple(steps), tuple(warm), row_len, plane)
 
@@ -403,13 +405,26 @@ class StreamDecoder:
         self.code = code
         self.config = config
         self.quantized = config.variant == VARIANT_QSPA
+        self.quantizer = config.quantizer
+        self.lut = build_pair_lut(self.quantizer) if self.quantized else None
+        self.output_delay = (code.memory + 1) * config.iterations
+        self._t = 0
+        self._pending: tuple | None = None
+        self._frames: tuple | None = None  # leading shape of every step's input
+
+    @property
+    def steps_run(self) -> int:
+        return self._t
+
+    def _allocate(self, frames: tuple):
+        """Ring tables, conversion tables and rings for the frame count of
+        the first step."""
+        self._tables = _pipeline_tables(self.code)
+        self._dtype = np.float64
         if self.quantized:
-            q = self.quantizer = config.quantizer
-            self.lut = build_pair_lut(q)
-            self._table = self.lut.table
-            self._max_pos = q.max_magnitude_int
+            q = self.quantizer
             # the unwrapped code keeps the block code's column weights
-            col_degree = int(code.h_block.col_weights().max())
+            col_degree = int(self.code.h_block.col_weights().max())
             self._dtype = _sum_dtype(q, col_degree)
             # code -> integer and integer -> saturated code (negative
             # integers index from the end), tabulated from the conversion
@@ -425,21 +440,6 @@ class StreamDecoder:
             ints = np.arange(2 * bound + 1)
             ints[ints > bound] -= ints.size
             self._i2c = from_twos_complement(ints, q)
-        else:
-            self.quantizer = None
-            self._dtype = np.float64
-        self.output_delay = (code.memory + 1) * config.iterations
-        self._t = 0
-        self._pending: tuple | None = None
-        self._frames: tuple | None = None  # leading shape of every step's input
-
-    @property
-    def steps_run(self) -> int:
-        return self._t
-
-    def _allocate(self, frames: tuple):
-        """Ring tables, and rings for the frame count of the first step."""
-        self._tables = _pipeline_tables(self.code)
         n_frames, n_proc = (frames or (1,))[0], self.config.iterations
         self._n_frames = n_frames
         # a word holds every plane's copy of one slot, frames innermost
@@ -451,17 +451,15 @@ class StreamDecoder:
                               dtype=self._dtype)
         self._frames = frames
 
-    def _check_update(self, groups, words: slice, offset: int = 0):
+    def _check_update(self, groups, words: slice):
         """Check update in place on the ring slots that the (degree, checks)
         groups name, at the given word positions."""
         edges = self._edges
         for idx in groups:
-            if offset:
-                idx = idx + offset
             vals = edges[idx, words]  # (degree, checks, word positions)
             rows = vals.reshape(len(idx), -1)
-            out = (_cnp_qspa_rows(rows, self._table, self._max_pos) if self.quantized
-                   else _cnp_float_rows(rows, self.config.clamp))
+            out = (_cnp_qspa_rows(rows, self.lut.table, self.quantizer.max_magnitude_int)
+                   if self.quantized else _cnp_float_rows(rows, self.config.clamp))
             edges[idx, words] = out.reshape(vals.shape)
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
@@ -510,8 +508,7 @@ class StreamDecoder:
             self._check_update(st.cnp, slice(0, n * f))
         row = t - n * period
         if n < n_proc and row >= 0:
-            self._check_update(tables.warm[row], slice(n * f, (n + 1) * f),
-                               s * tables.row_len)
+            self._check_update(tables.warm[row], slice(n * f, (n + 1) * f))
 
         # the variable update reads the entering row's check-to-variable
         # values just written back; all planes' leaving blocks are gathered
@@ -542,37 +539,26 @@ class StreamDecoder:
         return out
 
 
-def _syndrome_tables(code: ConvCode) -> list:
-    """Per row phase: each edge's bit offset from the block ``memory`` rows
-    back, and where each check's edges start (edges are ordered by check)."""
-    if "syndrome" not in code._decoder_tables:
-        tables = []
-        for s in _full_rows(code):
-            offset = (code.memory - s.edge_delta) * code.block_len + s.edge_col
-            starts = np.flatnonzero(np.diff(s.edge_check, prepend=-1))
-            tables.append((offset.astype(np.intp), starts))
-        code._decoder_tables["syndrome"] = tables
-    return code._decoder_tables["syndrome"]
-
-
-def _block_syndromes(code: ConvCode, bits: np.ndarray) -> np.ndarray:
+def _block_syndromes(code: ConvCode, bits: np.ndarray,
+                     tables: _FloodTables | None = None) -> np.ndarray:
     """Flag w is True iff every check of block row w has even parity.
 
     ``bits`` is one stream ``(n,)`` or F streams ``(F, n)``; the flags have
-    one row per stream.
+    one row per stream.  Each check reads its bits through the slots of a
+    window at least as long as the stream, by default its own.
     """
-    c, p = code.block_len, code.period
+    c = code.block_len
     frames = bits if bits.ndim == 2 else bits[None]
     n = frames.shape[1] // c
-    # blocks before block 0 read as zeros, so the first rows need no layout of their own
-    padded = np.concatenate([np.zeros((len(frames), code.memory * c), dtype=np.uint8),
-                             frames], axis=1)
-    flags = np.empty((len(frames), n), dtype=bool)
-    for k, (offset, starts) in enumerate(_syndrome_tables(code)):
-        ones = padded[:, offset + (np.arange(k, n, p) * c)[:, None]]
-        if starts.size:
-            ones = np.bitwise_xor.reduceat(ones, starts, axis=2)
-        flags[:, k::p] = ~ones.any(axis=2)
+    if tables is None:
+        tables = _window_tables(code, n)
+    flags = np.ones((len(frames), n), dtype=bool)
+    for deg, lo, hi, rows in tables.groups:
+        # rows below n read only the stream's blocks
+        k = np.searchsorted(rows, n)
+        cols = tables.slot_col[lo:hi].reshape(deg, rows.size, -1)[:, :k]
+        odd = np.bitwise_xor.reduce(frames[:, cols], axis=1).any(axis=2)
+        flags[:, rows[:k]] &= ~odd
     return flags.reshape(bits.shape[:-1] + (n,))
 
 
@@ -590,7 +576,7 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     block, checking the block row that the block completes.
     """
     llr_stream = np.asarray(llr_stream, dtype=np.float64)
-    code = decoder.code
+    code, cfg = decoder.code, decoder.config
     c = code.block_len
     if llr_stream.ndim not in (1, 2) or llr_stream.shape[-1] % c != 0:
         raise ValueError(f"expected (n,) or (F, n) channel values with n a multiple "
@@ -600,32 +586,17 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     if llr_stream.ndim == 2 and len(llr_stream) == 0:
         raise ValueError(f"expected {c} channel values in each of one or more "
                          f"frames, got shape {llr_stream.shape}")
-    frames, n = llr_stream.shape[:-1], llr_stream.shape[-1]
-    values = np.atleast_2d(llr_stream).T  # (n, F): frames innermost, as the engine's
-    if decoder.quantized:
-        q = decoder.quantizer
-        codes = q.quantize(values)  # NaN raises, infinities saturate
-        values = np.empty(values.shape, dtype=decoder._dtype)
-        _code_values(codes, q, values)
-    elif not np.isfinite(values).all():
-        raise ValueError("channel LLRs must be finite")
-    iterations = decoder.config.iterations
-    tables = _window_tables(code, n // c + iterations * code.memory)
-    lam = np.zeros((tables.col_slots.shape[1], values.shape[1]), dtype=values.dtype)
-    lam[:n] = values
-    post = _flood(tables, lam, iterations, decoder.lut if decoder.quantized else None,
-                  decoder.config.clamp)
-    soft = np.ascontiguousarray(post[:n].T, dtype=np.int64 if decoder.quantized else np.float64)
-    soft = soft.reshape(frames + (n,))
+    tables = _window_tables(code, llr_stream.shape[-1] // c + cfg.iterations * code.memory)
+    soft = _decode_frames(tables, np.atleast_2d(llr_stream), cfg.iterations, decoder.lut,
+                          cfg.clamp).reshape(llr_stream.shape)
     bits = (soft < 0).astype(np.uint8)
-    return StreamResult(bits=bits, soft=soft, syndrome_ok=_block_syndromes(code, bits))
+    return StreamResult(bits=bits, soft=soft, syndrome_ok=_block_syndromes(code, bits, tables))
 
 
 def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int) -> int:
     """Frames of ``n_blocks`` blocks that decode_stream takes at once within
     the edge budget."""
-    tables = _window_tables(code, n_blocks + iterations * code.memory)
-    return max(1, _EDGE_BUDGET // tables.slot_col.size)
+    return _frames_per_call(_window_tables(code, n_blocks + iterations * code.memory))
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +608,13 @@ class _FloodTables(NamedTuple):
 
     Messages sit in slot order with frames innermost.  Each group is a run
     of checks of one degree in ``(degree, checks)`` order, so the check
-    update reads the group's slots in place.  ``col_slots`` lists each
-    column's slots in summation order, padded with slot ``slots``, which
-    holds 0.
+    update reads the group's slots in place; a window's group spans the
+    same checks of several block rows, ``(degree, rows, checks)``.
+    ``col_slots`` lists each column's slots in summation order, padded with
+    slot ``slots``, which holds 0.
     """
 
-    groups: tuple           # (degree, first slot, end slot) per group
+    groups: tuple           # (degree, first slot, end slot, ascending block rows) per group
     slot_col: np.ndarray    # (slots,) the column of each slot's edge
     col_slots: np.ndarray   # (column degree, columns)
 
@@ -663,7 +635,7 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     msg = np.zeros((slot_col.size + 1, lam.shape[1]), dtype=lam.dtype)
     post = lam  # the first variable-to-check messages are the channel values
     for _ in range(iterations):
-        for deg, lo, hi in groups:
+        for deg, lo, hi, _rows in groups:
             v2c = post.take(slot_col[lo:hi], axis=0)
             v2c -= msg[lo:hi]
             v2c, out = v2c.reshape(deg, -1), msg[lo:hi].reshape(deg, -1)
@@ -675,6 +647,35 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
                 _code_values(_cnp_qspa_rows(codes, lut.table, q.max_magnitude_int), q, out)
         post = _column_sums(msg, col_slots, lam)
     return post
+
+
+def _frames_per_call(tables: _FloodTables) -> int:
+    """Frames a flooding call takes at once within the edge budget."""
+    return max(1, _EDGE_BUDGET // max(1, tables.slot_col.size))
+
+
+def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
+                   lut: PairLut | None, clamp: float) -> np.ndarray:
+    """(F, n) soft values of (F, n) finite channel LLRs, floats or, with
+    ``lut``, integers; columns past n read zero LLRs.  ``_frames_per_call``
+    frames at a time become channel values: floats, or the codes' integers.
+    """
+    if not np.isfinite(llrs).all():
+        raise ValueError("channel LLRs must be finite, not NaN or infinite")
+    n = llrs.shape[1]
+    q = None if lut is None else lut.quantizer
+    dtype = np.float64 if q is None else _sum_dtype(q, len(tables.col_slots))
+    soft = np.empty(llrs.shape, dtype=np.float64 if q is None else np.int64)
+    per_call = _frames_per_call(tables)
+    for lo in range(0, len(llrs), per_call):
+        chunk = llrs[lo:lo + per_call]
+        lam = np.zeros((tables.col_slots.shape[1], len(chunk)), dtype=dtype)
+        if q is None:
+            lam[:n] = chunk.T
+        else:
+            _code_values(q.quantize(chunk).T, q, lam[:n])
+        soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp)[:n].T
+    return soft
 
 
 def _window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
@@ -713,7 +714,7 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
             where[(rows[:, None] * row_len + to_full[e]).ravel()] = np.arange(lo, hi)
             slot_col[lo:hi] = ((rows[:, None] - struct.edge_delta[e]) * c
                                + struct.edge_col[e]).ravel()
-            groups.append((deg, lo, hi))
+            groups.append((deg, lo, hi, rows))
             lo = hi
     leaving, pad = _leaving_edges(code)
     col_slots = np.full((max(len(e[3]) for e in leaving), n_rows, c), n_slots, dtype=dtype)
@@ -758,17 +759,14 @@ class BlockDecoder:
             first = starts[degrees == deg]
             slot_edge.append((first + np.arange(deg)[:, None]).ravel())
             lo = groups[-1][2] if groups else 0
-            groups.append((deg, lo, lo + slot_edge[-1].size))
+            groups.append((deg, lo, lo + slot_edge[-1].size, None))
         slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
         edge_slot = np.empty(n_edges, dtype=np.intp)
         edge_slot[slot_edge] = np.arange(n_edges)
         self._tables = _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
                                     _column_table(edge_col, edge_slot, matrix.cols, n_edges))
-        self.frames_per_call = max(1, _EDGE_BUDGET // max(1, n_edges))
-        self.lut = None
-        if quantizer is not None:
-            self.lut = build_pair_lut(quantizer)
-            self._sum_dtype = _sum_dtype(quantizer, len(self._tables.col_slots))
+        self.frames_per_call = _frames_per_call(self._tables)
+        self.lut = None if quantizer is None else build_pair_lut(quantizer)
 
     def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hard decisions and soft a-posteriori values after all iterations.
@@ -780,22 +778,6 @@ class BlockDecoder:
         n = self.matrix.cols
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
             raise ValueError(f"expected {n} channel values per frame")
-        if not np.isfinite(llrs).all():
-            raise ValueError("channel LLRs must be finite")
-        frames = llrs.reshape(-1, n)
-        # the output is allocated once no decode temporaries are left
-        posts = [self._decode(frames[lo:lo + self.frames_per_call]).T
-                 for lo in range(0, len(frames), self.frames_per_call)]
-        soft = np.concatenate(posts or [np.zeros((0, n), np.int8)],
-                              dtype=np.float64 if self.quantizer is None else np.int64)
-        soft = soft.reshape(llrs.shape)
+        soft = _decode_frames(self._tables, llrs.reshape(-1, n), self.iterations, self.lut,
+                              self.clamp).reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft
-
-    def _decode(self, llrs: np.ndarray) -> np.ndarray:
-        """(n, F) soft values of a (F, n) batch."""
-        lam = llrs.T
-        if self.quantizer is not None:
-            q = self.quantizer
-            lam = np.empty(lam.shape, dtype=self._sum_dtype)
-            _code_values(q.quantize(llrs).T, q, lam)
-        return _flood(self._tables, lam, self.iterations, self.lut, self.clamp)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from ldpccc.arch import (
     schedule_single,
 )
 from ldpccc.cli import main
-from ldpccc.construction import demo_base, demo_base_names, split_and_unwrap
+from ldpccc.construction import BaseMatrix, demo_base, demo_base_names, split_and_unwrap
 from ldpccc.decoder import VARIANT_QSPA, DecoderConfig, StreamDecoder
 from ldpccc.quantization import Quantizer
 
@@ -445,13 +446,23 @@ def test_ram_trace_writes_match_schedule():
     assert changed(states[2], states[3]) == writes(events[2]) | writes(events[3])
 
 
-@pytest.mark.parametrize("name", demo_base_names())
+# random bases at z = 8 whose periods, 2 and 3, are below their block rows
+RANDOM_BASES = {"random_4x6_z8": (4, 6), "random_6x9_z8": (6, 9)}
+
+
+@pytest.mark.parametrize("name", demo_base_names() + list(RANDOM_BASES))
 def test_decoder_ring_is_the_model_memory(name):
     # per processor, a stepped decoder's ring holds one slot per edge (the
     # zero slot aside) and per channel value of a period of blocks: the
     # model's RAM bits at every power-of-two stage count it accepts
-    base = demo_base(name)
-    code = split_and_unwrap(base)
+    if name in RANDOM_BASES:
+        exps = np.random.default_rng(17).integers(0, 8, RANDOM_BASES[name])
+        base = BaseMatrix(z=8, exponents=tuple(map(tuple, exps.tolist())))
+    else:
+        base = demo_base(name)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        code = split_and_unwrap(base)
     for iterations in (1, 3, 8):
         for bits in (4, 8):
             dec = StreamDecoder(code, DecoderConfig(iterations, VARIANT_QSPA,

@@ -59,6 +59,11 @@ def test_step_rejects_wrong_length(toy_code):
         dec.step(np.zeros(toy_code.block_len + 1))
 
 
+def test_float_config_rejects_a_quantizer():
+    with pytest.raises(ValueError, match="quantizer"):
+        DecoderConfig(8, "float", Quantizer(8))
+
+
 def test_initial_delay(toy_code):
     dec = StreamDecoder(toy_code, DecoderConfig(iterations=3))
     delay = dec.output_delay
@@ -164,9 +169,9 @@ def test_slot_conservation_audit():
                 assert struct.edge_delta[pos[e]] == (rows[e] - first) % p
                 assert struct.edge_col[pos[e]] == st.cols[e]
             assert (st.vnp[vnp.size:] == tabs.plane).all()
-        # rows before `memory` check only the edges they have
+        # rows before `memory` check only the edges they have, in ring row r
         for r in range(m):
-            pos = np.concatenate([idx.ravel() for idx in tabs.warm[r]])
+            pos = np.concatenate([idx.ravel() - r * row_len for idx in tabs.warm[r]])
             struct = code.row_structure(r)
             assert np.unique(pos).size == pos.size == struct.n_edges
             full = full_row(code, r)
@@ -209,16 +214,20 @@ def test_stream_pad_row_sits_past_the_largest_leaving_block():
 
 def test_ring_holds_one_plane_per_processor():
     # a word holds I * F positions: the last processor's output has no
-    # plane; the ring and its tables appear at the first step, so a
-    # decoder that only decode_stream sees builds neither
-    for n_proc, frames in itertools.product((1, 3, 8), ((), (1,), (3,))):
+    # plane; the ring, its tables and the code conversion tables appear at
+    # the first step, so a decoder that only decode_stream sees builds none
+    step_only = ("_edges", "_c2i", "_i2c")
+    for n_proc, frames, variant in itertools.product((1, 3, 8), ((), (1,), (3,)),
+                                                     ("float", VARIANT_QSPA)):
         code = split_and_unwrap(demo_base("toy_2x4_z8"))
-        dec = StreamDecoder(code, DecoderConfig(n_proc))
+        dec = StreamDecoder(code, DecoderConfig(n_proc, variant))
         decode_stream(dec, np.ones(frames + (2 * code.block_len,)))
-        assert "pipeline" not in code._decoder_tables and not hasattr(dec, "_edges")
-        dec.step(np.ones(frames + (code.block_len,)))
+        assert "pipeline" not in code._decoder_tables
+        assert not any(hasattr(dec, name) for name in step_only)
+        dec.step(np.ones(frames + (code.block_len,), dtype=np.uint8))
         tabs = code._decoder_tables["pipeline"]
         assert dec._edges.shape == (tabs.plane + 1, n_proc * (frames or (1,))[0])
+        assert hasattr(dec, "_c2i") == (variant == VARIANT_QSPA)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +622,57 @@ def test_decode_stream_rejects_nan(toy_code):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
+def test_decode_stream_rejects_non_finite_llrs(toy_code, bad, variant):
+    # the frame front end that BlockDecoder.decode shares: infinities fail
+    # as NaN does, quantized or not, in one frame and in a batch
+    llrs = np.ones((2, 3 * toy_code.block_len))
+    llrs[1, 5] = bad
+    for frames in (llrs[1], llrs):
+        with pytest.raises(ValueError, match="finite"):
+            decode_stream(StreamDecoder(toy_code, DecoderConfig(2, variant)), frames)
+
+
+@pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
+def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch):
+    # with an edge budget of two toy windows, five frames go to the engine
+    # two at a time and decode as each frame alone
+    n_blocks, cfg = 4, DecoderConfig(2, variant)
+    window = ldpccc.decoder._window_tables(toy_code, n_blocks + 2 * toy_code.memory)
+    monkeypatch.setattr(ldpccc.decoder, "_EDGE_BUDGET", 2 * window.slot_col.size)
+    calls = []
+    flood = ldpccc.decoder._flood
+
+    def counted(tables, lam, *args):
+        calls.append(lam.shape[1])
+        return flood(tables, lam, *args)
+
+    monkeypatch.setattr(ldpccc.decoder, "_flood", counted)
+    llrs = np.random.default_rng(107).normal(1.0, 1.3, (5, n_blocks * toy_code.block_len)) * 2.5
+    batched = decode_stream(StreamDecoder(toy_code, cfg), llrs)
+    assert calls == [2, 2, 1]
+    for f in range(len(llrs)):
+        assert_same_result(batched, f, decode_stream(StreamDecoder(toy_code, cfg), llrs[f]))
+
+
 # ---------------------------------------------------------------------------
 # syndrome flags
+
+
+def test_stream_syndromes_match_the_stream_window():
+    # decode_stream reads its flags through its own window, which runs past
+    # the stream; the stream's own window gives the same flags
+    rng = np.random.default_rng(108)
+    seen = set()
+    for code in bundled_codes():
+        for n_blocks in (1, 7):
+            llrs = rng.normal(1.0, 2.0, (3, n_blocks * code.block_len))
+            llrs[1] = 4.0
+            res = decode_stream(StreamDecoder(code, DecoderConfig(2)), llrs)
+            assert_identical(res.syndrome_ok, _block_syndromes(code, res.bits))
+            seen.update(res.syndrome_ok.ravel().tolist())
+    assert seen == {False, True}
 
 
 def test_block_syndromes_match_per_block_windows():
