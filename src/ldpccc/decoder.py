@@ -38,6 +38,11 @@ lists its edges in row-structure order and each column its sum in the
 pipeline's order, so even float sums match the step-major engine bit for
 bit.  ``_flood`` is that flooding loop, for the window and for the block
 decoder's matrix alike, and ``_decode_frames`` the one way frames enter it.
+The window puts every block row with the same check degree and checks per
+row in one group, and the loop calls the check update on cache-sized runs
+of a group's checks.  Its quantized messages are integer values, which the
+check update folds through the pair table's value-indexed form; only the
+stepped ring keeps codes.
 
 Every decoder, and the scalar ``vnp``/``app_decide``, sums columns the
 same way, through a padded slot table, in float64 or, for codes, in the
@@ -62,7 +67,6 @@ from .quantization import (
     Quantizer,
     _checked_codes,
     _code_values,
-    _saturated_codes,
     build_pair_lut,
     from_twos_complement,
     to_twos_complement,
@@ -88,6 +92,10 @@ VARIANT_QSPA = "qspa"
 # edges a decoder call holds at once, all frames together; it bounds the
 # call's working set, a few bytes per edge on the quantized variant
 _EDGE_BUDGET = 1 << 16
+# messages one check-update call of the flooding engine holds, in bytes: a
+# wider call runs out of cache (on a 2-core Xeon host the float kernel took
+# 48 ns an edge on a (24, 2,728) block against 26-27 ns on (24, 682))
+_KERNEL_BYTES = 1 << 17
 
 _TANH_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
@@ -162,39 +170,41 @@ def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
 
 def _cnp_qspa_rows(codes: np.ndarray, table: np.ndarray,
                    max_pos_code: int) -> np.ndarray:
-    """Table-driven check update on a (degree, n) block of codes.
+    """Table-driven check update on a (degree, n) block of uint8 indices.
 
-    Row k holds input k of n checks.  Output i combines a left fold of
-    inputs before i with a right-to-left fold of inputs after i; a running
-    prefix and the suffixes, kept in the output rows until they are
-    overwritten, hold the lookup count at 3d - 6 without changing any fold
-    order.  Each lookup reads the flat table at ``(a << bits) | b``, which
-    is computed as ``a * n_codes + b`` (numpy multiplies small integers
-    faster than it shifts them); the prefix's multiple serves both lookups
-    that read it.
+    Row k holds input k of n checks, indices into the square ``table``:
+    codes for ``PairLut.table``, offset values for ``PairLut.value_table``;
+    ``max_pos_code`` is the index of +max, a degree-1 check's output.
+    Output i combines a left fold of inputs before i with a right-to-left
+    fold of inputs after i; a running prefix and the suffixes, kept in the
+    output rows until they are overwritten, hold the lookup count at 3d - 6
+    without changing any fold order.  Each lookup reads the flat table at
+    ``a * width + b``, with ``width`` the table's side (numpy multiplies
+    small integers faster than it shifts them); the prefix's multiple
+    serves both lookups that read it.
     """
     d, n = codes.shape
     if d == 1:
         return np.full((1, n), max_pos_code, dtype=np.uint8)
-    n_codes = table.shape[0]
+    width = table.shape[0]
     flat = table.ravel()
-    # the index must hold n_codes**2 - 1
-    idx, left = np.empty((2, n), dtype=np.uint8 if n_codes <= 16 else np.uint16)
+    # the index must hold width**2 - 1
+    idx, left = np.empty((2, n), dtype=np.uint8 if width <= 16 else np.uint16)
 
     def combine(b, out):
-        """out = table[a, b] for the ``a`` whose a * n_codes is in ``left``."""
+        """out = table[a, b] for the ``a`` whose a * width is in ``left``."""
         np.add(left, b, out=idx)
         flat.take(idx, out=out, mode="clip")  # every index is in range; no checking pass
 
     out = np.empty_like(codes)
     out[d - 1] = codes[d - 1]
     for k in range(d - 2, 0, -1):
-        np.multiply(out[k + 1], n_codes, out=left, dtype=left.dtype)
+        np.multiply(out[k + 1], width, out=left, dtype=left.dtype)
         combine(codes[k], out[k])  # suffix k
     out[0] = out[1]
     prefix = codes[0].copy()
     for i in range(1, d - 1):
-        np.multiply(prefix, n_codes, out=left, dtype=left.dtype)
+        np.multiply(prefix, width, out=left, dtype=left.dtype)
         combine(out[i + 1], out[i])  # suffix i + 1 is still in row i + 1
         combine(codes[i], prefix)
     out[d - 1] = prefix
@@ -609,7 +619,8 @@ class _FloodTables(NamedTuple):
     Messages sit in slot order with frames innermost.  Each group is a run
     of checks of one degree in ``(degree, checks)`` order, so the check
     update reads the group's slots in place; a window's group spans the
-    same checks of several block rows, ``(degree, rows, checks)``.
+    checks of that degree in every block row that has as many of them,
+    ``(degree, rows, checks)``.
     ``col_slots`` lists each column's slots in summation order, padded with
     slot ``slots``, which holds 0.
     """
@@ -627,24 +638,40 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     integers in the sum's dtype with ``lut`` the quantized check update.
     One array holds the check-to-variable messages; a group's
     variable-to-check messages are formed from the last sums just before
-    its check update writes over the group's messages, so beside the
-    messages only one group's values are live.
+    its check update writes over them, a run of checks at a time that
+    holds at most ``_KERNEL_BYTES`` of messages, so beside the messages
+    only one run's values are live.  Quantized messages stay integers: a
+    run's values saturate at M = max_magnitude_int, fold offset by M
+    through the lut's value table, and lose the offset on the way back.
     """
     groups, slot_col, col_slots = tables
-    q = None if lut is None else lut.quantizer
-    msg = np.zeros((slot_col.size + 1, lam.shape[1]), dtype=lam.dtype)
+    f = lam.shape[1]
+    if lut is not None:
+        m, table = lut.quantizer.max_magnitude_int, lut.value_table
+        # bounds in the messages' dtype: np.clip converts Python ints on every call
+        lo_m, hi_m = np.array([-m, m], dtype=lam.dtype)
+    msg = np.zeros((slot_col.size + 1, f), dtype=lam.dtype)
+    calls = []  # (degree, slots, messages) of each kernel call, in order
+    for deg, lo, hi, _rows in groups:
+        slots = slot_col[lo:hi].reshape(deg, -1)
+        group = msg[lo:hi].reshape(deg, -1, f)
+        run = max(1, _KERNEL_BYTES // (deg * f * msg.itemsize))  # checks per call
+        calls += [(deg, slots[:, c:c + run], group[:, c:c + run].reshape(deg, -1))
+                  for c in range(0, slots.shape[1], run)]
     post = lam  # the first variable-to-check messages are the channel values
     for _ in range(iterations):
-        for deg, lo, hi, _rows in groups:
-            v2c = post.take(slot_col[lo:hi], axis=0)
-            v2c -= msg[lo:hi]
-            v2c, out = v2c.reshape(deg, -1), msg[lo:hi].reshape(deg, -1)
+        for deg, slots, out in calls:
+            v2c = post.take(slots, axis=0).reshape(deg, -1)
+            v2c -= out
             if lut is None:
                 out[...] = _cnp_float_rows(v2c, clamp)
             else:
-                codes = np.empty(v2c.shape, dtype=np.uint8)
-                _saturated_codes(v2c, q, codes)
-                _code_values(_cnp_qspa_rows(codes, lut.table, q.max_magnitude_int), q, out)
+                np.clip(v2c, lo_m, hi_m, out=v2c)
+                offset = np.empty(v2c.shape, dtype=np.uint8)
+                np.add(v2c, m, out=offset, casting="unsafe")
+                # a uint8 result less M would wrap before the cast
+                np.subtract(_cnp_qspa_rows(offset, table, 2 * m), m, out=out,
+                            dtype=out.dtype)
         post = _column_sums(msg, col_slots, lam)
     return post
 
@@ -687,18 +714,23 @@ def _window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
 
 
 def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
-    """Slots by row part and check degree: each row before ``memory`` is a
-    part, with its own layout, and the later rows of each phase are one,
-    with the phase's full-band layout.  Each column lists its slots in the
-    order of the pipeline's variable update (``_leaving_edges``).  The
-    tables stay cached, so they take the smallest unsigned type that holds
-    their values (uint16 for a 64-block frame of the rate-5/6 code)."""
+    """Slots by check degree and checks per row: every window row with the
+    same pair is one ``(degree, rows, checks)`` group, each row in its own
+    layout, that of ``row_structure`` for a row before ``memory`` and its
+    phase's full-band layout for a later one.  Each column lists its slots
+    in the order of the pipeline's variable update (``_leaving_edges``).
+    The tables stay cached, so they take the smallest unsigned type that
+    holds their values (uint16 for a 64-block frame of the rate-5/6 code)."""
     p, m, c = code.period, code.memory, code.block_len
     full = _full_rows(code)
     parts = [(np.array([r]), code.row_structure(r), np.flatnonzero(full[r].edge_delta <= r))
              for r in range(min(m, n_rows))]
     parts += [(np.arange(m + (k - m) % p, n_rows, p), full[k], np.arange(full[k].n_edges))
               for k in range(p) if m + (k - m) % p < n_rows]
+    pieces = {}  # (degree, checks per row) -> [(rows, layout, to_full, positions)]
+    for rows, struct, to_full in parts:
+        for deg, pos in struct.by_degree:
+            pieces.setdefault((deg, len(pos)), []).append((rows, struct, to_full, pos))
     n_slots = sum(rows.size * struct.n_edges for rows, struct, _ in parts)
     dtype = np.min_scalar_type(max(n_slots, n_rows * c))
     # slot of each (row, full-layout position), flat; rows past the window
@@ -707,15 +739,21 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     where = np.full((n_rows + m) * row_len, n_slots, dtype=dtype)
     slot_col = np.empty(n_slots, dtype=dtype)
     groups, lo = [], 0
-    for rows, struct, to_full in parts:
-        for deg, pos in struct.by_degree:
+    for (deg, checks), group in pieces.items():
+        rows = np.sort(np.concatenate([piece[0] for piece in group]))
+        hi = lo + deg * rows.size * checks
+        slots = np.arange(lo, hi).reshape(deg, rows.size, checks)
+        cols = slot_col[lo:hi].reshape(deg, rows.size, checks)
+        for part_rows, struct, to_full, pos in group:
+            # a part's rows recur every period, so their ranks among the
+            # group's rows are evenly spaced
+            rank = np.searchsorted(rows, part_rows)
+            at = slice(rank[0], rank[-1] + 1, rank[1] - rank[0] if rank.size > 1 else 1)
             e = pos.T[:, None, :]  # (degree, 1, checks), against rows (rows, 1)
-            hi = lo + deg * rows.size * e.shape[2]
-            where[(rows[:, None] * row_len + to_full[e]).ravel()] = np.arange(lo, hi)
-            slot_col[lo:hi] = ((rows[:, None] - struct.edge_delta[e]) * c
-                               + struct.edge_col[e]).ravel()
-            groups.append((deg, lo, hi, rows))
-            lo = hi
+            where[part_rows[:, None] * row_len + to_full[e]] = slots[:, at]
+            cols[:, at] = (part_rows[:, None] - struct.edge_delta[e]) * c + struct.edge_col[e]
+        groups.append((deg, lo, hi, rows))
+        lo = hi
     leaving, pad = _leaving_edges(code)
     col_slots = np.full((max(len(e[3]) for e in leaving), n_rows, c), n_slots, dtype=dtype)
     for s, (rows, pos, _, table) in enumerate(leaving):

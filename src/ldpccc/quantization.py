@@ -5,11 +5,14 @@ the magnitude, so a 4-bit quantizer has codes 0..15 with two zeros (+0 and
 -0) that compare equal in value.  Levels are uniform multiples of the step.
 The check-node combine of two values, 2*atanh(tanh(a/2)*tanh(b/2)) followed
 by re-quantization, is tabulated once per (bits, step) pair; a check node of
-any degree then reduces to chained table lookups.
+any degree then reduces to chained table lookups.  The flooding engine keeps
+its messages as integer values and folds them through the table's
+value-indexed form, ``PairLut.value_table``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +169,30 @@ class PairLut:
         q = self.quantizer
         out = self.table[_checked_codes(a, q), _checked_codes(b, q)]
         return out if out.ndim else out[()]
+
+    @functools.cached_property
+    def value_table(self) -> np.ndarray:
+        """The combine on integer values, offset by M = max_magnitude_int.
+
+        Entry (a + M, b + M) is M + value(table[code(a), code(b)]) for
+        integers a, b in [-M, M], with code(0) the +0 code, as uint8.  A fold
+        of offset values through it equals the fold of codes through
+        ``table``, read as values, only if the +0 and -0 rows and columns
+        hold the same values: otherwise this raises ``ValueError``.
+        """
+        q, m = self.quantizer, self.quantizer.max_magnitude_int
+        # M + value of each code, so that every lookup below stays in uint8
+        offset = (to_twos_complement(np.arange(q.n_codes), q) + m).astype(np.uint8)
+        zero, neg_zero = 0, q.sign_bit
+        if not (np.array_equal(offset[self.table[zero]], offset[self.table[neg_zero]])
+                and np.array_equal(offset[self.table[:, zero]],
+                                   offset[self.table[:, neg_zero]])):
+            raise ValueError("the table combines +0 and -0 differently, so it has "
+                             "no value-indexed form")
+        codes = from_twos_complement(np.arange(-m, m + 1), q)
+        table = offset.take(self.table.take(codes, axis=0).take(codes, axis=1))
+        table.setflags(write=False)
+        return table
 
 
 def build_pair_lut(quantizer: Quantizer) -> PairLut:

@@ -13,7 +13,15 @@ from ldpccc.decoder import (
     cnp_qspa,
     vnp,
 )
-from ldpccc.quantization import Quantizer, build_pair_lut, to_twos_complement
+from ldpccc.quantization import (
+    Quantizer,
+    _code_values,
+    _saturated_codes,
+    build_pair_lut,
+    dump_lut,
+    parse_lut,
+    to_twos_complement,
+)
 
 from reference_decoder import ref_check_update_lut, ref_cnp_float_rows
 
@@ -266,6 +274,46 @@ def test_cnp_qspa_rows_matches_reference_fold(bits, degree, checks, pair_table, 
     assert got.shape == codes.shape and got.dtype == np.uint8
     for column, out in zip(codes.T, got.T):
         assert out.tolist() == ref_check_update_lut(column.tolist(), table, max_pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(2, 8), step=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+       degree=st.integers(1, 30), checks=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_value_table_fold_matches_the_code_fold(bits, step, degree, checks, seed):
+    # the flooding engine's check update: integers saturate at M, fold
+    # offset by M through the value table and lose the offset; the same
+    # integers as codes through the code table, read back as values, agree
+    q = Quantizer(bits, step)
+    lut, m = build_pair_lut(q), q.max_magnitude_int
+    ints = np.random.default_rng(seed).integers(-3 * m, 3 * m + 1, (degree, checks))
+    codes = np.empty(ints.shape, dtype=np.uint8)
+    _saturated_codes(ints.copy(), q, codes)
+    want = np.empty(ints.shape, dtype=np.int64)
+    _code_values(_cnp_qspa_rows(codes, lut.table, m), q, want)
+    offset = (np.clip(ints, -m, m) + m).astype(np.uint8)
+    table = lut.value_table
+    assert table.shape == (2 * m + 1, 2 * m + 1) and table.dtype == np.uint8
+    got = _cnp_qspa_rows(offset, table, 2 * m).astype(np.int64) - m
+    assert got.tolist() == want.tolist()
+
+
+def test_value_table_needs_both_zeros_alike():
+    # a table that combines +0 and -0 differently has no value-indexed form
+    q = Quantizer(4)
+    rows = [row.split() for row in dump_lut(build_pair_lut(q)).splitlines()]
+    for zero_row in (0, q.sign_bit):
+        for column in (False, True):
+            changed = [list(row) for row in rows]
+            if column:
+                for row in changed:
+                    row[zero_row] = str(q.max_magnitude_int)
+            else:
+                changed[zero_row] = [str(q.max_magnitude_int)] * q.n_codes
+            lut = parse_lut("\n".join(" ".join(row) for row in changed), q)
+            with pytest.raises(ValueError, match="[+]0 and -0"):
+                lut.value_table
+    assert parse_lut(dump_lut(build_pair_lut(q)), q).value_table.shape == (15, 15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import warnings
@@ -654,6 +655,103 @@ def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch)
     assert calls == [2, 2, 1]
     for f in range(len(llrs)):
         assert_same_result(batched, f, decode_stream(StreamDecoder(toy_code, cfg), llrs[f]))
+
+
+def test_window_groups_one_per_degree_and_row_width():
+    # every window row with the same (check degree, checks of that degree)
+    # is in one group, rows ascending; the groups hold each check of each
+    # row once, as the row's own structure lists them
+    for code in bundled_codes():
+        c = code.block_len
+        for n_rows in (1, code.memory + 1, 64 + 2 * code.memory):
+            tables = ldpccc.decoder._window_tables(code, n_rows)
+            keys, got, end = [], collections.Counter(), 0
+            for deg, lo, hi, rows in tables.groups:
+                assert lo == end and rows.size and (np.diff(rows) > 0).all()
+                checks, rest = divmod(hi - lo, deg * rows.size)
+                assert rest == 0
+                keys.append((deg, checks))
+                cols = tables.slot_col[lo:hi].reshape(deg, rows.size, checks)
+                for i, r in enumerate(rows.tolist()):
+                    got.update((r, frozenset(check)) for check in cols[:, i].T.tolist())
+                end = hi
+            assert end == tables.slot_col.size and len(set(keys)) == len(keys)
+            want = collections.Counter()
+            for r in range(n_rows):
+                struct = code.row_structure(r)
+                cols = (r - struct.edge_delta) * c + struct.edge_col
+                want.update((r, frozenset(cols[check].tolist()))
+                            for _, pos in struct.by_degree for check in pos)
+            assert got == want
+    for name, n_groups in (("toy_2x4_z16", 2), ("rate56_4x24_z31", 4)):
+        code = split_and_unwrap(demo_base(name))
+        assert len(ldpccc.decoder._window_tables(code, 64 + code.memory).groups) == n_groups
+
+
+@pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
+def test_flooding_splits_a_group_into_kernel_calls(variant, monkeypatch):
+    # a byte budget of one check, and budgets that leave a short last run
+    # of checks, change the engine's kernel calls but no output byte, on
+    # stream windows and in the block decoder
+    kernel = "_cnp_float_rows" if variant == "float" else "_cnp_qspa_rows"
+    quantizer = None if variant == "float" else Quantizer()
+    rng = np.random.default_rng(110)
+    runs = []
+    for name in ("toy_2x4_z8", "rate56_4x24_z31"):
+        code, matrix = split_and_unwrap(demo_base(name)), expand_base(demo_base(name))
+        llrs = rng.normal(1.0, 1.3, (3, 5 * code.block_len)) * 2.5
+        runs.append(functools.partial(decode_stream, StreamDecoder(code, DecoderConfig(2, variant)),
+                                      llrs))
+        block = BlockDecoder(matrix, 2, quantizer)
+        runs.append(functools.partial(block.decode, rng.normal(1.0, 1.3, (3, matrix.cols)) * 2.5))
+
+    def outputs():
+        out = []
+        for run in runs:
+            res = run()
+            out.extend(res if isinstance(res, tuple) else (res.bits, res.soft, res.syndrome_ok))
+        return out
+
+    widths = []
+    original = getattr(ldpccc.decoder, kernel)
+
+    def counted(v, *args):
+        widths.append(v.shape[1])
+        return original(v, *args)
+
+    monkeypatch.setattr(ldpccc.decoder, kernel, counted)
+    want, whole = outputs(), len(widths)
+    size = 8 if variant == "float" else 1  # bytes of a message
+    # at three frames a call: one check a call; five degree-24 (30
+    # degree-4) checks; six degree-4 (one degree-24) checks
+    for budget in (1, size * (24 * 3 * 5 + 1), size * (4 * 3 * 7 - 1)):
+        monkeypatch.setattr(ldpccc.decoder, "_KERNEL_BYTES", budget)
+        widths.clear()
+        for got, expected in zip(outputs(), want):
+            assert_identical(got, expected)
+        assert len(widths) > whole
+        if budget == 1:
+            assert max(widths) <= 3  # one check's messages, a column per frame
+
+
+def test_float_block_decoder_splits_wide_groups(monkeypatch):
+    # at the default byte budget the float block decoder calls the check
+    # update more than once per group on the rate-5/6 matrix, each call
+    # within the budget, over every check of the batch
+    matrix = expand_base(demo_base("rate56_4x24_z31"))
+    dec = BlockDecoder(matrix, 1)
+    shapes = []
+    original = ldpccc.decoder._cnp_float_rows
+
+    def counted(v, clamp):
+        shapes.append(v.shape)
+        return original(v, clamp)
+
+    monkeypatch.setattr(ldpccc.decoder, "_cnp_float_rows", counted)
+    dec.decode(np.ones((dec.frames_per_call, matrix.cols)))
+    assert len(shapes) > len(dec._tables.groups)
+    assert all(d * n * 8 <= ldpccc.decoder._KERNEL_BYTES for d, n in shapes)
+    assert sum(d * n for d, n in shapes) == dec.frames_per_call * matrix.row_weights().sum()
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,30 @@ def test_float_kernel_mutation_reaches_the_frame_engine(monkeypatch):
     original = d._cnp_float_rows
     monkeypatch.setattr(d, "_cnp_float_rows", lambda v, clamp: 0.95 * original(v, clamp))
     assert not np.array_equal(decode(), good)
+
+
+def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
+    # the frame engine folds quantized messages through the lut's value
+    # table, read where the lut keeps it: one changed entry, the combine
+    # of two values of +2 steps, changes the soft output
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import numpy as np
+
+    import ldpccc.decoder as d
+    from ldpccc.construction import demo_base, split_and_unwrap
+    from ldpccc.quantization import PairLut
+
+    code = split_and_unwrap(demo_base("rate56_4x24_z31"))
+    llrs = np.random.default_rng(3).normal(1.0, 1.5, 4 * code.block_len) * 2.0
+
+    def decode():
+        return d.decode_stream(d.StreamDecoder(code, d.DecoderConfig(8, d.VARIANT_QSPA)),
+                               llrs).soft
+
+    good = decode()
+    lut = d.StreamDecoder(code, d.DecoderConfig(8, d.VARIANT_QSPA)).lut
+    m = lut.quantizer.max_magnitude_int
+    table = lut.value_table.copy()
+    table[m + 2, m + 2] += 1
+    monkeypatch.setattr(PairLut, "value_table", property(lambda self: table))
+    assert not np.array_equal(decode(), good)
