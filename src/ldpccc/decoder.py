@@ -1,55 +1,35 @@
-"""Pipelined stream decoder, the flooding engine, and their kernels.
+"""Pipelined stream decoder, its flooding engine, and their kernels.
 
-The decoder holds I serially connected processors.  Each decoding step
-feeds one new block of channel LLRs into the first processor, shifts the
-block leaving each processor into the next one, runs a check-node update on
-the block row entering every processor, and a variable-node update on the
-variable block about to leave it.  The last processor produces hard
-decisions from the full a-posteriori sum.  Because every check-node update
-in processor i consumes variable-to-check messages produced by processor
-i - 1, the pipeline computes exactly I flooding iterations per variable
-block, one iteration per processor, in systolic form.
+The decoder holds I serially connected processors, one flooding iteration
+each.  At step t processor i checks block row t - i*period and passes on
+the block leaving it, t - memory - i*period, whose memory + 1 rows it has
+now checked: the block's column sums give the next processor its
+variable-to-check values and, after the last processor, the decision.
+Every check in processor i reads only values that processor i - 1
+produced, so the pipeline computes exactly I flooding iterations per block.
 
-A stream fed through ``StreamDecoder.step`` is decoded step-major, as the
-hardware runs.  At step t processor i receives block t - i*period and
-checks block row t - i*period, so all processors share one phase and one
-address sequence, which is why the hardware can stack their memories into
-one RAM word.  The software does the same, and also stacks F independent
-frames into the word, as the hardware interleaves codewords through the
-same processors.  The edge ring is ``(period*row_len + 1, I*F)``: every
-processor keeps block row r in ring row r mod period, in its phase's
-full-band edge layout, and the last slot holds 0; a word has a position per
-(processor, frame), frames innermost.  A processor holds period consecutive
-blocks, so a (row phase, block phase) pair names one resident message.  As
-in the paper's RAM, a leaving block's messages take the slots that the next
-plane's leaving block, of the same phase, frees in the same step, so a step
-gathers all leaving blocks before it writes any; the last processor's
-output goes nowhere.  Channel values sit in ``(period, block_len, I*F)`` by
-block mod period.  One set of per-phase slot tables, built once per code at
-the first step, drives a fixed set of array operations for all processors
-and frames.
+One engine runs the pipeline on two schedules, with the same slot tables
+(``_window_tables``), check update (``_cnp_rows``) and column sums; each
+check lists its edges in row-structure order and each column sums in the
+pipeline's order (``_leaving_edges``), so both give the same bits, float
+sums included.  ``decode_stream`` and ``BlockDecoder`` flood a whole
+window per processor (``_flood``): processor i depends only on processor
+i - 1, so over a frame it is one flooding iteration over block rows 0 ..
+n_blocks + I*memory - 1, with zero-LLR blocks past the frame.
+``StreamDecoder.step`` runs a processor-batched wavefront over a fixed
+window: step t checks rows t, t - period, ... as one strided batch per
+slot group and completes the leaving blocks as one column-sum batch.
 
-A frame whose end is known is decoded processor-major by
-``decode_stream``: processor i depends only on processor i - 1 and on its
-own earlier steps, so its work over the whole frame is one flooding
-iteration over block rows 0 .. n_blocks + I*memory - 1, the rows a decided
-block can depend on, with zero-LLR blocks past the frame.  Each check
-lists its edges in row-structure order and each column its sum in the
-pipeline's order, so even float sums match the step-major engine bit for
-bit.  ``_flood`` is that flooding loop, for the window and for the block
-decoder's matrix alike, and ``_decode_frames`` the one way frames enter it.
-The window puts every block row with the same check degree and checks per
-row in one group, and the loop calls the check update on cache-sized runs
-of a group's checks.  Its quantized messages are integer values, which the
-check update folds through the pair table's value-indexed form; only the
-stepped ring keeps codes.
-
-Every decoder, and the scalar ``vnp``/``app_decide``, sums columns the
-same way, through a padded slot table, in float64 or, for codes, in the
-smallest signed type that holds them.  Both check-update kernels take a
-degree-major ``(degree, n)`` block, row k holding input k of n checks: the
-layout in which the ring's tables gather a row and the flooding engine
-stores its messages, so no call transposes.
+Both keep messages in dynamic storage, as the paper's RAM does: a slot
+holds a variable-to-check value until its check runs and the
+check-to-variable value after that.  Quantized messages are integer
+values, which the check update saturates and folds through the pair
+table's value-indexed form.  Every decoder, and the scalar
+``vnp``/``app_decide``, sums columns through a padded slot table, in
+float64 or, for codes, in the smallest signed type that holds them.  Both
+check-update kernels take a degree-major ``(degree, n)`` block, row k
+holding input k of n checks: the layout in which the engine stores its
+messages, so no call transposes.
 """
 
 from __future__ import annotations
@@ -221,6 +201,28 @@ def cnp_qspa(codes, lut: PairLut) -> np.ndarray:
     return _cnp_qspa_rows(codes[:, None], lut.table, q.max_magnitude_int)[:, 0]
 
 
+def _cnp_rows(v2c: np.ndarray, out: np.ndarray, lut: PairLut | None, clamp: float):
+    """The engine's check update: ``out``, of v2c's size in any shape, gets
+    the check-to-variable values of the (degree, n) variable-to-check
+    values ``v2c``, which may be a view of it.
+
+    Floats go through ``_cnp_float_rows``.  Integers saturate in place at
+    M = max_magnitude_int, fold offset by M through the lut's value table
+    and lose the offset on the way back.
+    """
+    if lut is None:
+        out[...] = _cnp_float_rows(v2c, clamp).reshape(out.shape)
+        return
+    m = lut.quantizer.max_magnitude_int
+    bound = v2c.dtype.type(m)  # np.clip converts a Python int on every call
+    np.clip(v2c, -bound, bound, out=v2c)
+    offset = np.empty(v2c.shape, dtype=np.uint8)
+    np.add(v2c, m, out=offset, casting="unsafe")
+    # a uint8 result less M would wrap before the cast
+    c2v = _cnp_qspa_rows(offset, lut.value_table, 2 * m).reshape(out.shape)
+    np.subtract(c2v, m, out=out, dtype=out.dtype)
+
+
 def _column_sums(alpha: np.ndarray, slots: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """A-posteriori sums: per column, its rows of ``alpha`` and its channel value.
 
@@ -236,13 +238,13 @@ def _column_sums(alpha: np.ndarray, slots: np.ndarray, channel: np.ndarray) -> n
     return post
 
 
-def _variable_update(alpha: np.ndarray, slots: np.ndarray, cols: np.ndarray,
+def _variable_update(msg: np.ndarray, slots: np.ndarray,
                      channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A-posteriori sums ``post`` and messages ``post[cols] - alpha``, row
-    e of ``alpha`` holding the messages into edge e, of column ``cols[e]``."""
-    post = _column_sums(alpha, slots, channel)
-    beta = post.take(cols, axis=0)
-    beta -= alpha[:cols.size]
+    """The column sums ``post`` of a slot table and, in the table's shape,
+    each listed slot's outgoing message ``post - msg[slot]``."""
+    post = _column_sums(msg, slots, channel)
+    beta = msg.take(slots, axis=0)
+    np.subtract(post, beta, out=beta)
     return post, beta
 
 
@@ -269,10 +271,9 @@ def _node_update(channel, incoming, quantizer: Quantizer | None):
     numbers = (functools.partial(np.asarray, dtype=np.float64) if quantizer is None
                else functools.partial(to_twos_complement, quantizer=quantizer))
     alpha = numbers(np.ravel(incoming))
-    post, beta = _variable_update(np.append(alpha, 0)[:, None], np.arange(alpha.size)[:, None],
-                                  np.zeros(alpha.size, dtype=np.intp),
+    post, beta = _variable_update(alpha[:, None], np.arange(alpha.size)[:, None],
                                   np.reshape(numbers(channel), (1, 1)))
-    return post[0, 0], beta[:, 0]
+    return post[0, 0], beta[:, 0, 0]
 
 
 def vnp(channel, incoming, quantizer: Quantizer | None = None):
@@ -322,38 +323,11 @@ class StreamResult:
     syndrome_ok: np.ndarray
 
 
-class _StepTables(NamedTuple):
-    """Edge-ring slots for one step phase (t mod period).
-
-    Every processor and frame uses the same slots at its own word
-    position.  The leaving block's edges are listed newest row first, then
-    the older rows from oldest to newest (the summation order), and the
-    fresh block of phase s takes the leaving slots of phase s + memory.
-    """
-
-    cnp: tuple          # per degree group, (degree, checks): the entering row
-    vnp: np.ndarray     # the leaving block's K slots, then zero slots up to the largest K + 1
-    cols: np.ndarray    # (K,) their columns
-    slots: np.ndarray   # (column degree, block_len) positions in vnp, padded with the largest K
-
-
-class _PipelineTables(NamedTuple):
-    steps: tuple          # _StepTables per step phase
-    warm: tuple           # per row r < memory: (degree, checks) groups in ring row r
-    row_len: int          # edge slots per ring row
-    plane: int            # edge slots per processor; slot `plane` of each word holds 0
-
-
 def _full_rows(code: ConvCode) -> list:
-    """Full-band edge layout of each row phase; every ring row uses its phase's."""
+    """Full-band edge layout of each row phase, which every row from
+    ``memory`` on uses."""
     p, m = code.period, code.memory
     return [code.row_structure(m + (k - m) % p) for k in range(p)]
-
-
-def _pipeline_tables(code: ConvCode) -> _PipelineTables:
-    if "pipeline" not in code._decoder_tables:
-        code._decoder_tables["pipeline"] = _build_pipeline_tables(code)
-    return code._decoder_tables["pipeline"]
 
 
 def _leaving_edges(code: ConvCode) -> tuple[list, int]:
@@ -380,35 +354,22 @@ def _leaving_edges(code: ConvCode) -> tuple[list, int]:
             for rows, pos, cols in edges], pad
 
 
-def _build_pipeline_tables(code: ConvCode) -> _PipelineTables:
-    p, m = code.period, code.memory
-    full = _full_rows(code)
-    row_len = max(s.n_edges for s in full)
-    plane = p * row_len
-    leaving, pad = _leaving_edges(code)
-    steps = []
-    for s, (rows, pos, cols, slots) in enumerate(leaving):
-        # the entering row is ring row s; block row r is kept in ring row r mod period
-        cnp = tuple(np.ascontiguousarray(s * row_len + pos.T)
-                    for _, pos in full[s].by_degree)
-        vnp = np.append((s - m + rows) % p * row_len + pos, np.full(pad + 1 - pos.size, plane))
-        steps.append(_StepTables(cnp, vnp, cols, slots))
-    # rows before `memory` lack the blocks before block 0: their edges are
-    # the full layout's edges with delta <= row, in the same order, grouped
-    # by their own check degrees; row r < memory < period sits in ring row r
-    warm = []
-    for r in range(m):
-        kept = r * row_len + np.flatnonzero(full[r].edge_delta <= r)
-        warm.append(tuple(kept[pos.T] for _, pos in code.row_structure(r).by_degree))
-    return _PipelineTables(tuple(steps), tuple(warm), row_len, plane)
-
-
 class StreamDecoder:
     """Pipeline of I processors over an unterminated convolutional code.
 
     Decoding step t feeds variable block t; the decision for block w is
     available after step w + (iterations * period), i.e. the pipeline has an
     initial delay of (memory + 1) * iterations decoding steps.
+
+    The first step builds the step state for its frame count: messages and
+    channel values over a window of whole periods of block rows.  An edge's
+    slot belongs to the processor holding the edge's block, and a leaving
+    block's new variable-to-check values take the slots its
+    check-to-variable values leave, so the blocks in flight hold, per
+    processor, one slot per edge of the expanded base matrix and the channel
+    values of a period of blocks: the model's RAM.  When the arriving
+    block's rows reach the window's end, the rows in flight shift back by
+    whole periods, so one cached table serves an unbounded stream.
     """
 
     def __init__(self, code: ConvCode, config: DecoderConfig):
@@ -426,51 +387,56 @@ class StreamDecoder:
     def steps_run(self) -> int:
         return self._t
 
-    def _allocate(self, frames: tuple):
-        """Ring tables, conversion tables and rings for the frame count of
-        the first step."""
-        self._tables = _pipeline_tables(self.code)
-        self._dtype = np.float64
-        if self.quantized:
-            q = self.quantizer
-            # the unwrapped code keeps the block code's column weights
-            col_degree = int(self.code.h_block.col_weights().max())
-            self._dtype = _sum_dtype(q, col_degree)
-            # code -> integer and integer -> saturated code (negative
-            # integers index from the end), tabulated from the conversion
-            # pair, which is slower on a step's small words: on (8, 16) words
-            # the tables take 2.2 / 1.5 us against 8.3 / 19.4 us (the pair
-            # wins on the block decoder's (2,976, 22): 55 / 52 against 224 /
-            # 453 us); in the tables' place the pair made a toy_2x4_z16 qspa
-            # step at I = 8 take 188-196 against 106-113 us p50 at F = 1 and
-            # 250-273 against 177-192 us at F = 8 (same process, 2-core host,
-            # numpy 2.4)
-            self._c2i = to_twos_complement(np.arange(q.n_codes), q).astype(self._dtype)
-            bound = q.max_magnitude_int * col_degree
-            ints = np.arange(2 * bound + 1)
-            ints[ints > bound] -= ints.size
-            self._i2c = from_twos_complement(ints, q)
-        n_frames, n_proc = (frames or (1,))[0], self.config.iterations
-        self._n_frames = n_frames
-        # a word holds every plane's copy of one slot, frames innermost
-        width = n_proc * n_frames
-        self._edges = np.zeros((self._tables.plane + 1, width),
-                               dtype=np.uint8 if self.quantized else np.float64)
-        # channel values as the variable update adds them: integers for codes
-        self._chan = np.zeros((self.code.period, self.code.block_len, n_proc * n_frames),
-                              dtype=self._dtype)
+    def _start(self, frames: tuple):
+        """The step state, its window twice the rows in flight and the first rows."""
+        code, n_proc = self.code, self.config.iterations
+        p, m, c = code.period, code.memory, code.block_len
+        # rows that hold edges of the blocks in flight and of the arriving one
+        span = 2 * m + (n_proc - 1) * p + 1
+        n_rows = -(-2 * (span + m) // p) * p
+        tables = _window_tables(code, n_rows)
+        f = (frames or (1,))[0]
+        dtype = (np.float64 if self.lut is None
+                 else _sum_dtype(self.quantizer, len(tables.col_slots)))
+        self._msg = np.zeros((tables.slot_col.size + 1, f), dtype=dtype)
+        self._lam = np.zeros((n_rows, c, f), dtype=dtype)
+        self._col_slots = tables.col_slots.reshape(-1, n_rows, c)
+        self._origin = 0  # stream index of window row and block 0
+        # per group, a (degree, rows, checks, frames) view of its messages
+        # and its rows per period: from `memory` on, a row's rank in the
+        # group grows by that stride per period, so the rows of one step are
+        # a strided slice; each row before `memory + period` lists its
+        # (view, rank, stride) per group
+        self._groups, self._ranks = [], [[] for _ in range(m + p)]
+        for deg, lo, hi, rows in tables.groups:
+            view = self._msg[lo:hi].reshape(deg, rows.size, -1, f)
+            first = int(np.searchsorted(rows, m))
+            stride = int(np.searchsorted(rows, m + p)) - first
+            self._groups.append((view, stride))
+            for k in range(first + stride):  # a group of first rows only slices one row
+                self._ranks[rows[k]].append((view, k, max(stride, 1)))
         self._frames = frames
 
-    def _check_update(self, groups, words: slice):
-        """Check update in place on the ring slots that the (degree, checks)
-        groups name, at the given word positions."""
-        edges = self._edges
-        for idx in groups:
-            vals = edges[idx, words]  # (degree, checks, word positions)
-            rows = vals.reshape(len(idx), -1)
-            out = (_cnp_qspa_rows(rows, self.lut.table, self.quantizer.max_magnitude_int)
-                   if self.quantized else _cnp_float_rows(rows, self.config.clamp))
-            edges[idx, words] = out.reshape(vals.shape)
+    def _shift(self):
+        """Moves the rows in flight back by whole periods, the oldest to
+        just past the first rows, whose layouts differ."""
+        p, m = self.code.period, self.code.memory
+        oldest = self._t - self._origin - m - (self.config.iterations - 1) * p
+        periods = (oldest - m) // p
+        for view, stride in self._groups:
+            view[:, :view.shape[1] - periods * stride] = view[:, periods * stride:]
+        self._lam[:len(self._lam) - periods * p] = self._lam[periods * p:]
+        self._origin += periods * p
+
+    def _check_rows(self, row: int, count: int):
+        """Check update in place on window rows row, row - period, ... (count
+        rows of one layout, all from `memory` on or one before it)."""
+        p, m = self.code.period, self.code.memory
+        first = row if row < m else m + (row - m) % p
+        for view, rank, stride in self._ranks[first]:
+            top = rank + (row - first) // p * stride
+            part = view[:, top - (count - 1) * stride:top + 1:stride]
+            _cnp_rows(part.reshape(len(part), -1), part, self.lut, self.config.clamp)
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
         """Checks one step's input with one reduction for all its frames."""
@@ -498,51 +464,48 @@ class StreamDecoder:
         """
         lam_new = self._validate(np.asarray(new_llrs))
         if self._frames is None:
-            self._allocate(lam_new.shape[:-1])
+            self._start(lam_new.shape[:-1])
         lam_new = lam_new.reshape(-1, lam_new.shape[-1]).T  # (block_len, frames)
-        t = self._t
+        t, n_proc = self._t, self.config.iterations
         period, memory = self.code.period, self.code.memory
-        n_proc, f = self.config.iterations, self._n_frames
-        tables = self._tables
-        s = t % period
-        st, fresh = tables.steps[s], tables.steps[(s + memory) % period]
-        edges, chan = self._edges, self._chan
-        out_slot = (t + 1) % period  # channel slot of every leaving block
+        msg, lam = self._msg, self._lam
+        if t - self._origin + memory >= len(lam):
+            self._shift()
+        w = t - self._origin  # the arriving block and processor 0's row in the window
 
-        chan[s, :, :f] = self._c2i[lam_new] if self.quantized else lam_new
-        edges[fresh.vnp[:fresh.cols.size], :f] = lam_new.take(fresh.cols, axis=0)
-        # processors 0..n-1 are on full-band rows; processor n may be on a
-        # first row (< memory), which has no leaving block yet
+        # the arriving block's channel values are processor 0's
+        # variable-to-check values; pad slots of its column table take
+        # them too, so the zero slot is cleared after each such write
+        if self.quantized:
+            _code_values(lam_new.astype(np.uint8), self.quantizer, lam[w])
+        else:
+            lam[w] = lam_new
+        msg[self._col_slots[:, w]] = lam[w]
+        msg[-1] = 0
+        # processors 0..n-1 are on full-band rows w, w - period, ...;
+        # processor n may be on a first row (< memory, before any shift),
+        # which has no leaving block yet
         n = min(n_proc, (t - memory) // period + 1)
         if n:
-            self._check_update(st.cnp, slice(0, n * f))
-        row = t - n * period
-        if n < n_proc and row >= 0:
-            self._check_update(tables.warm[row], slice(n * f, (n + 1) * f))
+            self._check_rows(w, n)
+        if n < n_proc and t >= n * period:
+            self._check_rows(t - n * period, 1)
 
-        # the variable update reads the entering row's check-to-variable
-        # values just written back; all planes' leaving blocks are gathered
-        # before each is written one plane on, where the same phase leaves;
-        # the last processor's messages have no next plane
+        # the leaving blocks w - memory - i*period, oldest first, become the
+        # next processors' variable-to-check values in their own slots; the
+        # last processor's go unread
         decision = None
         if n:
-            busy = slice(0, n * f)
-            alpha = edges[st.vnp, busy]  # (edges + pad, word positions)
-            if self.quantized:
-                alpha = self._c2i[alpha]
-            post, beta = _variable_update(alpha, st.slots, st.cols, chan[out_slot, :, busy])
-            passed = min(n, n_proc - 1) * f
-            beta = beta[:, :passed]
-            if self.quantized:
-                beta = self._i2c.take(beta)
-            edges[st.vnp[:st.cols.size], f:f + passed] = beta
+            blocks = slice(w - memory - (n - 1) * period, w - memory + 1, period)
+            slots = self._col_slots[:, blocks].reshape(-1, n * self.code.block_len)
+            post, msg[slots] = _variable_update(msg, slots, lam[blocks].reshape(-1, msg.shape[1]))
+            msg[-1] = 0
             if n == n_proc:
-                soft = post[:, -f:].T.reshape(self._frames + (-1,))
+                soft = post[:self.code.block_len].T.reshape(self._frames + (-1,))
                 if self.quantized:
                     soft = soft.astype(np.int64)
                 index = t - memory - (n_proc - 1) * period
                 decision = (index, (soft < 0).astype(np.uint8), soft)
-        chan[out_slot, :, f:] = chan[out_slot, :, :-f]
 
         self._t += 1
         out, self._pending = self._pending, decision
@@ -580,10 +543,9 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     the same leading axis.  The stream length must be a multiple of the
     block length.  Unlike the hardware's continuous operation, the stream
     ends in erasures (zero LLRs), so every fed block is decided with the
-    bits that stepping the decoder through that flush would give.  The
-    pipeline runs processor-major: each processor is one flooding
-    iteration over the stream's window.  One syndrome flag is returned per
-    block, checking the block row that the block completes.
+    bits that stepping the decoder through that flush would give.  One
+    syndrome flag is returned per block, checking the block row that the
+    block completes.
     """
     llr_stream = np.asarray(llr_stream, dtype=np.float64)
     code, cfg = decoder.code, decoder.config
@@ -640,16 +602,10 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     variable-to-check messages are formed from the last sums just before
     its check update writes over them, a run of checks at a time that
     holds at most ``_KERNEL_BYTES`` of messages, so beside the messages
-    only one run's values are live.  Quantized messages stay integers: a
-    run's values saturate at M = max_magnitude_int, fold offset by M
-    through the lut's value table, and lose the offset on the way back.
+    only one run's values are live.
     """
     groups, slot_col, col_slots = tables
     f = lam.shape[1]
-    if lut is not None:
-        m, table = lut.quantizer.max_magnitude_int, lut.value_table
-        # bounds in the messages' dtype: np.clip converts Python ints on every call
-        lo_m, hi_m = np.array([-m, m], dtype=lam.dtype)
     msg = np.zeros((slot_col.size + 1, f), dtype=lam.dtype)
     calls = []  # (degree, slots, messages) of each kernel call, in order
     for deg, lo, hi, _rows in groups:
@@ -663,15 +619,7 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
         for deg, slots, out in calls:
             v2c = post.take(slots, axis=0).reshape(deg, -1)
             v2c -= out
-            if lut is None:
-                out[...] = _cnp_float_rows(v2c, clamp)
-            else:
-                np.clip(v2c, lo_m, hi_m, out=v2c)
-                offset = np.empty(v2c.shape, dtype=np.uint8)
-                np.add(v2c, m, out=offset, casting="unsafe")
-                # a uint8 result less M would wrap before the cast
-                np.subtract(_cnp_qspa_rows(offset, table, 2 * m), m, out=out,
-                            dtype=out.dtype)
+            _cnp_rows(v2c, out, lut, clamp)
         post = _column_sums(msg, col_slots, lam)
     return post
 
@@ -762,7 +710,7 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
         slots = np.full((blocks.size, pad + 1), n_slots, dtype=dtype)
         where.take((blocks + rows) * row_len + pos, out=slots[:, :rows.size])
         col_slots[:len(table), first::p] = slots[:, table].transpose(1, 0, 2)
-    return _FloodTables(tuple(groups), slot_col, col_slots.reshape(len(col_slots), -1))
+    return _FloodTables(tuple(groups), slot_col, col_slots.reshape(len(col_slots), n_rows * c))
 
 
 # ---------------------------------------------------------------------------

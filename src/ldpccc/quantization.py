@@ -195,7 +195,10 @@ class PairLut:
         return table
 
 
+@functools.cache
 def build_pair_lut(quantizer: Quantizer) -> PairLut:
+    """The pair table of a quantizer, built once per quantizer value, so
+    every decoder with an equal quantizer shares one read-only table."""
     v = quantizer.value(np.arange(quantizer.n_codes))
     prod = np.tanh(0.5 * v)[:, None] * np.tanh(0.5 * v)[None, :]
     prod = np.clip(prod, -_ATANH_ARG_MAX, _ATANH_ARG_MAX)

@@ -29,7 +29,13 @@ from ldpccc.arch import (
     schedule_single,
 )
 from ldpccc.cli import main
-from ldpccc.construction import BaseMatrix, demo_base, demo_base_names, split_and_unwrap
+from ldpccc.construction import (
+    BaseMatrix,
+    demo_base,
+    demo_base_names,
+    expand_base,
+    split_and_unwrap,
+)
 from ldpccc.decoder import VARIANT_QSPA, DecoderConfig, StreamDecoder
 from ldpccc.quantization import Quantizer
 
@@ -450,11 +456,24 @@ def test_ram_trace_writes_match_schedule():
 RANDOM_BASES = {"random_4x6_z8": (4, 6), "random_6x9_z8": (6, 9)}
 
 
+def assert_same_outputs(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a[0] == b[0]
+        for x, y in zip(a[1:], b[1:]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("name", demo_base_names() + list(RANDOM_BASES))
 def test_decoder_ring_is_the_model_memory(name):
-    # per processor, a stepped decoder's ring holds one slot per edge (the
-    # zero slot aside) and per channel value of a period of blocks: the
-    # model's RAM bits at every power-of-two stage count it accepts
+    # at a step boundary t past I * period steps, a stepped decoder's live
+    # state, the messages and channel values of blocks t - memory - (I - 1)
+    # * period .. t - 1, with the arriving block's edges and channel values
+    # is, per processor, one slot per edge of the expanded base matrix and
+    # the channel values of a period of blocks: the model's RAM bits at every
+    # power-of-two stage count it accepts.  Garbage in every other message
+    # slot and channel value but the zero slot changes no later output, and
+    # the state keeps its size through later window shifts
     if name in RANDOM_BASES:
         exps = np.random.default_rng(17).integers(0, 8, RANDOM_BASES[name])
         base = BaseMatrix(z=8, exponents=tuple(map(tuple, exps.tolist())))
@@ -463,21 +482,46 @@ def test_decoder_ring_is_the_model_memory(name):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "diagonal sub-matrix")
         code = split_and_unwrap(base)
+    p, m, c = code.period, code.memory, code.block_len
+    rng = np.random.default_rng(18)
     for iterations in (1, 3, 8):
         for bits in (4, 8):
-            dec = StreamDecoder(code, DecoderConfig(iterations, VARIANT_QSPA,
-                                                    Quantizer(bits=bits)))
-            dec.step(np.zeros(code.block_len, dtype=np.uint8))
-            edges, chan = dec._edges, dec._chan
-            assert edges.shape[1] == chan.shape[2] == iterations  # one frame
-            slots = edges.shape[0] - 1 + chan.shape[0] * chan.shape[1]
+            cfg = DecoderConfig(iterations, VARIANT_QSPA, Quantizer(bits=bits))
+            dec, clean = StreamDecoder(code, cfg), StreamDecoder(code, cfg)
+            for _ in range(iterations * p + 1):
+                block = rng.integers(0, 1 << bits, c)
+                assert_same_outputs(dec.step(block), clean.step(block))
+            msg, lam = dec._msg, dec._lam
+            t = dec.steps_run - dec._origin  # the arriving block, in the window
+            live = slice(t - m - (iterations - 1) * p, t)
+            zero = len(msg) - 1
+            slots = dec._col_slots[:, live]
+            slots = slots[slots != zero]
+            arriving = dec._col_slots[:, t]
+            arriving = arriving[arriving != zero]
+            assert np.unique(np.append(slots, arriving)).size == slots.size + arriving.size
+            state = slots.size + arriving.size + (live.stop - live.start + 1) * c
+            assert state == iterations * (expand_base(base).nnz + p * c)
             accepted = 0
             for stages in (1 << k for k in range(code.checks_per_block.bit_length())):
                 try:
-                    p = ArchParams(base.z, base.block_rows, base.block_cols, stages,
-                                   iterations, bits)
+                    params = ArchParams(base.z, base.block_rows, base.block_cols, stages,
+                                        iterations, bits)
                 except ArchModelError:
                     continue
                 accepted += 1
-                assert derive_report(p).memory_bits == slots * bits * iterations
+                assert derive_report(params).memory_bits == state * bits
             assert accepted
+            dead = np.ones(len(msg), dtype=bool)
+            dead[slots] = dead[zero] = False
+            msg[dead] = rng.integers(-100, 100, (np.count_nonzero(dead), msg.shape[1]))
+            dead = np.ones(len(lam), dtype=bool)
+            dead[live] = False
+            lam[dead] = rng.integers(-100, 100, lam[dead].shape)
+            shapes = [(a.shape, a.dtype) for a in (msg, lam)]
+            origin = dec._origin
+            for _ in range(len(lam) + 2 * p):
+                block = rng.integers(0, 1 << bits, c)
+                assert_same_outputs(dec.step(block), clean.step(block))
+            assert dec._origin > origin
+            assert [(a.shape, a.dtype) for a in (dec._msg, dec._lam)] == shapes

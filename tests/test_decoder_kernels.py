@@ -417,11 +417,19 @@ def test_variable_update_matches_literal_loop(dtype):
         channel = rng.integers(-m, m + 1, (6, width)).astype(dtype)
     alpha[k] = 0
     # an order per column that is neither edge nor column order
-    slots = _column_table(VU_COLS, rng.permutation(k), 6, k)
-    post, beta = _variable_update(alpha, slots, VU_COLS, channel)
-    want_post, want_beta = literal_variable_update(alpha, slots, VU_COLS, channel)
-    assert post.dtype == beta.dtype == alpha.dtype
+    rows = rng.permutation(k)
+    slots = _column_table(VU_COLS, rows, 6, k)
+    row_cols = np.empty(k, dtype=np.intp)
+    row_cols[rows] = VU_COLS  # the column of each row of alpha
+    post, table = _variable_update(alpha, slots, channel)
+    want_post, want_beta = literal_variable_update(alpha, slots, row_cols, channel)
+    assert post.dtype == table.dtype == alpha.dtype
     assert np.array_equal(post[5], channel[5])  # the column with no edge
+    # the message out of each row of alpha sits where the table lists the row
+    assert table.shape == slots.shape + (width,)
+    real = slots < k
+    beta = np.empty_like(want_beta)
+    beta[slots[real]] = table[real]
     if dtype is np.float64:
         post, beta = post.view(np.int64), beta.view(np.int64)
         want_post, want_beta = want_post.view(np.int64), want_beta.view(np.int64)

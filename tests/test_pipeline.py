@@ -14,7 +14,6 @@ from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
     BaseMatrix,
     demo_base,
-    demo_base_names,
     expand_base,
     split_and_unwrap,
     syndrome_check,
@@ -26,7 +25,6 @@ from ldpccc.decoder import (
     DecoderConfig,
     StreamDecoder,
     _block_syndromes,
-    _pipeline_tables,
     decode_stream,
 )
 from ldpccc.quantization import Quantizer, build_pair_lut
@@ -115,120 +113,109 @@ def full_row(code, phase):
     return code.row_structure(code.memory + (phase - code.memory) % code.period)
 
 
-def test_processor_state_edge_counts():
-    # every ring row is stored in its phase's steady-state layout: on the
-    # regular toy codes it holds (block_len - info_len) checks of degree
-    # block_cols, and the check update reads each of its slots once
-    for name in ("toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16"):
-        code = split_and_unwrap(demo_base(name))
-        expected = (code.block_len - code.info_len) * code.base.block_cols
-        tabs = _pipeline_tables(code)
-        assert tabs.row_len == expected
-        for s, st in enumerate(tabs.steps):
-            slots = np.sort(np.concatenate([idx.ravel() for idx in st.cnp]))
-            assert np.array_equal(slots, s * expected + np.arange(expected))
+def row_slots(tables):
+    """Each window row's message slots, from the window's groups."""
+    slots = collections.defaultdict(list)
+    for deg, lo, hi, rows in tables.groups:
+        by_row = np.arange(lo, hi).reshape(deg, rows.size, -1)
+        for i, r in enumerate(rows.tolist()):
+            slots[r].extend(by_row[:, i].ravel().tolist())
+    return slots
+
+
+def test_processor_state_edge_counts(monkeypatch):
+    # on the codes without -1 entries every full-band row holds (block_len
+    # - info_len) checks of degree block_cols; on every code, the step's
+    # check update on rows r, r - period, ... (a strided view per group)
+    # reads each slot of those rows once and no other slot
+    read = []
+    monkeypatch.setattr(ldpccc.decoder, "_cnp_rows",
+                        lambda v2c, out, lut, clamp: read.extend(v2c.ravel().tolist()))
+    for code in table_codes() + [split_and_unwrap(demo_base("toy_2x4_z16"))]:
+        p, m = code.period, code.memory
+        dec = StreamDecoder(code, DecoderConfig(3))
+        dec.step(np.zeros(code.block_len))
+        n_rows = len(dec._lam)
+        slots = row_slots(ldpccc.decoder._window_tables(code, n_rows))
+        dec._msg[:, 0] = np.arange(len(dec._msg))  # every slot holds its own index
+        for r in range(n_rows):
+            for n in range(1, 2 if r < m else (r - m) // p + 2):
+                read.clear()
+                dec._check_rows(r, n)
+                assert sorted(read) == sorted(x for i in range(n) for x in slots[r - i * p])
+        if min(min(row) for row in code.base.exponents) >= 0:
+            expected = (code.block_len - code.info_len) * code.base.block_cols
+            assert all(len(slots[r]) == expected for r in range(m, n_rows))
 
 
 def test_slot_conservation_audit():
+    # per step phase, _leaving_edges lists each edge of the leaving block
+    # once, with its column: its newest row first, then its older rows from
+    # oldest to newest, each row's edges with that offset in the row's
+    # full-band layout; over the blocks that reach a row, offsets 0 ..
+    # memory partition the row's edges
     for code in table_codes():
-        tabs = _pipeline_tables(code)
         p, m = code.period, code.memory
-        row_len = tabs.row_len
-
-        def leaving(s):
-            st = tabs.steps[s % p]
-            return st.vnp[:st.cols.size]
-
-        # the fresh block of phase q enters at the leaving slots of phase
-        # q + m: deliveries of blocks r - m .. r into ring row r partition
-        # its edge slots, offset j carrying exactly the row's delta-j edges
+        leaving, _ = ldpccc.decoder._leaving_edges(code)
+        assert len(leaving) == p
+        for s, (rows, pos, cols, _slots) in enumerate(leaving):
+            first = (s - m) % p  # the leaving block's phase
+            order = (m, *range(m))
+            sizes = [full_row(code, first + j).delta_slices[j][0].size for j in order]
+            assert np.array_equal(rows, np.repeat(order, sizes))
+            for j in order:
+                struct = full_row(code, first + j)
+                want_pos, want_cols = struct.delta_slices[j]
+                assert np.array_equal(pos[rows == j], want_pos)
+                assert np.array_equal(cols[rows == j], want_cols)
+                assert (struct.edge_delta[pos[rows == j]] == j).all()
+                assert np.unique(pos[rows == j]).size == want_pos.size
         for r in range(p):
             got = []
             for j in range(m + 1):
-                new = leaving(r - j + m)
-                mine = new[new // row_len == r] - r * row_len
-                assert np.array_equal(np.sort(mine), full_row(code, r).delta_slices[j][0])
-                got.append(mine)
+                rows, pos = leaving[(r - j + m) % p][:2]  # the block of row r - j leaves there
+                got.append(pos[rows == j])
             assert np.array_equal(np.sort(np.concatenate(got)),
                                   np.arange(full_row(code, r).n_edges))
-        # the variable update gathers each edge of the leaving block once,
-        # where it was delivered, with its column; the next processor
-        # holds the same edges at the same slots, and the gather ends in
-        # the ring's zero slot
-        for s, st in enumerate(tabs.steps):
-            first = (s - m) % p
-            want = np.concatenate([
-                (first + j) % p * row_len + full_row(code, first + j).delta_slices[j][0]
-                for j in range(m + 1)
-            ])
-            vnp = leaving(s)
-            assert np.unique(vnp).size == vnp.size
-            assert np.array_equal(np.sort(vnp), np.sort(want))
-            rows, pos = np.divmod(vnp, row_len)
-            for e in range(vnp.size):
-                struct = full_row(code, rows[e])
-                assert struct.edge_delta[pos[e]] == (rows[e] - first) % p
-                assert struct.edge_col[pos[e]] == st.cols[e]
-            assert (st.vnp[vnp.size:] == tabs.plane).all()
-        # rows before `memory` check only the edges they have, in ring row r
-        for r in range(m):
-            pos = np.concatenate([idx.ravel() - r * row_len for idx in tabs.warm[r]])
-            struct = code.row_structure(r)
-            assert np.unique(pos).size == pos.size == struct.n_edges
-            full = full_row(code, r)
-            pos = np.sort(pos)
-            assert np.array_equal(full.edge_check[pos], struct.edge_check)
-            assert np.array_equal(full.edge_delta[pos], struct.edge_delta)
-            assert np.array_equal(full.edge_col[pos], struct.edge_col)
-
-
-def test_ring_is_the_paper_edge_memory():
-    # one ring row per row phase: a processor keeps one slot per edge of
-    # the expanded base matrix, the hardware's edge memory
-    for name in demo_base_names():
-        base = demo_base(name)
-        code = split_and_unwrap(base)
-        tabs = _pipeline_tables(code)
-        assert tabs.plane == expand_base(base).nnz
-        assert len(tabs.steps) == code.period
 
 
 def test_stream_pad_row_sits_past_the_largest_leaving_block():
     # the leaving block's size varies by phase on the period-4 code; every
-    # phase pads short columns with the gathered row at the largest size,
-    # the ring's zero slot, and lists each column's edges in gather order
-    tabs = _pipeline_tables(period_four_code(np.random.default_rng(5)))
-    sizes = [st.cols.size for st in tabs.steps]
-    pad = max(sizes)
-    assert min(sizes) < pad
-    assert any((st.slots == pad).any() for st in tabs.steps)
-    for st in tabs.steps:
-        assert st.vnp.size == pad + 1 and (st.vnp[st.cols.size:] == tabs.plane).all()
-        real = st.slots < st.cols.size
-        assert (st.slots[~real] == pad).all()
-        assert np.array_equal(np.sort(st.slots[real]), np.arange(st.cols.size))
-        for col, rows in enumerate(st.slots.T):
-            kept = rows[rows < pad]
-            assert (st.cols[kept] == col).all() and (np.diff(kept) > 0).all()
-            assert (rows[kept.size:] == pad).all()
+    # phase's column table pads short columns with the largest size, past
+    # every real edge, and lists each column's edges in summation order
+    leaving, pad = ldpccc.decoder._leaving_edges(period_four_code(np.random.default_rng(5)))
+    sizes = [cols.size for _, _, cols, _ in leaving]
+    assert pad == max(sizes) and min(sizes) < pad
+    assert any((slots == pad).any() for *_, slots in leaving)
+    for _, _, cols, slots in leaving:
+        real = slots < cols.size
+        assert (slots[~real] == pad).all()
+        assert np.array_equal(np.sort(slots[real]), np.arange(cols.size))
+        for col, edges in enumerate(slots.T):
+            kept = edges[edges < pad]
+            assert (cols[kept] == col).all() and (np.diff(kept) > 0).all()
+            assert (edges[kept.size:] == pad).all()
 
 
-def test_ring_holds_one_plane_per_processor():
-    # a word holds I * F positions: the last processor's output has no
-    # plane; the ring, its tables and the code conversion tables appear at
-    # the first step, so a decoder that only decode_stream sees builds none
-    step_only = ("_edges", "_c2i", "_i2c")
+def test_step_state_appears_at_the_first_step():
+    # the step state (a message array over a cached window of whole
+    # periods, a slot per edge plus the zero slot, a column per frame, and
+    # the window's channel values) appears at the first step, so a decoder
+    # that only decode_stream sees builds none
+    step_only = ("_msg", "_lam")
     for n_proc, frames, variant in itertools.product((1, 3, 8), ((), (1,), (3,)),
                                                      ("float", VARIANT_QSPA)):
         code = split_and_unwrap(demo_base("toy_2x4_z8"))
         dec = StreamDecoder(code, DecoderConfig(n_proc, variant))
         decode_stream(dec, np.ones(frames + (2 * code.block_len,)))
-        assert "pipeline" not in code._decoder_tables
         assert not any(hasattr(dec, name) for name in step_only)
         dec.step(np.ones(frames + (code.block_len,), dtype=np.uint8))
-        tabs = code._decoder_tables["pipeline"]
-        assert dec._edges.shape == (tabs.plane + 1, n_proc * (frames or (1,))[0])
-        assert hasattr(dec, "_c2i") == (variant == VARIANT_QSPA)
+        n_rows, f = len(dec._lam), (frames or (1,))[0]
+        assert n_rows % code.period == 0
+        tables = code._decoder_tables[("window", n_rows)]
+        assert dec._msg.shape == (tables.slot_col.size + 1, f)
+        assert dec._lam.shape == (n_rows, code.block_len, f)
+        assert dec._msg.dtype == (np.float64 if variant == "float" else np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +474,8 @@ def oldest_block_code():
 
 
 def test_decode_stream_matches_the_stepped_pipeline():
-    # decode_stream runs processor-major over the frame's window; stepping
-    # the ring with the zero-LLR flush gives the same bits, soft values
+    # decode_stream floods the frame's window processor by processor;
+    # stepping the decoder with the zero-LLR flush gives the same bits, soft values
     # (float compared as bit patterns) and dtypes: one block, I * period + 1
     # blocks and 40; one frame of three is all zeros
     rng = np.random.default_rng(106)
@@ -505,6 +492,55 @@ def test_decode_stream_matches_the_stepped_pipeline():
                 bits, soft = stepped_stream(code, cfg, llrs)
                 assert_identical(res.bits, bits)
                 assert_identical(res.soft, soft)
+
+
+def test_a_code_without_edges_decodes_to_its_channel_values():
+    # every check of an all -1 base is empty: both schedules return the
+    # channel values (the codes' values for qspa) and every flag holds
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        code = split_and_unwrap(BaseMatrix(z=2, exponents=((-1,) * 4,) * 2))
+    llrs = np.linspace(-2.0, 2.0, 3 * code.block_len)
+    q = Quantizer()
+    for variant, want in (("float", llrs), (VARIANT_QSPA, q.value(q.quantize(llrs)) / q.step)):
+        cfg = DecoderConfig(2, variant)
+        res = decode_stream(StreamDecoder(code, cfg), llrs)
+        assert np.array_equal(res.soft, want) and res.syndrome_ok.all()
+        bits, soft = stepped_stream(code, cfg, llrs)
+        assert_identical(res.bits, bits)
+        assert_identical(res.soft, soft)
+
+
+def test_stepped_decisions_do_not_depend_on_the_flush():
+    # unflushed, step's decision for block w equals decode_stream's on any
+    # prefix of more than w + I * memory blocks (the blocks w's decision
+    # reads): bits, soft values and dtypes, byte for byte, on streams that
+    # run past three shifts of the step's window; 5% of the LLRs are zero
+    rng = np.random.default_rng(108)
+    for code in bundled_codes():
+        c = code.block_len
+        for variant, n_proc, frames in itertools.product(("float", VARIANT_QSPA), (1, 3, 8),
+                                                         ((), (3,))):
+            cfg = DecoderConfig(n_proc, variant)
+            dec = StreamDecoder(code, cfg)
+            blocks, decided, shifts = [], [], 0
+            while shifts < 3:
+                llrs = rng.normal(1.0, 1.3, frames + (c,)) * 2.5
+                llrs[rng.random(llrs.shape) < 0.05] = 0.0
+                blocks.append(llrs)
+                origin = getattr(dec, "_origin", 0)
+                out = dec.step(dec.quantizer.quantize(llrs) if dec.quantized else llrs)
+                shifts += dec._origin != origin
+                if out is not None:
+                    assert out[0] == len(decided)
+                    decided.append(out)
+            stream = np.concatenate(blocks, axis=-1)
+            reach = n_proc * code.memory
+            for n_blocks in (reach + 1, int(rng.integers(reach + 2, len(blocks))), len(blocks)):
+                res = decode_stream(StreamDecoder(code, cfg), stream[..., :n_blocks * c])
+                for w, bits, soft in decided[:n_blocks - reach]:
+                    assert_identical(res.bits[..., w * c:(w + 1) * c], bits)
+                    assert_identical(res.soft[..., w * c:(w + 1) * c], soft)
 
 
 def test_batched_stream_output_shapes(toy_code):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpccc.construction import demo_base, demo_base_names, expand_base
+from ldpccc.construction import demo_base, demo_base_names, expand_base, split_and_unwrap
+from ldpccc.decoder import VARIANT_QSPA, BlockDecoder, DecoderConfig, StreamDecoder
 from ldpccc.quantization import (
     PairLut,
     Quantizer,
@@ -237,8 +238,24 @@ def test_lut_max_max_closed_form(lut4, q4):
 
 def test_lut_deterministic_rebuild(q4):
     a = build_pair_lut(q4)
-    b = build_pair_lut(q4)
+    b = build_pair_lut.__wrapped__(q4)  # a fresh build, past the cache
+    assert a is not b
     assert np.array_equal(a.table, b.table)
+    assert np.array_equal(a.value_table, b.value_table)
+
+
+def test_decoders_with_equal_quantizers_share_one_lut():
+    base = demo_base("toy_2x4_z8")
+    code = split_and_unwrap(base)
+
+    def stream_lut(q):
+        return StreamDecoder(code, DecoderConfig(2, VARIANT_QSPA, q)).lut
+
+    lut = stream_lut(Quantizer(4, 0.5))
+    assert stream_lut(Quantizer(4, 0.5)) is lut
+    assert BlockDecoder(expand_base(base), 2, Quantizer(4, 0.5)).lut is lut
+    assert stream_lut(Quantizer(4, 0.25)) is not lut
+    assert stream_lut(Quantizer(5, 0.5)) is not lut
 
 
 def test_lut_combine_arrays(lut4):

@@ -25,10 +25,16 @@ def test_benchmark_modules_import_and_find_their_bindings(monkeypatch):
     assert ldpccc.decoder.syndrome_check is ldpccc.construction.syndrome_check
 
 
+def stepped_soft(d, code, cfg, blocks):
+    """Soft values of the blocks a StreamDecoder decides while stepped."""
+    dec = d.StreamDecoder(code, cfg)
+    return [out[2] for out in map(dec.step, blocks) if out is not None]
+
+
 def test_float_kernel_mutation_reaches_the_frame_engine(monkeypatch):
     # perfbench/selftest.py swaps the float check update for one 5% off and
-    # expects the float oracle to notice: the frame engine must look the
-    # kernel up where that swap puts it, at call time
+    # expects the float oracle to notice: the engine must look the kernel
+    # up where that swap puts it, at call time, for frames and for steps
     monkeypatch.syspath_prepend(str(ROOT / "src"))
     import numpy as np
 
@@ -36,21 +42,24 @@ def test_float_kernel_mutation_reaches_the_frame_engine(monkeypatch):
     from ldpccc.construction import demo_base, split_and_unwrap
 
     code = split_and_unwrap(demo_base("rate56_4x24_z31"))
-    llrs = np.random.default_rng(3).normal(1.0, 1.5, 4 * code.block_len) * 2.0
+    llrs = np.random.default_rng(3).normal(1.0, 1.5, 36 * code.block_len) * 2.0
+    cfg = d.DecoderConfig(8)
 
     def decode():
-        return d.decode_stream(d.StreamDecoder(code, d.DecoderConfig(8)), llrs).soft
+        return (d.decode_stream(d.StreamDecoder(code, cfg), llrs[:4 * code.block_len]).soft,
+                np.concatenate(stepped_soft(d, code, cfg, llrs.reshape(-1, code.block_len))))
 
     good = decode()
     original = d._cnp_float_rows
     monkeypatch.setattr(d, "_cnp_float_rows", lambda v, clamp: 0.95 * original(v, clamp))
-    assert not np.array_equal(decode(), good)
+    for bad, want in zip(decode(), good):
+        assert not np.array_equal(bad, want)
 
 
 def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
-    # the frame engine folds quantized messages through the lut's value
-    # table, read where the lut keeps it: one changed entry, the combine
-    # of two values of +2 steps, changes the soft output
+    # the engine folds quantized messages through the lut's value table,
+    # read where the lut keeps it: one changed entry, the combine of two
+    # values of +2 steps, changes the soft output of frames and of steps
     monkeypatch.syspath_prepend(str(ROOT / "src"))
     import numpy as np
 
@@ -59,16 +68,19 @@ def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
     from ldpccc.quantization import PairLut
 
     code = split_and_unwrap(demo_base("rate56_4x24_z31"))
-    llrs = np.random.default_rng(3).normal(1.0, 1.5, 4 * code.block_len) * 2.0
+    llrs = np.random.default_rng(3).normal(1.0, 1.5, 36 * code.block_len) * 2.0
+    cfg = d.DecoderConfig(8, d.VARIANT_QSPA)
+    codes = cfg.quantizer.quantize(llrs.reshape(-1, code.block_len))
 
     def decode():
-        return d.decode_stream(d.StreamDecoder(code, d.DecoderConfig(8, d.VARIANT_QSPA)),
-                               llrs).soft
+        return (d.decode_stream(d.StreamDecoder(code, cfg), llrs[:4 * code.block_len]).soft,
+                np.concatenate(stepped_soft(d, code, cfg, codes)))
 
     good = decode()
-    lut = d.StreamDecoder(code, d.DecoderConfig(8, d.VARIANT_QSPA)).lut
+    lut = d.StreamDecoder(code, cfg).lut
     m = lut.quantizer.max_magnitude_int
     table = lut.value_table.copy()
     table[m + 2, m + 2] += 1
     monkeypatch.setattr(PairLut, "value_table", property(lambda self: table))
-    assert not np.array_equal(decode(), good)
+    for bad, want in zip(decode(), good):
+        assert not np.array_equal(bad, want)
