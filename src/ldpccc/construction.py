@@ -12,6 +12,7 @@ code with period M and memory M - 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -136,14 +137,12 @@ class SparseBinaryMatrix:
         if arr.size:
             if arr.min() < 0 or arr[:, 0].max() >= rows or arr[:, 1].max() >= cols:
                 raise ConstructionError("entry position out of range")
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        arr = arr[order]
-        if arr.shape[0] > 1 and np.any(np.all(arr[1:] == arr[:-1], axis=1)):
-            raise ConstructionError("duplicate entry positions")
         self.rows = int(rows)
         self.cols = int(cols)
-        self._rows = np.ascontiguousarray(arr[:, 0])
-        self._cols = np.ascontiguousarray(arr[:, 1])
+        key = np.sort(arr[:, 0] * self.cols + arr[:, 1], kind="stable")  # row-major
+        if (key[1:] == key[:-1]).any():
+            raise ConstructionError("duplicate entry positions")
+        self._rows, self._cols = np.divmod(key, max(self.cols, 1))
         # CSR-style row pointers for row_support
         self._row_ptr = np.searchsorted(self._rows, np.arange(rows + 1))
         self._col_sorted = None
@@ -203,41 +202,31 @@ class SparseBinaryMatrix:
         return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _expanded_entries(base: BaseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each one of the expanded matrix: block (i, j) with
+    exponent k puts row i*z + r's one at column j*z + (r + k) mod z."""
+    z = base.z
+    exps = np.array(base.exponents, dtype=np.int64)
+    i, j = np.nonzero(exps != -1)
+    shift = np.arange(z, dtype=np.int64)
+    return ((i[:, None] * z + shift).ravel(),
+            (j[:, None] * z + (shift + exps[i, j][:, None]) % z).ravel())
+
+
 def expand_base(base: BaseMatrix) -> SparseBinaryMatrix:
     """Expand circulant exponents into the full binary parity-check matrix.
 
     Block (i, j) with exponent k becomes the z-by-z identity right-shifted
     by k: row r has its one at column (r + k) mod z.
     """
-    z = base.z
-    shift = np.arange(z, dtype=np.int64)
-    rows = []
-    cols = []
-    for i, row in enumerate(base.exponents):
-        for j, e in enumerate(row):
-            if e == -1:
-                continue
-            rows.append(i * z + shift)
-            cols.append(j * z + (shift + e) % z)
-    if rows:
-        entries = np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
-    else:
-        entries = np.empty((0, 2), dtype=np.int64)
-    return SparseBinaryMatrix(base.block_rows * z, base.block_cols * z, entries)
+    return SparseBinaryMatrix(base.block_rows * base.z, base.block_cols * base.z,
+                              np.stack(_expanded_entries(base), axis=1))
 
 
-def _gf2_full_row_rank(matrix: SparseBinaryMatrix, row_lo: int, row_hi: int,
-                       col_lo: int, col_hi: int) -> bool:
-    """Row rank over GF(2) of the given sub-matrix equals its row count."""
-    width = col_hi - col_lo
-    rows = []
-    for r in range(row_lo, row_hi):
-        support = matrix.row_support(r)
-        support = support[(support >= col_lo) & (support < col_hi)]
-        bits = 0
-        for c in support:
-            bits |= 1 << int(c - col_lo)
-        rows.append(bits)
+def _gf2_full_row_rank(rows) -> bool:
+    """Row rank over GF(2) of ``rows``, each a Python int with bit c for
+    column c, equals their count: each row is eliminated against the pivots
+    found so far."""
     pivots = {}
     for bits in rows:
         while bits:
@@ -270,49 +259,42 @@ class RowStructure:
     delta_slices: dict         # delta -> (positions, cols)
 
 
-def _build_row_structure(code: "ConvCode", t: int) -> RowStructure:
-    deltas = range(min(t, code.memory) + 1)
-    checks = []
-    dels = []
-    cols = []
-    for d in deltas:
-        ch, co = code._sub_entries(t % code.period, (t - d) % code.period)
-        checks.append(ch)
-        dels.append(np.full(ch.size, d, dtype=np.int32))
-        cols.append(co)
-    edge_check = np.concatenate(checks) if checks else np.empty(0, np.int32)
-    edge_delta = np.concatenate(dels) if dels else np.empty(0, np.int32)
-    edge_col = np.concatenate(cols) if cols else np.empty(0, np.int32)
-    # canonical order: check, then left to right across the band (oldest
-    # block first, column ascending); the quantized fold consumes inputs
-    # in exactly this order
-    order = np.lexsort((edge_col, -edge_delta, edge_check))
-    edge_check = np.ascontiguousarray(edge_check[order])
-    edge_delta = np.ascontiguousarray(edge_delta[order])
-    edge_col = np.ascontiguousarray(edge_col[order])
+def _grouped(keys: np.ndarray, n_keys: int, *values: np.ndarray) -> list:
+    """Per key k in [0, n_keys), the ``values`` at the positions holding k,
+    in position order: one stable sort."""
+    order = keys.argsort(kind="stable")
+    ends = np.bincount(keys, minlength=n_keys).cumsum().tolist()
+    values = [v[order] for v in values]
+    return [[v[lo:hi] for v in values] for lo, hi in zip([0] + ends, ends)]
 
-    degrees = np.bincount(edge_check, minlength=code.checks_per_block)
-    by_degree = []
-    positions = np.arange(edge_check.size, dtype=np.int64)
-    for deg in sorted(set(degrees.tolist())):
-        if deg == 0:
-            continue
-        ids = np.flatnonzero(degrees == deg)
-        mask = np.isin(edge_check, ids)
-        pos = positions[mask].reshape(ids.size, deg)
-        by_degree.append((int(deg), pos))
-    delta_slices = {}
-    for d in deltas:
-        mask = edge_delta == d
-        delta_slices[d] = (positions[mask], np.ascontiguousarray(edge_col[mask]))
-    return RowStructure(
-        n_edges=int(edge_check.size),
-        edge_check=edge_check,
-        edge_delta=edge_delta,
-        edge_col=edge_col,
-        by_degree=tuple(by_degree),
-        delta_slices=delta_slices,
-    )
+
+def _row_layouts(layout: np.ndarray, check: np.ndarray, delta: np.ndarray, col: np.ndarray,
+                 n_deltas: list, n_checks: int) -> list:
+    """Row structures of edges listed layout by layout, each layout's edges
+    in canonical order; layout k has offsets 0 .. n_deltas[k] - 1.  One
+    stable sort groups every layout's positions by check degree, another
+    by offset."""
+    n = len(n_deltas)
+    counts = np.bincount(layout, minlength=n)
+    ends = counts.cumsum().tolist()
+    # each edge's position in its layout
+    local = np.arange(layout.size) - np.repeat([0] + ends[:-1], counts)
+    node = layout * n_checks + check
+    degree = np.bincount(node, minlength=n * n_checks)[node]
+    top = int(degree.max(initial=0)) + 1
+    by_degree = _grouped(layout * top + degree, n * top, local)
+    width = max(n_deltas)
+    by_delta = _grouped(layout * width + delta, n * width, local, col)
+    return [RowStructure(
+        n_edges=hi - lo,
+        edge_check=check[lo:hi],
+        edge_delta=delta[lo:hi],
+        edge_col=col[lo:hi],
+        by_degree=tuple((g, pos.reshape(-1, g))
+                        for g, (pos,) in enumerate(by_degree[k * top:(k + 1) * top]) if pos.size),
+        delta_slices={d: tuple(pair)
+                      for d, pair in enumerate(by_delta[k * width:k * width + n_deltas[k]])},
+    ) for k, (lo, hi) in enumerate(zip([0] + ends, ends))]
 
 
 class ConvCode:
@@ -323,6 +305,12 @@ class ConvCode:
     (t mod period, (t - delta) mod period); the sub-matrix multiplies the
     variable block t - delta.  Lower-triangular grid positions come from
     the fundamental tile, strictly upper ones from the tile one period up.
+
+    Everything is derived per period, not per block row.  One period of
+    full-band rows holds each sub-matrix once, so one sort of the block
+    code's entries gives every row phase's layout, and a phase's layout cut
+    to offsets <= t gives row t < memory.  ``h_block``, its triangles and
+    the decoder's window tables are built on first use and kept here.
     """
 
     def __init__(self, base: BaseMatrix):
@@ -338,38 +326,67 @@ class ConvCode:
         self.z = base.z
         self.period = period
         self.memory = period - 1
-        self.h_block = expand_base(base)
         self.checks_per_block = base.z * base.block_rows // period
         self.block_len = base.z * base.block_cols // period
         self.info_len = self.block_len - self.checks_per_block
         self.rate = self.info_len / self.block_len
-        self.h_lower, self.h_upper = self._split()
-        self._sub_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._row_cache: dict[int, RowStructure] = {}
+        # one period of full-band rows holds each sub-matrix once, phase i
+        # (i, j) at offset (i - j) mod period; sorted phase by phase in the
+        # canonical order in which the quantized fold consumes a check's
+        # inputs: check, then oldest block first, then column
+        row, column = _expanded_entries(base)
+        phase, check = np.divmod(row.astype(np.int32), self.checks_per_block)
+        block, col = np.divmod(column.astype(np.int32), self.block_len)
+        delta = (phase - block) % period
+        order = ((row * period - delta) * self.block_len + col).argsort(kind="stable")
+        phase, check, delta, col = phase[order], check[order], delta[order], col[order]
+        # and, as layouts period .. period + memory - 1, each row t < memory:
+        # its phase's full-band row cut to offsets <= t
+        head = np.flatnonzero((phase < self.memory) & (delta <= phase))
+        layouts = _row_layouts(*(np.concatenate([x, y[head]]) for x, y in (
+            (phase, phase + period), (check, check), (delta, delta), (col, col))),
+            [period] * period + list(range(1, period)), self.checks_per_block)
+        # row_structure(t) for t < memory, then one row per phase from memory on
+        self._layouts = layouts[period:] + [layouts[t % period]
+                                            for t in range(self.memory, self.memory + period)]
+        # the period's edges, phase by phase in full-band layout order
+        self._period_edges = (phase, delta, col)
         # index tables of ldpccc.decoder, built on first use
         self._decoder_tables: dict = {}
-        self._check_diagonal_rank()
+        diagonal = delta == 0
+        self._check_diagonal_rank(phase[diagonal], check[diagonal], col[diagonal])
 
-    def _split(self) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
+    @functools.cached_property
+    def h_block(self) -> SparseBinaryMatrix:
+        """The expanded block code."""
+        return expand_base(self.base)
+
+    def _triangle(self, lower: bool) -> SparseBinaryMatrix:
         ent = self.h_block.entries()
-        grid_i = ent[:, 0] // self.checks_per_block
-        grid_j = ent[:, 1] // self.block_len
-        lower = grid_i >= grid_j
-        shape = self.h_block.shape
-        return (
-            SparseBinaryMatrix(*shape, ent[lower]),
-            SparseBinaryMatrix(*shape, ent[~lower]),
-        )
+        is_lower = ent[:, 0] // self.checks_per_block >= ent[:, 1] // self.block_len
+        return SparseBinaryMatrix(*self.h_block.shape, ent[is_lower == lower])
 
-    def _check_diagonal_rank(self):
+    @functools.cached_property
+    def h_lower(self) -> SparseBinaryMatrix:
+        """The block code's entries at grid positions on or below the diagonal."""
+        return self._triangle(lower=True)
+
+    @functools.cached_property
+    def h_upper(self) -> SparseBinaryMatrix:
+        """The block code's entries at grid positions above the diagonal."""
+        return self._triangle(lower=False)
+
+    def _check_diagonal_rank(self, phase: np.ndarray, check: np.ndarray, col: np.ndarray):
+        """Warns for each diagonal sub-matrix, entries (phase, check, col),
+        whose rows are linearly dependent; each row is packed into an int."""
+        dense = np.zeros((self.period, self.checks_per_block, self.block_len), dtype=np.uint8)
+        dense[phase, check, col] = 1
+        packed = np.packbits(dense, axis=2, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[2]
         for k in range(self.period):
-            ok = _gf2_full_row_rank(
-                self.h_block,
-                k * self.checks_per_block,
-                (k + 1) * self.checks_per_block,
-                k * self.block_len,
-                (k + 1) * self.block_len,
-            )
+            lo = k * self.checks_per_block * width
+            ok = _gf2_full_row_rank(int.from_bytes(raw[i:i + width], "little") for i in
+                                    range(lo, lo + self.checks_per_block * width, width))
             if not ok:
                 warnings.warn(
                     f"diagonal sub-matrix {k} is row-rank deficient; check rows "
@@ -378,45 +395,20 @@ class ConvCode:
                 )
 
     def sub_block(self, i: int, j: int) -> SparseBinaryMatrix:
-        """Sub-matrix (i, j) of the M-by-M partition of the block code."""
-        ch, co = self._sub_entries(i, j)
-        return SparseBinaryMatrix(
-            self.checks_per_block, self.block_len, np.stack([ch, co], axis=1)
-        )
-
-    def _sub_entries(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (i, j)
-        cached = self._sub_cache.get(key)
-        if cached is not None:
-            return cached
-        ent = self.h_block.entries()
-        r0 = i * self.checks_per_block
-        c0 = j * self.block_len
-        mask = (
-            (ent[:, 0] >= r0)
-            & (ent[:, 0] < r0 + self.checks_per_block)
-            & (ent[:, 1] >= c0)
-            & (ent[:, 1] < c0 + self.block_len)
-        )
-        ch = (ent[mask, 0] - r0).astype(np.int32)
-        co = (ent[mask, 1] - c0).astype(np.int32)
-        self._sub_cache[key] = (ch, co)
-        return ch, co
+        """Sub-matrix (i, j) of the M-by-M partition of the block code: row
+        phase i's edges at offset (i - j) mod M."""
+        struct = self.row_structure(self.memory + (i - self.memory) % self.period)
+        pos, cols = struct.delta_slices[(i - j) % self.period]
+        return SparseBinaryMatrix(self.checks_per_block, self.block_len,
+                                  np.stack([struct.edge_check[pos], cols], axis=1))
 
     def row_structure(self, t: int) -> RowStructure:
-        """Edge layout of block row t; cached per phase for interior rows."""
+        """Edge layout of block row t: its own before ``memory``, its
+        phase's from there on."""
         if t < 0:
             raise ValueError("block row index must be >= 0")
-        if t < self.memory:
-            key = t
-        else:
-            # smallest full-band row with the same phase as t
-            key = self.memory + (t - self.memory) % self.period
-        struct = self._row_cache.get(key)
-        if struct is None:
-            struct = _build_row_structure(self, key)
-            self._row_cache[key] = struct
-        return struct
+        return self._layouts[t if t < self.memory
+                             else self.memory + (t - self.memory) % self.period]
 
     def __repr__(self) -> str:
         return (

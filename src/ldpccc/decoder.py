@@ -11,11 +11,11 @@ produced, so the pipeline computes exactly I flooding iterations per block.
 One engine runs the pipeline on two schedules, with the same slot tables
 (``_window_tables``), check update (``_cnp_rows``) and column sums; each
 check lists its edges in row-structure order and each column sums in the
-pipeline's order (``_leaving_edges``), so both give the same bits, float
-sums included.  ``decode_stream`` and ``BlockDecoder`` flood a whole
-window per processor (``_flood``): processor i depends only on processor
-i - 1, so over a frame it is one flooding iteration over block rows 0 ..
-n_blocks + I*memory - 1, with zero-LLR blocks past the frame.
+pipeline's order, so both give the same bits, float sums included.
+``decode_stream`` and ``BlockDecoder`` flood a whole window per processor
+(``_flood``): processor i depends only on processor i - 1, so over a frame
+it is one flooding iteration over block rows 0 .. n_blocks + I*memory - 1,
+with zero-LLR blocks past the frame.
 ``StreamDecoder.step`` runs a processor-batched wavefront over a fixed
 window: step t checks rows t, t - period, ... as one strided batch per
 slot group and completes the leaving blocks as one column-sum batch.
@@ -321,37 +321,6 @@ class StreamResult:
     bits: np.ndarray
     soft: np.ndarray
     syndrome_ok: np.ndarray
-
-
-def _full_rows(code: ConvCode) -> list:
-    """Full-band edge layout of each row phase, which every row from
-    ``memory`` on uses."""
-    p, m = code.period, code.memory
-    return [code.row_structure(m + (k - m) % p) for k in range(p)]
-
-
-def _leaving_edges(code: ConvCode) -> tuple[list, int]:
-    """Per step phase s, the K edges of the block that leaves there, in the
-    summation order, as ``(rows, positions, cols, slots)``: each edge's row
-    as an offset from the block, its position in that row's full-band
-    layout, its column, and the ``_column_table`` over the K edges, padded
-    with ``pad``, the largest K, which is returned too.  The block's newest
-    row comes first, then its older rows from oldest to newest."""
-    p, m = code.period, code.memory
-    full = _full_rows(code)
-    edges = []
-    for s in range(p):
-        rows, pos, cols = [], [], []
-        for j in (m, *range(m)):
-            positions, columns = full[(s - m + j) % p].delta_slices[j]
-            rows.append(np.full(positions.size, j))
-            pos.append(positions)
-            cols.append(columns)
-        edges.append((np.concatenate(rows), np.concatenate(pos),
-                      np.concatenate(cols).astype(np.intp)))
-    pad = max(cols.size for _, _, cols in edges)
-    return [(rows, pos, cols, _column_table(cols, np.arange(cols.size), code.block_len, pad))
-            for rows, pos, cols in edges], pad
 
 
 class StreamDecoder:
@@ -666,51 +635,85 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     same pair is one ``(degree, rows, checks)`` group, each row in its own
     layout, that of ``row_structure`` for a row before ``memory`` and its
     phase's full-band layout for a later one.  Each column lists its slots
-    in the order of the pipeline's variable update (``_leaving_edges``).
-    The tables stay cached, so they take the smallest unsigned type that
-    holds their values (uint16 for a 64-block frame of the rate-5/6 code)."""
+    in the pipeline's summation order: its block's newest row first, then
+    its older rows from oldest to newest.  The tables stay cached, so they
+    take the smallest unsigned type that holds their values (uint16 for a
+    64-block frame of the rate-5/6 code).
+
+    Both are derived per period: from ``memory`` on, a row's slots and
+    columns are its phase's first full-band row's plus, per period, the
+    group's rows per period times its checks and ``period`` blocks.  Rows
+    before ``memory`` and rows past the window are handled apart.
+    """
     p, m, c = code.period, code.memory, code.block_len
-    full = _full_rows(code)
-    parts = [(np.array([r]), code.row_structure(r), np.flatnonzero(full[r].edge_delta <= r))
+    phase, delta, col = code._period_edges
+    n = phase.size
+    delta = np.append(delta, 0)  # entry n pads
+    full = [code.row_structure(m + (k - m) % p) for k in range(p)]
+    start = np.searchsorted(phase, np.arange(p)).tolist()
+    base = m + (phase - m) % p  # the first full-band row of the edge's phase
+    parts = [(r, code.row_structure(r), start[r] + np.flatnonzero(full[r].edge_delta <= r))
              for r in range(min(m, n_rows))]
-    parts += [(np.arange(m + (k - m) % p, n_rows, p), full[k], np.arange(full[k].n_edges))
+    parts += [(m + (k - m) % p, full[k], start[k] + np.arange(full[k].n_edges))
               for k in range(p) if m + (k - m) % p < n_rows]
-    pieces = {}  # (degree, checks per row) -> [(rows, layout, to_full, positions)]
-    for rows, struct, to_full in parts:
+    pieces = {}  # (degree, checks per row) -> [(first row, (degree, checks) edges)]
+    for r, struct, edges in parts:
         for deg, pos in struct.by_degree:
-            pieces.setdefault((deg, len(pos)), []).append((rows, struct, to_full, pos))
-    n_slots = sum(rows.size * struct.n_edges for rows, struct, _ in parts)
+            pieces.setdefault((deg, len(pos)), []).append((r, edges[pos.T]))
+    n_slots = sum(s.n_edges * (1 if r < m else len(range(r, n_rows, p))) for r, s, _ in parts)
     dtype = np.min_scalar_type(max(n_slots, n_rows * c))
-    # slot of each (row, full-layout position), flat; rows past the window
-    # and positions no row uses read as the zero slot
-    row_len = max(s.n_edges for s in full)
-    where = np.full((n_rows + m) * row_len, n_slots, dtype=dtype)
     slot_col = np.empty(n_slots, dtype=dtype)
+    at = (base - delta[:n]) * c + col  # each edge's column in its phase's first full-band row
+    # edge e's slot: in the row before memory `first[e]`, in the q-th
+    # full-band row `tmpl[e] + q * step[e]`; entry n pads
+    first, tmpl, step = np.zeros((3, n + 1), dtype=np.intp)
+    first[n] = n_slots
     groups, lo = [], 0
     for (deg, checks), group in pieces.items():
-        rows = np.sort(np.concatenate([piece[0] for piece in group]))
-        hi = lo + deg * rows.size * checks
-        slots = np.arange(lo, hi).reshape(deg, rows.size, checks)
-        cols = slot_col[lo:hi].reshape(deg, rows.size, checks)
-        for part_rows, struct, to_full, pos in group:
-            # a part's rows recur every period, so their ranks among the
-            # group's rows are evenly spaced
-            rank = np.searchsorted(rows, part_rows)
-            at = slice(rank[0], rank[-1] + 1, rank[1] - rank[0] if rank.size > 1 else 1)
-            e = pos.T[:, None, :]  # (degree, 1, checks), against rows (rows, 1)
-            where[part_rows[:, None] * row_len + to_full[e]] = slots[:, at]
-            cols[:, at] = (part_rows[:, None] - struct.edge_delta[e]) * c + struct.edge_col[e]
-        groups.append((deg, lo, hi, rows))
-        lo = hi
-    leaving, pad = _leaving_edges(code)
-    col_slots = np.full((max(len(e[3]) for e in leaving), n_rows, c), n_slots, dtype=dtype)
-    for s, (rows, pos, _, table) in enumerate(leaving):
-        first = (s - m) % p  # the blocks leaving at phase s are first, first + p, ...
-        blocks = np.arange(first, n_rows, p)[:, None]
-        slots = np.full((blocks.size, pad + 1), n_slots, dtype=dtype)
-        where.take((blocks + rows) * row_len + pos, out=slots[:, :rows.size])
-        col_slots[:len(table), first::p] = slots[:, table].transpose(1, 0, 2)
-    return _FloodTables(tuple(groups), slot_col, col_slots.reshape(len(col_slots), n_rows * c))
+        group.sort(key=lambda part: part[0])
+        firsts = [r for r, _ in group]
+        heads = sum(r < m for r in firsts)
+        band = len(group) - heads  # the group's rows per period from memory on
+        rows = np.array(firsts[:heads] + [r + q for q in range(0, n_rows, p)
+                                          for r in firsts[heads:] if r + q < n_rows])
+        # part j's row has rank j; input d of check i in the row of rank k
+        # has slot lo + (d * rows + k) * checks + i
+        edges = np.array([e for _, e in group]).transpose(1, 0, 2)
+        slot = lo + np.arange(deg)[:, None, None] * (rows.size * checks) + np.arange(
+            len(group) * checks).reshape(len(group), checks)
+        first[edges[:, :heads]] = slot[:, :heads]
+        tmpl[edges[:, heads:]] = slot[:, heads:]
+        step[edges[:, heads:]] = band * checks
+        cols = slot_col[lo:lo + slot.size // len(group) * rows.size].reshape(deg, rows.size, -1)
+        cols[:, :heads] = at[edges[:, :heads]] - p * c  # r < memory: a period earlier
+        if band:  # period q's rows: the template's columns plus q * period blocks
+            n_q, rest = divmod(rows.size - heads, band)
+            template = at[edges[:, heads:]]
+            np.add(template[:, None], p * c * np.arange(n_q)[:, None, None], casting="unsafe",
+                   out=cols[:, heads:heads + n_q * band].reshape(deg, n_q, band, -1))
+            cols[:, rows.size - rest:] = template[:, :rest] + p * c * n_q
+        groups.append((deg, lo, lo + cols.size, rows))
+        lo += cols.size
+
+    # the edges of each block phase b in summation order: column j of a
+    # block of phase b lists its edges in column b * block_len + j of `table`
+    block = (phase - delta[:n]) % p
+    order = np.argsort(block * (m + 1) + (delta[:n] + 1) % (m + 1), kind="stable")
+    table = _column_table(block[order] * c + col[order], order, p * c, n).reshape(-1, p, c)
+    # block q * period + b reads slot a[e] + q * step[e]
+    a = np.append(tmpl[:n] + (block + delta[:n] - base) // p * step[:n], n_slots)
+    n_q = -(-n_rows // p)
+    col_slots = np.empty((len(table), n_q, p, c), dtype=dtype)
+    np.multiply(np.arange(n_q)[:, None, None], step[table][:, None], out=col_slots, casting="unsafe")
+    np.add(col_slots, a[table][:, None], out=col_slots, casting="unsafe")
+    col_slots = col_slots.reshape(len(table), n_q * p, c)[:, :n_rows]
+    # blocks with a row before memory or past the window's end
+    b = np.array(sorted({*range(min(m, n_rows)), *range(max(0, n_rows - m), n_rows)}))
+    edges = table[:, b % p]
+    r = b[:, None] + delta[edges]
+    at_row = np.where(r < m, first[edges], a[edges] + (b // p)[:, None] * step[edges])
+    col_slots[:, b] = np.where(r < n_rows, at_row, n_slots)
+    return _FloodTables(tuple(groups), slot_col, col_slots.reshape(len(table), n_rows * c))
 
 
 # ---------------------------------------------------------------------------

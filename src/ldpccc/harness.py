@@ -9,6 +9,7 @@ numbers; workers only split the frame list.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -70,7 +71,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.min_error_events < 1:
             raise ValueError("min_error_events must be >= 1")
+        if self.max_blocks < 1:
+            raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
         grid = tuple(float(x) for x in self.ebno_grid)
+        if not all(math.isfinite(x) for x in grid):
+            raise ValueError(f"ebno_grid must hold finite values, got {grid}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("ebno_grid must be nonempty and strictly increasing")
         object.__setattr__(self, "ebno_grid", grid)

@@ -465,7 +465,7 @@ def assert_same_outputs(a, b):
 
 
 @pytest.mark.parametrize("name", demo_base_names() + list(RANDOM_BASES))
-def test_decoder_ring_is_the_model_memory(name):
+def test_step_state_is_the_model_memory(name):
     # at a step boundary t past I * period steps, a stepped decoder's live
     # state, the messages and channel values of blocks t - memory - (I - 1)
     # * period .. t - 1, with the arriving block's edges and channel values

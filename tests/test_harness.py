@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -48,6 +49,30 @@ def test_config_validation():
         ExperimentConfig(base=base, ebno_grid=(3.0, 2.0))
     with pytest.raises(ValueError):
         ExperimentConfig(base=base, min_error_events=0)
+
+
+@pytest.mark.parametrize("max_blocks", [0, -1])
+def test_config_rejects_a_block_budget_below_one(max_blocks):
+    # a budget of no blocks used to run a whole frame and report it, with
+    # more blocks sent than the budget allows
+    with pytest.raises(ValueError, match="max_blocks must be >= 1"):
+        ExperimentConfig(base=demo_base("toy_2x4_z8"), max_blocks=max_blocks)
+
+
+@pytest.mark.parametrize("grid", [(1.0, math.nan), (math.nan,), (math.nan, 1.0),
+                                  (1.0, math.inf), (-math.inf, 1.0)])
+def test_config_rejects_a_non_finite_grid_point(grid):
+    # NaN compares false with everything, so it passed the increasing check
+    # and failed deep in the decoder after the points before it had run
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(base=demo_base("toy_2x4_z8"), ebno_grid=grid)
+
+
+def test_cli_ber_rejects_zero_max_blocks(capsys):
+    assert main(["ber", "--base", "toy_2x4_z8", "--ebno", "4.0", "--max-blocks", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "max_blocks must be >= 1" in captured.err
+    assert "Eb/N0" not in captured.out
 
 
 def test_run_ber_point_fields(small_cfg):

@@ -109,10 +109,6 @@ def table_codes():
             period_four_code(np.random.default_rng(5))]
 
 
-def full_row(code, phase):
-    return code.row_structure(code.memory + (phase - code.memory) % code.period)
-
-
 def row_slots(tables):
     """Each window row's message slots, from the window's groups."""
     slots = collections.defaultdict(list)
@@ -148,53 +144,58 @@ def test_processor_state_edge_counts(monkeypatch):
             assert all(len(slots[r]) == expected for r in range(m, n_rows))
 
 
+def slot_owners(code, tables):
+    """Each slot's block row and its position in that row's own layout."""
+    row_of = np.empty(tables.slot_col.size, dtype=np.int64)
+    pos_of = np.empty_like(row_of)
+    for deg, lo, hi, rows in tables.groups:
+        checks = (hi - lo) // (deg * rows.size)
+        for k, r in enumerate(rows.tolist()):
+            pos = dict(code.row_structure(r).by_degree)[deg]
+            assert len(pos) == checks
+            at = lo + (np.arange(deg)[:, None] * rows.size + k) * checks + np.arange(checks)
+            row_of[at], pos_of[at] = r, pos.T
+    return row_of, pos_of
+
+
 def test_slot_conservation_audit():
-    # per step phase, _leaving_edges lists each edge of the leaving block
-    # once, with its column: its newest row first, then its older rows from
-    # oldest to newest, each row's edges with that offset in the row's
-    # full-band layout; over the blocks that reach a row, offsets 0 ..
-    # memory partition the row's edges
+    # each column of a window lists the slots of its block's edges once, in
+    # the pipeline's summation order: the block's newest row first, then its
+    # older rows from oldest to newest, each row's edges in layout order;
+    # rows past the window read as pads in place, a whole block's column
+    # pads at its end, and every slot is listed exactly once
     for code in table_codes():
-        p, m = code.period, code.memory
-        leaving, _ = ldpccc.decoder._leaving_edges(code)
-        assert len(leaving) == p
-        for s, (rows, pos, cols, _slots) in enumerate(leaving):
-            first = (s - m) % p  # the leaving block's phase
-            order = (m, *range(m))
-            sizes = [full_row(code, first + j).delta_slices[j][0].size for j in order]
-            assert np.array_equal(rows, np.repeat(order, sizes))
-            for j in order:
-                struct = full_row(code, first + j)
-                want_pos, want_cols = struct.delta_slices[j]
-                assert np.array_equal(pos[rows == j], want_pos)
-                assert np.array_equal(cols[rows == j], want_cols)
-                assert (struct.edge_delta[pos[rows == j]] == j).all()
-                assert np.unique(pos[rows == j]).size == want_pos.size
-        for r in range(p):
-            got = []
-            for j in range(m + 1):
-                rows, pos = leaving[(r - j + m) % p][:2]  # the block of row r - j leaves there
-                got.append(pos[rows == j])
-            assert np.array_equal(np.sort(np.concatenate(got)),
-                                  np.arange(full_row(code, r).n_edges))
+        p, m, c = code.period, code.memory, code.block_len
+        for n_rows in (1, m + p - 1, 3 * p + 1, 4 * p):
+            tables = ldpccc.decoder._window_tables(code, n_rows)
+            row_of, pos_of = slot_owners(code, tables)
+            pad = tables.slot_col.size
+            listed = tables.col_slots.T  # (columns, column degree)
+            for column, slots in enumerate(listed):
+                real = slots[slots < pad]
+                block = column // c
+                if block + m < n_rows:
+                    assert (slots[real.size:] == pad).all()
+                assert (tables.slot_col[real] == column).all()
+                offset = row_of[real] - block
+                assert ((0 <= offset) & (offset <= m)).all()
+                order = ((offset + 1) % (m + 1)) * 10**6 + pos_of[real]
+                assert (np.diff(order) > 0).all()
+            counts = np.bincount(listed[listed < pad], minlength=pad)
+            assert (counts == 1).all()
 
 
 def test_stream_pad_row_sits_past_the_largest_leaving_block():
-    # the leaving block's size varies by phase on the period-4 code; every
-    # phase's column table pads short columns with the largest size, past
-    # every real edge, and lists each column's edges in summation order
-    leaving, pad = ldpccc.decoder._leaving_edges(period_four_code(np.random.default_rng(5)))
-    sizes = [cols.size for _, _, cols, _ in leaving]
-    assert pad == max(sizes) and min(sizes) < pad
-    assert any((slots == pad).any() for *_, slots in leaving)
-    for _, _, cols, slots in leaving:
-        real = slots < cols.size
-        assert (slots[~real] == pad).all()
-        assert np.array_equal(np.sort(slots[real]), np.arange(cols.size))
-        for col, edges in enumerate(slots.T):
-            kept = edges[edges < pad]
-            assert (cols[kept] == col).all() and (np.diff(kept) > 0).all()
-            assert (edges[kept.size:] == pad).all()
+    # the leaving block's size varies by phase on the period-4 code; its
+    # columns are padded with the zero slot past every real slot, up to the
+    # largest column degree
+    code = period_four_code(np.random.default_rng(5))
+    tables = ldpccc.decoder._window_tables(code, 64 + code.memory)
+    pad = tables.slot_col.size
+    degrees = np.bincount(tables.slot_col.astype(np.int64), minlength=tables.col_slots.shape[1])
+    assert len(tables.col_slots) == degrees.max() > degrees.min()
+    assert np.array_equal((tables.col_slots < pad).sum(axis=0), degrees)
+    assert tables.col_slots.max() == pad
 
 
 def test_step_state_appears_at_the_first_step():
