@@ -300,14 +300,18 @@ def app_decide(channel, incoming, quantizer: Quantizer | None = None):
 
 @dataclass(frozen=True)
 class DecoderConfig:
+    """The knobs of either decoder, checked here and nowhere else."""
+
     iterations: int
     variant: str = VARIANT_FLOAT
     quantizer: Quantizer | None = None
     clamp: float = 25.0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one processor")
+        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
+        if not (np.isfinite(self.clamp) and self.clamp > 0):
+            raise ValueError(f"clamp must be finite and > 0, got {self.clamp!r}")
         if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_FLOAT and self.quantizer is not None:
@@ -344,9 +348,7 @@ class StreamDecoder:
     def __init__(self, code: ConvCode, config: DecoderConfig):
         self.code = code
         self.config = config
-        self.quantized = config.variant == VARIANT_QSPA
-        self.quantizer = config.quantizer
-        self.lut = build_pair_lut(self.quantizer) if self.quantized else None
+        self.lut = None if config.quantizer is None else build_pair_lut(config.quantizer)
         self.output_delay = (code.memory + 1) * config.iterations
         self._t = 0
         self._pending: tuple | None = None
@@ -366,7 +368,7 @@ class StreamDecoder:
         tables = _window_tables(code, n_rows)
         f = (frames or (1,))[0]
         dtype = (np.float64 if self.lut is None
-                 else _sum_dtype(self.quantizer, len(tables.col_slots)))
+                 else _sum_dtype(self.config.quantizer, len(tables.col_slots)))
         self._msg = np.zeros((tables.slot_col.size + 1, f), dtype=dtype)
         self._lam = np.zeros((n_rows, c, f), dtype=dtype)
         self._col_slots = tables.col_slots.reshape(-1, n_rows, c)
@@ -416,8 +418,8 @@ class StreamDecoder:
         if self._frames is not None and values.shape[:-1] != self._frames:
             raise ValueError(f"frame count changed: the first step had shape "
                              f"{self._frames + (c,)}, this one {values.shape}")
-        if self.quantized:
-            return _checked_codes(values, self.quantizer)
+        if self.lut is not None:
+            return _checked_codes(values, self.config.quantizer)
         if not np.isfinite(values).all():
             raise ValueError("channel LLRs must be finite")
         return values.astype(np.float64, copy=False)
@@ -445,8 +447,8 @@ class StreamDecoder:
         # the arriving block's channel values are processor 0's
         # variable-to-check values; pad slots of its column table take
         # them too, so the zero slot is cleared after each such write
-        if self.quantized:
-            _code_values(lam_new.astype(np.uint8), self.quantizer, lam[w])
+        if self.lut is not None:
+            _code_values(lam_new.astype(np.uint8), self.config.quantizer, lam[w])
         else:
             lam[w] = lam_new
         msg[self._col_slots[:, w]] = lam[w]
@@ -471,7 +473,7 @@ class StreamDecoder:
             msg[-1] = 0
             if n == n_proc:
                 soft = post[:self.code.block_len].T.reshape(self._frames + (-1,))
-                if self.quantized:
+                if self.lut is not None:
                     soft = soft.astype(np.int64)
                 index = t - memory - (n_proc - 1) * period
                 decision = (index, (soft < 0).astype(np.uint8), soft)
@@ -727,17 +729,15 @@ class BlockDecoder:
     decodes stream frames, on tables built from the matrix; used to compare
     a block code against its unwrapped form.  A batch of frames is one
     array problem, ``frames_per_call`` frames at a time; each check degree
-    is one group of slots, and each column sums in edge order.
+    is one group of slots, and each column sums in edge order.  The knobs
+    form a ``DecoderConfig``, qspa with a quantizer and float without.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
                  quantizer: Quantizer | None = None, clamp: float = 25.0):
-        if iterations < 1:
-            raise ValueError("need at least one iteration")
+        self.config = DecoderConfig(iterations, VARIANT_FLOAT if quantizer is None
+                                    else VARIANT_QSPA, quantizer, clamp)
         self.matrix = matrix
-        self.iterations = iterations
-        self.quantizer = quantizer
-        self.clamp = clamp
         edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
         n_edges = edge_col.size
         degrees = matrix.row_weights()
@@ -767,6 +767,6 @@ class BlockDecoder:
         n = self.matrix.cols
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
             raise ValueError(f"expected {n} channel values per frame")
-        soft = _decode_frames(self._tables, llrs.reshape(-1, n), self.iterations, self.lut,
-                              self.clamp).reshape(llrs.shape)
+        soft = _decode_frames(self._tables, llrs.reshape(-1, n), self.config.iterations,
+                              self.lut, self.config.clamp).reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft

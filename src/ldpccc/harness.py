@@ -3,7 +3,10 @@
 A BER point streams seeded all-zero-codeword frames through the channel
 and decoder until enough bit-error events accumulate.  Frames are seeded
 by frame index, never by worker, so any worker count reproduces the same
-numbers; workers only split the frame list.
+numbers; workers only split the frame list.  A run's code and its one
+decoder are built once, in the caller, before any pool starts: pool
+workers receive that run, so a bad config fails the same way at any
+worker count.
 """
 
 from __future__ import annotations
@@ -98,18 +101,6 @@ class BerPoint:
     wall_time_s: float
 
 
-def _decoder_config(cfg: ExperimentConfig) -> DecoderConfig:
-    quantizer = None
-    if cfg.variant == VARIANT_QSPA:
-        quantizer = Quantizer(bits=cfg.quant_bits, step=cfg.quant_step)
-    return DecoderConfig(
-        iterations=cfg.iterations,
-        variant=cfg.variant,
-        quantizer=quantizer,
-        clamp=cfg.clamp,
-    )
-
-
 def _frame_llrs(cfg, point_idx, frame, rate, n):
     ch = ChannelConfig(ebno_db=cfg.ebno_grid[point_idx], rate=rate,
                        seed=derive_seed(cfg.seed, point_idx, frame))
@@ -126,14 +117,13 @@ def _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, rate, n):
         yield llrs
 
 
-def _stream_batch(cfg, code, dec_cfg, point_idx, frame_lo, frame_hi):
-    """Frames go to a fresh decoder per call, as many as the edge budget takes."""
-    n_blocks, c = cfg.frame_blocks, code.block_len
-    per_call = _stream_frames_per_call(code, dec_cfg.iterations, n_blocks)
+def _stream_batch(cfg, decoder, per_call, point_idx, frame_lo, frame_hi):
+    """Frames go to the run's decoder, as many per call as the edge budget takes."""
+    n_blocks, c = cfg.frame_blocks, decoder.code.block_len
     out = []
-    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, code.rate,
+    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, decoder.code.rate,
                            n_blocks * c):
-        bits = decode_stream(StreamDecoder(code, dec_cfg), llrs).bits
+        bits = decode_stream(decoder, llrs).bits
         block_errors = bits.reshape(len(bits), n_blocks, c).any(axis=2).sum(axis=1)
         out += [(n_blocks, n_blocks * c, int(e), int(b))
                 for e, b in zip(bits.sum(axis=1), block_errors)]
@@ -152,33 +142,28 @@ def _block_batch(cfg, decoder, point_idx, frame_lo, frame_hi):
     return out
 
 
-def _batch_runner(cfg: ExperimentConfig, baseline: bool):
-    """The batch runner, (point_idx, frame_lo, frame_hi) -> one (blocks,
-    bits, bit errors, block errors) row per frame, with the code built
-    once, and the frames its decoder takes per call."""
-    dec_cfg = _decoder_config(cfg)
+def _build_run(cfg: ExperimentConfig, baseline: bool):
+    """The run: its batch runner, (point_idx, frame_lo, frame_hi) -> one
+    (blocks, bits, bit errors, block errors) row per frame, over the code
+    and one decoder built here, and the frames that decoder takes per call.
+    Every knob is checked here, so a bad one fails before any pool starts."""
+    quantizer = Quantizer(cfg.quant_bits, cfg.quant_step) if cfg.variant == VARIANT_QSPA else None
+    dec_cfg = DecoderConfig(cfg.iterations, cfg.variant, quantizer, cfg.clamp)
     if baseline:
-        decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations,
-                               dec_cfg.quantizer, cfg.clamp)
+        decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations, quantizer, cfg.clamp)
         return functools.partial(_block_batch, cfg, decoder), decoder.frames_per_call
-    code = split_and_unwrap(cfg.base)
-    return (functools.partial(_stream_batch, cfg, code, dec_cfg),
-            _stream_frames_per_call(code, dec_cfg.iterations, cfg.frame_blocks))
+    decoder = StreamDecoder(split_and_unwrap(cfg.base), dec_cfg)
+    per_call = _stream_frames_per_call(decoder.code, cfg.iterations, cfg.frame_blocks)
+    return functools.partial(_stream_batch, cfg, decoder, per_call), per_call
 
 
-# the batch runner of a pool worker and its frames per call, built once by
-# _init_worker
+# the batch runner a pool worker was given by _init_worker
 _worker_runner = None
-_worker_per_call = 0
 
 
-def _init_worker(cfg: ExperimentConfig, baseline: bool) -> None:
-    global _worker_runner, _worker_per_call
-    _worker_runner, _worker_per_call = _batch_runner(cfg, baseline)
-
-
-def _worker_frames_per_call() -> int:
-    return _worker_per_call
+def _init_worker(runner) -> None:
+    global _worker_runner
+    _worker_runner = runner
 
 
 def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
@@ -187,16 +172,19 @@ def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
 
 
 def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
+    run_batch, per_call = _build_run(cfg, baseline)
     if cfg.workers == 1:
-        return _sweep(cfg, baseline, None)
-    # one pool for the whole grid; each worker builds the code once
+        return _sweep(cfg, baseline, run_batch, per_call, None)
+    # one pool for the whole grid; its workers receive the run built here
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                             initargs=(cfg, baseline)) as pool:
-        return _sweep(cfg, baseline, pool)
+                             initargs=(run_batch,)) as pool:
+        return _sweep(cfg, baseline, run_batch, per_call, pool)
 
 
-def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
-    """Every grid point, its batches run in ``pool`` or, without one, here.
+def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
+           pool) -> list[BerPoint]:
+    """Every grid point, its batches run by ``run_batch`` here or, given a
+    pool whose workers hold that runner, in ``pool``.
 
     The batches of the whole grid form one sequence in (point, frame)
     order.  A pool keeps up to ``2 * workers`` of them in flight, across
@@ -218,16 +206,12 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, pool) -> list[BerPoint]:
     # the pool lets the workers inherit that module instead of loading it
     seeds = [derive_seed(cfg.seed, p) for p in range(len(cfg.ebno_grid))]
     if pool is None:
-        run_batch, per_call = _batch_runner(cfg, baseline)
-
         def submit(args):
             fut = Future()
             fut.set_result(run_batch(*args))
             return fut
         window = 1
     else:
-        per_call = pool.submit(_worker_frames_per_call).result()
-
         def submit(args):
             return pool.submit(_worker_batch, *args)
         window = 2 * cfg.workers

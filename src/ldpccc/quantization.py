@@ -45,8 +45,8 @@ class Quantizer:
     def __post_init__(self):
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
 
     @property
     def n_codes(self) -> int:

@@ -9,7 +9,7 @@ import pytest
 from ldpccc import harness
 from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.cli import main
-from ldpccc.construction import demo_base, expand_base, split_and_unwrap
+from ldpccc.construction import BaseMatrix, demo_base, expand_base, split_and_unwrap
 from ldpccc.decoder import (
     BlockDecoder,
     DecoderConfig,
@@ -73,6 +73,51 @@ def test_cli_ber_rejects_zero_max_blocks(capsys):
     captured = capsys.readouterr()
     assert "max_blocks must be >= 1" in captured.err
     assert "Eb/N0" not in captured.out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--clamp", "nan"], "clamp must be finite and > 0"),
+    (["--clamp", "inf"], "clamp must be finite and > 0"),
+    (["--clamp", "0"], "clamp must be finite and > 0"),
+    (["--clamp", "-1"], "clamp must be finite and > 0"),
+    (["--variant", "qspa", "--step", "inf"], "step must be finite and > 0"),
+], ids=["clamp-nan", "clamp-inf", "clamp-zero", "clamp-negative", "step-inf"])
+def test_cli_ber_rejects_decoder_knobs_that_yield_plausible_numbers(flags, message, capsys):
+    # a NaN clamp used to report BER 0 and a clamp of -1 a BER of 0.16
+    assert main(["ber", "--base", "toy_2x4_z8", "--ebno", "3", "--max-blocks", "16",
+                 "--min-errors", "5"] + flags) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Eb/N0" not in captured.out
+
+
+@pytest.mark.parametrize("bad", ["square-base", "no-iterations", "nine-bit-quantizer"])
+def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
+    # a run that fails while it is built fails the same way at any worker
+    # count: one error line from the CLI, the same exception from run_ber
+    square = tmp_path / "square.txt"
+    square.write_text("2 2 4\n0 1\n1 0\n")
+    flags, fields = {
+        "square-base": (["--base", str(square)], {"base": BaseMatrix.load(square)}),
+        "no-iterations": (["--base", "toy_2x4_z8", "--iters", "0"], {"iterations": 0}),
+        "nine-bit-quantizer": (["--base", "toy_2x4_z8", "--variant", "qspa", "--bits", "9"],
+                               {"variant": "qspa", "quant_bits": 9}),
+    }[bad]
+    errors, raised = [], []
+    for workers in (1, 2):
+        assert main(["ber", "--ebno", "3", "--max-blocks", "16", "--workers", str(workers)]
+                    + flags) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+        cfg = ExperimentConfig(**{"base": demo_base("toy_2x4_z8"), **fields},
+                               ebno_grid=(3.0,), max_blocks=16, workers=workers)
+        with pytest.raises(ValueError) as info:
+            run_ber(cfg)
+        raised.append(info.type)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+    assert raised[0] is raised[1]
 
 
 def test_run_ber_point_fields(small_cfg):
@@ -168,19 +213,6 @@ def test_block_baseline_matches_frame_by_frame_decoding():
         assert (p.blocks_sent, p.bit_errors, p.block_errors) == (30, bit_errors, block_errors)
 
 
-def test_serial_run_builds_the_code_once(small_cfg, monkeypatch):
-    calls = []
-
-    def counting(base):
-        calls.append(base)
-        return split_and_unwrap(base)
-
-    monkeypatch.setattr(harness, "split_and_unwrap", counting)
-    points = run_ber(dataclasses.replace(small_cfg, min_error_events=10**9, max_blocks=48))
-    assert len(points) == 2 and all(p.blocks_sent == 48 for p in points)
-    assert len(calls) == 1
-
-
 def test_stream_batches_match_frame_by_frame_decoding():
     # the harness decodes each batch in calls of several frames; the counts
     # equal one decode per seeded frame, over more frames than one call
@@ -207,23 +239,30 @@ def test_stream_batches_match_frame_by_frame_decoding():
             cfg.max_blocks, bit_errors, block_errors)
 
 
-def test_pool_builds_the_code_once_per_worker(small_cfg, monkeypatch, tmp_path):
-    # forked workers inherit the counting constructor and log their pid
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run", [run_ber, run_block_baseline])
+def test_a_run_is_built_once_in_the_caller(small_cfg, monkeypatch, tmp_path, run, workers):
+    # the code (or block matrix) and the decoder are built once per run, in
+    # the caller's process; forked workers inherit the counting builders and
+    # would log their own pids
     log = tmp_path / "builds.txt"
 
-    def counting(base):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return split_and_unwrap(base)
+    def counting(kind, build):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+            return build(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(harness, "split_and_unwrap", counting)
-    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0, 6.0), workers=2,
+    for name in ("split_and_unwrap", "expand_base"):
+        monkeypatch.setattr(harness, name, counting("code", getattr(harness, name)))
+    for name in ("StreamDecoder", "BlockDecoder"):
+        monkeypatch.setattr(harness, name, counting("decoder", getattr(harness, name)))
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0, 6.0), workers=workers,
                               min_error_events=10**9, max_blocks=96)
-    points = run_ber(cfg)
+    points = run(cfg)
     assert len(points) == 3 and all(p.blocks_sent == 96 for p in points)
-    pids = log.read_text().split()
-    assert pids and len(pids) == len(set(pids)) <= cfg.workers
-    assert str(os.getpid()) not in pids
+    assert log.read_text().split("\n") == [f"code {os.getpid()}", f"decoder {os.getpid()}", ""]
 
 
 def _log_decoder_calls(monkeypatch, log):
@@ -276,19 +315,22 @@ def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
 
 def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):
     # points that stop within their first batches, later, and at the block
-    # cap, with the pool window running across point boundaries
-    cfg = dataclasses.replace(small_cfg, ebno_grid=(0.0, 2.0, 3.0, 9.0),
-                              min_error_events=15, max_blocks=400, frame_blocks=8)
-    texts = []
-    for workers in (1, 2, 3):
-        path = tmp_path / f"w{workers}.csv"
-        write_csv(run_ber(dataclasses.replace(cfg, workers=workers)), path)
-        texts.append(path.read_bytes())
-    assert texts[0] == texts[1] == texts[2]
-    rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
-    blocks = [int(r[1]) for r in rows]
-    assert blocks[0] <= 16 and blocks[0] < blocks[2] < 400
-    assert blocks[-1] == 400 and rows[-1][7] == "1"
+    # cap, with the pool window running across point boundaries, for the
+    # stream decoder and the block baseline (whose first batch is 64 frames)
+    for run, grid, first in ((run_ber, (0.0, 2.0, 3.0, 9.0), 16),
+                             (run_block_baseline, (0.0, 2.0, 4.0, 9.0), 64)):
+        cfg = dataclasses.replace(small_cfg, ebno_grid=grid, min_error_events=15,
+                                  max_blocks=400, frame_blocks=8)
+        texts = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(run(dataclasses.replace(cfg, workers=workers)), path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
+        blocks = [int(r[1]) for r in rows]
+        assert blocks[0] <= first < blocks[2] < 400
+        assert blocks[-1] == 400 and rows[-1][7] == "1"
 
 
 def test_conv_vs_block_reported_not_asserted(small_cfg, capsys):

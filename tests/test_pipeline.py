@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -61,6 +62,25 @@ def test_step_rejects_wrong_length(toy_code):
 def test_float_config_rejects_a_quantizer():
     with pytest.raises(ValueError, match="quantizer"):
         DecoderConfig(8, "float", Quantizer(8))
+
+
+@pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_config_rejects_a_clamp_that_is_not_finite_and_positive(clamp):
+    # a NaN clamp decided every bit 0, a negative one flipped every check
+    # message: both decoders take their clamp through DecoderConfig
+    with pytest.raises(ValueError, match="clamp must be finite and > 0"):
+        DecoderConfig(4, clamp=clamp)
+    with pytest.raises(ValueError, match="clamp must be finite and > 0"):
+        BlockDecoder(expand_base(demo_base("toy_2x4_z8")), 4, clamp=clamp)
+
+
+@pytest.mark.parametrize("iterations", [4.5, 4.0, 0, -1, "4"])
+def test_config_rejects_iterations_that_are_not_a_positive_integer(iterations):
+    with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+        DecoderConfig(iterations)
+    with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+        BlockDecoder(expand_base(demo_base("toy_2x4_z8")), iterations)
+    assert DecoderConfig(np.int64(4)).iterations == 4
 
 
 def test_initial_delay(toy_code):
@@ -450,8 +470,8 @@ def stepped_stream(code, cfg, llrs):
     c = code.block_len
     frames, n_blocks = llrs.shape[:-1], llrs.shape[-1] // c
     pad = np.zeros(frames + (c,))
-    if dec.quantized:
-        llrs, pad = dec.quantizer.quantize(llrs), dec.quantizer.quantize(pad)
+    if cfg.quantizer is not None:
+        llrs, pad = cfg.quantizer.quantize(llrs), cfg.quantizer.quantize(pad)
     bits, soft = [], []
     for k in range(n_blocks + dec.output_delay):
         out = dec.step(llrs[..., k * c:(k + 1) * c] if k < n_blocks else pad)
@@ -530,7 +550,7 @@ def test_stepped_decisions_do_not_depend_on_the_flush():
                 llrs[rng.random(llrs.shape) < 0.05] = 0.0
                 blocks.append(llrs)
                 origin = getattr(dec, "_origin", 0)
-                out = dec.step(dec.quantizer.quantize(llrs) if dec.quantized else llrs)
+                out = dec.step(cfg.quantizer.quantize(llrs) if cfg.quantizer else llrs)
                 shifts += dec._origin != origin
                 if out is not None:
                     assert out[0] == len(decided)
@@ -602,7 +622,7 @@ def test_batch_rejects_nan_in_one_frame(toy_code):
 
 def test_qspa_batch_rejects_out_of_range_code_in_one_frame(toy_code):
     dec = StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA))
-    n_codes = dec.quantizer.n_codes
+    n_codes = dec.config.quantizer.n_codes
     for bad in (n_codes, -1):
         block = np.zeros((4, toy_code.block_len), dtype=np.int64)
         block[1, 7] = bad
@@ -626,7 +646,7 @@ def test_qspa_step_rejects_non_integer_codes(toy_code):
 
 def test_qspa_step_rejects_out_of_range_codes(toy_code):
     dec = StreamDecoder(toy_code, DecoderConfig(iterations=2, variant=VARIANT_QSPA))
-    n_codes = dec.quantizer.n_codes
+    n_codes = dec.config.quantizer.n_codes
     for bad in (n_codes, 255, -1):
         block = np.zeros(toy_code.block_len, dtype=np.int64)
         block[3] = bad

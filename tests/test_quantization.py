@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,13 @@ def test_build_validation():
         Quantizer(9, 0.5)
     with pytest.raises(ValueError):
         Quantizer(4, 0.0)
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+def test_build_rejects_a_step_that_is_not_finite_and_positive(step):
+    # an infinite step used to build, then failed as "cannot quantize NaN"
+    with pytest.raises(ValueError, match="step must be finite and > 0"):
+        Quantizer(4, step)
 
 
 def test_max_magnitude(q4):

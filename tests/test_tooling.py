@@ -6,6 +6,7 @@ only once the benchmark runs.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +85,18 @@ def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
     monkeypatch.setattr(PairLut, "value_table", property(lambda self: table))
     for bad, want in zip(decode(), good):
         assert not np.array_equal(bad, want)
+
+
+def test_benchmark_jobs_pass_their_checks_at_the_golden_seed(monkeypatch, tmp_path):
+    # one job of every workload, checked as the benchmark checks it: a
+    # change to the harness or to how the decoders are called fails here
+    for sub in ("perfbench", "src"):
+        monkeypatch.syspath_prepend(str(ROOT / sub))
+    workloads = importlib.import_module("workloads")
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    for name, w in workloads.WORKLOADS.items():
+        work_dir = tmp_path / name
+        work_dir.mkdir()
+        out = w.collect(w.job(workloads.GOLDEN_SEED, work_dir))
+        assert w.check(out, workloads.GOLDEN_SEED) == [], name
+        assert workloads.golden_problems(name, golden, out, workloads.GOLDEN_SEED, job=0) == []
