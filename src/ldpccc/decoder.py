@@ -69,9 +69,11 @@ __all__ = [
 VARIANT_FLOAT = "float"
 VARIANT_QSPA = "qspa"
 
-# edges a decoder call holds at once, all frames together; it bounds the
-# call's working set, a few bytes per edge on the quantized variant
-_EDGE_BUDGET = 1 << 16
+# bytes of messages a decoder call holds at once, all frames together; it
+# bounds the call's working set: 2**16 edges of 8-byte floats, and 8 or 4
+# times the frames of 1-byte (int8) or 2-byte (int16) quantized sums, whose
+# flooding is bound by per-call numpy overhead, not by data
+_CALL_BYTES = 1 << 19
 # messages one check-update call of the flooding engine holds, in bytes: a
 # wider call runs out of cache (on a 2-core Xeon host the float kernel took
 # 48 ns an edge on a (24, 2,728) block against 26-27 ns on (24, 682))
@@ -367,8 +369,7 @@ class StreamDecoder:
         n_rows = -(-2 * (span + m) // p) * p
         tables = _window_tables(code, n_rows)
         f = (frames or (1,))[0]
-        dtype = (np.float64 if self.lut is None
-                 else _sum_dtype(self.config.quantizer, len(tables.col_slots)))
+        dtype = _message_dtype(tables, self.config.quantizer)
         self._msg = np.zeros((tables.slot_col.size + 1, f), dtype=dtype)
         self._lam = np.zeros((n_rows, c, f), dtype=dtype)
         self._col_slots = tables.col_slots.reshape(-1, n_rows, c)
@@ -536,10 +537,12 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     return StreamResult(bits=bits, soft=soft, syndrome_ok=_block_syndromes(code, bits, tables))
 
 
-def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int) -> int:
+def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int,
+                            quantizer: Quantizer | None) -> int:
     """Frames of ``n_blocks`` blocks that decode_stream takes at once within
-    the edge budget."""
-    return _frames_per_call(_window_tables(code, n_blocks + iterations * code.memory))
+    the byte budget, quantized with ``quantizer`` or, without one, floats."""
+    tables = _window_tables(code, n_blocks + iterations * code.memory)
+    return _frames_per_call(tables, _message_dtype(tables, quantizer))
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +598,16 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     return post
 
 
-def _frames_per_call(tables: _FloodTables) -> int:
-    """Frames a flooding call takes at once within the edge budget."""
-    return max(1, _EDGE_BUDGET // max(1, tables.slot_col.size))
+def _message_dtype(tables: _FloodTables, quantizer: Quantizer | None) -> type:
+    """The flooding engine's message and sum type: floats, or the smallest
+    signed type that holds a column sum of ``quantizer``'s codes."""
+    return np.float64 if quantizer is None else _sum_dtype(quantizer, len(tables.col_slots))
+
+
+def _frames_per_call(tables: _FloodTables, dtype) -> int:
+    """Frames a flooding call takes at once within the byte budget, its
+    messages of type ``dtype``."""
+    return max(1, _CALL_BYTES // (max(1, tables.slot_col.size) * np.dtype(dtype).itemsize))
 
 
 def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
@@ -610,9 +620,9 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
         raise ValueError("channel LLRs must be finite, not NaN or infinite")
     n = llrs.shape[1]
     q = None if lut is None else lut.quantizer
-    dtype = np.float64 if q is None else _sum_dtype(q, len(tables.col_slots))
+    dtype = _message_dtype(tables, q)
     soft = np.empty(llrs.shape, dtype=np.float64 if q is None else np.int64)
-    per_call = _frames_per_call(tables)
+    per_call = _frames_per_call(tables, dtype)
     for lo in range(0, len(llrs), per_call):
         chunk = llrs[lo:lo + per_call]
         lam = np.zeros((tables.col_slots.shape[1], len(chunk)), dtype=dtype)
@@ -754,7 +764,8 @@ class BlockDecoder:
         edge_slot[slot_edge] = np.arange(n_edges)
         self._tables = _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
                                     _column_table(edge_col, edge_slot, matrix.cols, n_edges))
-        self.frames_per_call = _frames_per_call(self._tables)
+        self.frames_per_call = _frames_per_call(self._tables,
+                                                _message_dtype(self._tables, quantizer))
         self.lut = None if quantizer is None else build_pair_lut(quantizer)
 
     def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

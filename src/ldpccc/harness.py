@@ -25,7 +25,6 @@ from .channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_a
 from .construction import BaseMatrix, expand_base, split_and_unwrap
 from .decoder import (
     VARIANT_FLOAT,
-    VARIANT_QSPA,
     BlockDecoder,
     DecoderConfig,
     StreamDecoder,
@@ -118,7 +117,7 @@ def _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, rate, n):
 
 
 def _stream_batch(cfg, decoder, per_call, point_idx, frame_lo, frame_hi):
-    """Frames go to the run's decoder, as many per call as the edge budget takes."""
+    """Frames go to the run's decoder, as many per call as the byte budget takes."""
     n_blocks, c = cfg.frame_blocks, decoder.code.block_len
     out = []
     for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, decoder.code.rate,
@@ -146,14 +145,24 @@ def _build_run(cfg: ExperimentConfig, baseline: bool):
     """The run: its batch runner, (point_idx, frame_lo, frame_hi) -> one
     (blocks, bits, bit errors, block errors) row per frame, over the code
     and one decoder built here, and the frames that decoder takes per call.
-    Every knob is checked here, so a bad one fails before any pool starts."""
-    quantizer = Quantizer(cfg.quant_bits, cfg.quant_step) if cfg.variant == VARIANT_QSPA else None
+    Every knob is checked here, so a bad one fails before any pool starts:
+    the quantizer's in either variant, and a stream budget of less than
+    one frame after the code's and the decoder's."""
+    quantizer = Quantizer(cfg.quant_bits, cfg.quant_step)
+    if cfg.variant == VARIANT_FLOAT:
+        if quantizer != Quantizer():
+            raise ValueError("quant_bits and quant_step apply to the qspa variant only")
+        quantizer = None
     dec_cfg = DecoderConfig(cfg.iterations, cfg.variant, quantizer, cfg.clamp)
     if baseline:
         decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations, quantizer, cfg.clamp)
         return functools.partial(_block_batch, cfg, decoder), decoder.frames_per_call
     decoder = StreamDecoder(split_and_unwrap(cfg.base), dec_cfg)
-    per_call = _stream_frames_per_call(decoder.code, cfg.iterations, cfg.frame_blocks)
+    if cfg.max_blocks < cfg.frame_blocks:
+        raise ValueError(f"max_blocks ({cfg.max_blocks}) is less than one frame of "
+                         f"{cfg.frame_blocks} blocks")
+    per_call = _stream_frames_per_call(decoder.code, cfg.iterations, cfg.frame_blocks,
+                                       quantizer)
     return functools.partial(_stream_batch, cfg, decoder, per_call), per_call
 
 
@@ -196,6 +205,10 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
     to ``min(64, max_frames // workers)``.  Batches below that size hold
     whole calls, so they cost no more decoder calls than full-size ones,
     and where a call holds few frames few are decoded past an early stop.
+    A call is sized in bytes, so a qspa call holds 8 (int8 sums) or 4
+    (int16) times the frames of a float one, and a qspa point's first
+    batch is one larger call: 8 rate-5/6 frames of 64 blocks, all decoded
+    even where the point stops on the first.
     ``wall_time_s`` is the time from the previous point's end (or the
     sweep's start) to this point's end.
     """

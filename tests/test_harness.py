@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldpccc.decoder
 from ldpccc import harness
 from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.cli import main
@@ -91,17 +93,33 @@ def test_cli_ber_rejects_decoder_knobs_that_yield_plausible_numbers(flags, messa
     assert "Eb/N0" not in captured.out
 
 
-@pytest.mark.parametrize("bad", ["square-base", "no-iterations", "nine-bit-quantizer"])
+@pytest.mark.parametrize("bad", ["square-base", "no-iterations", "nine-bit-quantizer",
+                                 "float-nine-bit-quantizer", "float-quantizer-settings",
+                                 "budget-below-a-frame"])
 def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
     # a run that fails while it is built fails the same way at any worker
-    # count: one error line from the CLI, the same exception from run_ber
+    # count: one error line from the CLI, the same exception from run_ber.
+    # A float run used to ignore its quantizer settings, even invalid ones,
+    # and a stream budget of less than one frame sent a whole frame; the
+    # budget is checked after the code and the decoder knobs
     square = tmp_path / "square.txt"
     square.write_text("2 2 4\n0 1\n1 0\n")
-    flags, fields = {
-        "square-base": (["--base", str(square)], {"base": BaseMatrix.load(square)}),
-        "no-iterations": (["--base", "toy_2x4_z8", "--iters", "0"], {"iterations": 0}),
+    flags, fields, message = {
+        "square-base": (["--base", str(square)], {"base": BaseMatrix.load(square)},
+                        "code rate would not be positive"),
+        "no-iterations": (["--base", "toy_2x4_z8", "--iters", "0"], {"iterations": 0},
+                          "iterations must be an integer >= 1"),
         "nine-bit-quantizer": (["--base", "toy_2x4_z8", "--variant", "qspa", "--bits", "9"],
-                               {"variant": "qspa", "quant_bits": 9}),
+                               {"variant": "qspa", "quant_bits": 9},
+                               "bits must be in [2, 8], got 9"),
+        "float-nine-bit-quantizer": (["--base", "toy_2x4_z8", "--bits", "9", "--step", "-3"],
+                                     {"quant_bits": 9, "quant_step": -3.0},
+                                     "bits must be in [2, 8], got 9"),
+        "float-quantizer-settings": (["--base", "toy_2x4_z8", "--step", "0.5"],
+                                     {"quant_step": 0.5},
+                                     "quant_bits and quant_step apply to the qspa variant only"),
+        "budget-below-a-frame": (["--base", "toy_2x4_z8"], {},
+                                 "max_blocks (16) is less than one frame of 64 blocks"),
     }[bad]
     errors, raised = [], []
     for workers in (1, 2):
@@ -112,12 +130,24 @@ def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
         errors.append(captured.err)
         cfg = ExperimentConfig(**{"base": demo_base("toy_2x4_z8"), **fields},
                                ebno_grid=(3.0,), max_blocks=16, workers=workers)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
             run_ber(cfg)
         raised.append(info.type)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+    assert message in errors[0]
     assert raised[0] is raised[1]
+
+
+def test_quantizer_settings_and_frame_budget_checks_leave_valid_runs_alone(small_cfg):
+    # a float run at the default quantizer settings, a qspa run at others,
+    # and a block baseline, whose frames are one block, under one stream frame
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0,), max_blocks=16, frame_blocks=16)
+    assert run_ber(dataclasses.replace(cfg, quant_bits=4, quant_step=1.0))[0].blocks_sent == 16
+    assert run_ber(dataclasses.replace(cfg, variant="qspa", quant_bits=6,
+                                       quant_step=0.5))[0].blocks_sent == 16
+    point = run_block_baseline(dataclasses.replace(cfg, frame_blocks=64, min_error_events=10**9))[0]
+    assert point.blocks_sent == 16 and point.truncated
 
 
 def test_run_ber_point_fields(small_cfg):
@@ -192,9 +222,11 @@ def test_block_baseline_noiseless():
     assert run_block_baseline(cfg)[0].ber == 0.0
 
 
-def test_block_baseline_matches_frame_by_frame_decoding():
+def test_block_baseline_matches_frame_by_frame_decoding(monkeypatch):
     # the batched baseline counts exactly what one decode per seeded frame
-    # counts, over more frames than one decoder call takes, with any workers
+    # counts, over more frames than one decoder call takes (at a byte budget
+    # an eighth of the default's), with any workers
+    monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", ldpccc.decoder._CALL_BYTES // 8)
     base = demo_base("rate56_4x24_z31")
     cfg = ExperimentConfig(base=base, variant="qspa", iterations=4, ebno_grid=(3.0,),
                            min_error_events=10**9, max_blocks=30, seed=5)
@@ -213,17 +245,18 @@ def test_block_baseline_matches_frame_by_frame_decoding():
         assert (p.blocks_sent, p.bit_errors, p.block_errors) == (30, bit_errors, block_errors)
 
 
-def test_stream_batches_match_frame_by_frame_decoding():
+def test_stream_batches_match_frame_by_frame_decoding(monkeypatch):
     # the harness decodes each batch in calls of several frames; the counts
     # equal one decode per seeded frame, over more frames than one call
-    # takes, with any workers
+    # takes (at a byte budget an eighth of the default's), with any workers
+    monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", ldpccc.decoder._CALL_BYTES // 8)
     base = demo_base("toy_3x6_z16")
     n_blocks = 16
     cfg = ExperimentConfig(base=base, variant="qspa", iterations=8, ebno_grid=(2.0,),
                            min_error_events=10**9, max_blocks=30 * n_blocks, seed=6,
                            frame_blocks=n_blocks)
     code = split_and_unwrap(base)
-    assert 30 > _stream_frames_per_call(code, cfg.iterations, n_blocks) > 1
+    assert 30 > _stream_frames_per_call(code, cfg.iterations, n_blocks, Quantizer()) > 1
     dec_cfg = DecoderConfig(cfg.iterations, "qspa", Quantizer())
     bit_errors = block_errors = 0
     for f in range(30):
@@ -287,7 +320,7 @@ def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_
                               ebno_grid=(0.0,), min_error_events=1, max_blocks=32_000,
                               frame_blocks=8)
     per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
-                                       cfg.frame_blocks)
+                                       cfg.frame_blocks, None)
     assert 1 < per_call < 64 and 64 % per_call == 0
     for workers in (1, 2, 3):
         log.write_text("")
@@ -307,10 +340,35 @@ def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
     cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0), min_error_events=10**9,
                               max_blocks=256 * 8, frame_blocks=8, workers=2)
     assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
-                                   cfg.frame_blocks) >= 64
+                                   cfg.frame_blocks, None) >= 64
     points = run_ber(cfg)
     assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
     assert log.read_text().split() == ["64"] * 8
+
+
+def test_qspa_sweep_batches_split_no_decoder_call(monkeypatch, tmp_path):
+    # a quantized call takes eight rate-5/6 frames of 64 blocks; each
+    # point's batches of 8, 16 and 8 frames go to the decoder, and from it
+    # to the flooding engine, in calls of eight, from a point's first batch on
+    log, engine_log = tmp_path / "frames.txt", tmp_path / "engine.txt"
+    _log_decoder_calls(monkeypatch, log)
+    flood = ldpccc.decoder._flood
+
+    def counting(tables, lam, *args):
+        with open(engine_log, "a") as fh:
+            fh.write(f"{lam.shape[1]}\n")
+        return flood(tables, lam, *args)
+
+    monkeypatch.setattr(ldpccc.decoder, "_flood", counting)
+    cfg = ExperimentConfig(base=demo_base("rate56_4x24_z31"), variant="qspa", iterations=8,
+                           ebno_grid=(3.0, 4.0), min_error_events=10**9, max_blocks=32 * 64,
+                           seed=3, workers=2)
+    per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
+                                       cfg.frame_blocks, Quantizer())
+    assert per_call == 8
+    points = run_ber(cfg)
+    assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
+    assert log.read_text().split() == engine_log.read_text().split() == ["8"] * 8
 
 
 def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):

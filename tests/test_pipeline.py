@@ -26,6 +26,7 @@ from ldpccc.decoder import (
     DecoderConfig,
     StreamDecoder,
     _block_syndromes,
+    _stream_frames_per_call,
     decode_stream,
 )
 from ldpccc.quantization import Quantizer, build_pair_lut
@@ -694,11 +695,13 @@ def test_decode_stream_rejects_non_finite_llrs(toy_code, bad, variant):
 
 @pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
 def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch):
-    # with an edge budget of two toy windows, five frames go to the engine
-    # two at a time and decode as each frame alone
+    # with a byte budget of two toy windows of messages, five frames go to
+    # the engine two at a time and decode as each frame alone
     n_blocks, cfg = 4, DecoderConfig(2, variant)
     window = ldpccc.decoder._window_tables(toy_code, n_blocks + 2 * toy_code.memory)
-    monkeypatch.setattr(ldpccc.decoder, "_EDGE_BUDGET", 2 * window.slot_col.size)
+    size = np.dtype(ldpccc.decoder._message_dtype(window, cfg.quantizer)).itemsize
+    assert size == (8 if variant == "float" else 1)
+    monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", 2 * window.slot_col.size * size)
     calls = []
     flood = ldpccc.decoder._flood
 
@@ -712,6 +715,58 @@ def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch)
     assert calls == [2, 2, 1]
     for f in range(len(llrs)):
         assert_same_result(batched, f, decode_stream(StreamDecoder(toy_code, cfg), llrs[f]))
+
+
+def calls_of_bundled_codes(quantizer):
+    """(slots, frames per call) of each bundled code's stream windows, at
+    8- and 64-block frames and 4 and 8 processors, and of its block matrix."""
+    for code in bundled_codes():
+        for n_blocks, n_proc in itertools.product((8, 64), (4, 8)):
+            window = ldpccc.decoder._window_tables(code, n_blocks + n_proc * code.memory)
+            yield window.slot_col.size, _stream_frames_per_call(code, n_proc, n_blocks, quantizer)
+        matrix = expand_base(code.base)
+        yield int(matrix.row_weights().sum()), BlockDecoder(matrix, 8, quantizer).frames_per_call
+
+
+def test_float_frames_per_call_are_those_of_the_edge_budget():
+    # the byte budget holds 2**16 float messages of 8 bytes, the edges a
+    # call held before calls were sized in bytes
+    for slots, per_call in calls_of_bundled_codes(None):
+        assert per_call == max(1, 2**16 // slots)
+
+
+@pytest.mark.parametrize("bits, size", [(4, 1), (8, 2)])
+def test_qspa_frames_per_call_fill_the_byte_budget(bits, size):
+    # quantized sums take one byte (int8) at 4 bits and two (int16) at 8,
+    # so a quantized call takes 8 or 4 times the frames of a float one
+    for slots, per_call in calls_of_bundled_codes(Quantizer(bits)):
+        assert per_call == max(1, ldpccc.decoder._CALL_BYTES // (slots * size))
+    rate56 = demo_base("rate56_4x24_z31")
+    assert BlockDecoder(expand_base(rate56), 8, Quantizer(bits)).frames_per_call == 176 // size
+    assert _stream_frames_per_call(split_and_unwrap(rate56), 8, 64, Quantizer(bits)) == 8 // size
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_quantized_stream_batch_over_two_calls_matches_single_frames(bits, monkeypatch):
+    # a rate-5/6 batch of one call's 64-block frames plus three goes to the
+    # engine in two calls and decodes every frame as it decodes alone
+    code = split_and_unwrap(demo_base("rate56_4x24_z31"))
+    cfg = DecoderConfig(8, VARIANT_QSPA, Quantizer(bits))
+    per_call = _stream_frames_per_call(code, 8, 64, cfg.quantizer)
+    llrs = np.stack([noisy_llrs(code, 64, seed, ebno_db=2.5) for seed in range(per_call + 3)])
+    calls = []
+    flood = ldpccc.decoder._flood
+
+    def counted(tables, lam, *args):
+        calls.append(lam.shape[1])
+        return flood(tables, lam, *args)
+
+    monkeypatch.setattr(ldpccc.decoder, "_flood", counted)
+    batched = decode_stream(StreamDecoder(code, cfg), llrs)
+    assert calls == [per_call, 3]
+    assert not batched.syndrome_ok.all()  # low enough Eb/N0 that some blocks keep errors
+    for f in range(len(llrs)):
+        assert_same_result(batched, f, decode_stream(StreamDecoder(code, cfg), llrs[f]))
 
 
 def test_window_groups_one_per_degree_and_row_width():
