@@ -63,6 +63,10 @@ class ArchParams:
     codewords: int = 1
 
     def __post_init__(self):
+        for name in ("z", "block_rows", "block_cols", "stages", "processors",
+                     "quant_bits", "stage_delay", "codewords"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ArchModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
         period = math.gcd(self.block_rows, self.block_cols)
         if period < 2:
             raise ArchModelError("block_rows/block_cols give a degenerate period")

@@ -46,24 +46,35 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace):
-    """Fill unset args from the config file; flags on the command line win."""
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv):
+    """Fill args from the config file; flags on the command line win."""
     if not getattr(args, "config", None):
         return
     values = _load_config_file(args.config)
     # only the subcommand's own options; not help, config or dispatch attributes
     actions = {a.dest: a for a in args.subparser._actions
                if a.option_strings and a.dest not in ("help", "config")}
+    switches = {dest for dest, a in actions.items() if isinstance(a.default, bool)}
+    # parsed again without defaults, the args hold only the flags given
+    for action in actions.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, raw in values.items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        action = actions[key]
-        if getattr(args, key) != action.default:
-            continue  # explicitly set on the command line
-        if isinstance(action.default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
+        if key in given:
+            continue
+        if key not in switches:
+            setattr(args, key, (actions[key].type or str)(raw))
+        elif raw.lower() in _BOOLEANS:
+            setattr(args, key, _BOOLEANS[raw.lower()])
         else:
-            setattr(args, key, (action.type or str)(raw))
+            raise ValueError(f"config key {key!r} needs a boolean "
+                             f"(1/true/yes/on or 0/false/no/off), got {raw!r}")
 
 
 def _resolve_base(name_or_path: str) -> BaseMatrix:
@@ -260,7 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser, argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

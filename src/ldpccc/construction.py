@@ -541,11 +541,21 @@ def demo_base_names() -> list[str]:
 
 
 def demo_base(name: str) -> BaseMatrix:
-    """Load a bundled demo base matrix by name (see demo_base_names)."""
+    """Load a bundled demo base matrix by name (see demo_base_names).
+
+    Each is read and parsed once per process; a ``BaseMatrix`` is frozen,
+    so every caller shares it.
+    """
+    # the cache sits behind a plain function, which perfbench's tracer wraps
+    return _bundled_base(name)
+
+
+@functools.cache
+def _bundled_base(name: str) -> BaseMatrix:
     from importlib import resources
 
     path = resources.files("ldpccc").joinpath("data").joinpath(f"{name}.txt")
-    if not path.is_file():
+    if not path.is_file():  # not cached: an unknown name raises on every call
         raise ConstructionError(
             f"unknown demo base {name!r}; available: {', '.join(demo_base_names())}"
         )

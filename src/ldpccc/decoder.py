@@ -20,11 +20,13 @@ with zero-LLR blocks past the frame.
 window: step t checks rows t, t - period, ... as one strided batch per
 slot group and completes the leaving blocks as one column-sum batch.
 
-Both keep messages in dynamic storage, as the paper's RAM does: a slot
-holds a variable-to-check value until its check runs and the
-check-to-variable value after that.  Quantized messages are integer
-values, which the check update saturates and folds through the pair
-table's value-indexed form.  Every decoder, and the scalar
+``step`` keeps messages in dynamic storage, as the paper's RAM does: a
+slot holds a variable-to-check value until its check runs and the
+check-to-variable value after that.  ``_flood`` holds only
+check-to-variable values and forms each check's variable-to-check values
+from the last column sums just before the check runs.  Quantized
+messages are integer values, which the check update saturates and folds
+through the pair table's value-indexed form.  Every decoder, and the scalar
 ``vnp``/``app_decide``, sums columns through a padded slot table, in
 float64 or, for codes, in the smallest signed type that holds them.  Both
 check-update kernels take a degree-major ``(degree, n)`` block, row k
@@ -35,7 +37,7 @@ messages, so no call transposes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -324,9 +326,17 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class StreamResult:
+    """``decode_stream``'s output; the syndrome flags are computed when
+    first read, through the window the stream was decoded in."""
+
     bits: np.ndarray
     soft: np.ndarray
-    syndrome_ok: np.ndarray
+    _code: ConvCode = field(repr=False)
+    _tables: _FloodTables = field(repr=False)
+
+    @functools.cached_property
+    def syndrome_ok(self) -> np.ndarray:
+        return _block_syndromes(self._code, self.bits, self._tables)
 
 
 class StreamDecoder:
@@ -534,7 +544,7 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     soft = _decode_frames(tables, np.atleast_2d(llr_stream), cfg.iterations, decoder.lut,
                           cfg.clamp).reshape(llr_stream.shape)
     bits = (soft < 0).astype(np.uint8)
-    return StreamResult(bits=bits, soft=soft, syndrome_ok=_block_syndromes(code, bits, tables))
+    return StreamResult(bits, soft, code, tables)
 
 
 def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int,

@@ -71,6 +71,10 @@ class ExperimentConfig:
     frame_blocks: int = 64
 
     def __post_init__(self):
+        for name in ("iterations", "quant_bits", "min_error_events", "max_blocks", "seed",
+                     "workers", "frame_blocks"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.min_error_events < 1:
             raise ValueError("min_error_events must be >= 1")
         if self.max_blocks < 1:
@@ -106,48 +110,36 @@ def _frame_llrs(cfg, point_idx, frame, rate, n):
     return to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
 
 
-def _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, rate, n):
-    """The (frames, n) LLRs of each decoder call, generated call by call,
-    every frame from its own seed."""
-    for lo in range(frame_lo, frame_hi, per_call):
-        llrs = np.empty((min(per_call, frame_hi - lo), n))
-        for i in range(len(llrs)):
-            llrs[i] = _frame_llrs(cfg, point_idx, lo + i, rate, n)
-        yield llrs
+def _stream_bits(decoder, llrs):
+    # decode_stream is looked up at call time, so patching harness.decode_stream
+    # (as the tests and the benchmark's tracer do) reaches every call
+    return decode_stream(decoder, llrs).bits
 
 
-def _stream_batch(cfg, decoder, per_call, point_idx, frame_lo, frame_hi):
-    """Frames go to the run's decoder, as many per call as the byte budget takes."""
-    n_blocks, c = cfg.frame_blocks, decoder.code.block_len
-    out = []
-    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, per_call, decoder.code.rate,
-                           n_blocks * c):
-        bits = decode_stream(decoder, llrs).bits
-        block_errors = bits.reshape(len(bits), n_blocks, c).any(axis=2).sum(axis=1)
-        out += [(n_blocks, n_blocks * c, int(e), int(b))
-                for e, b in zip(bits.sum(axis=1), block_errors)]
-    return out
+def _block_bits(decoder, llrs):
+    return decoder.decode(llrs)[0]
 
 
-def _block_batch(cfg, decoder, point_idx, frame_lo, frame_hi):
-    """Frames go to the decoder in whole calls."""
-    n = decoder.matrix.cols
-    rate = 1.0 - cfg.base.block_rows / cfg.base.block_cols
-    out = []
-    for llrs in _llr_calls(cfg, point_idx, frame_lo, frame_hi, decoder.frames_per_call,
-                           rate, n):
-        bit_errors = decoder.decode(llrs)[0].sum(axis=1)
-        out += [(1, n, int(e), int(e > 0)) for e in bit_errors]
-    return out
+def _frame_batch(cfg, decode, blocks, rate, n, point_idx, frame_lo, frame_hi):
+    """Frames ``frame_lo .. frame_hi - 1`` of ``blocks`` blocks and ``n``
+    bits, each from its own seed, in one ``decode`` call: one (bits, bit
+    errors, block errors) row per frame."""
+    llrs = np.empty((frame_hi - frame_lo, n))
+    for i in range(len(llrs)):
+        llrs[i] = _frame_llrs(cfg, point_idx, frame_lo + i, rate, n)
+    bits = decode(llrs)
+    block_errors = bits.reshape(len(bits), blocks, -1).any(2).sum(1)
+    return [(n, int(e), int(b)) for e, b in zip(bits.sum(axis=1), block_errors)]
 
 
 def _build_run(cfg: ExperimentConfig, baseline: bool):
-    """The run: its batch runner, (point_idx, frame_lo, frame_hi) -> one
-    (blocks, bits, bit errors, block errors) row per frame, over the code
-    and one decoder built here, and the frames that decoder takes per call.
-    Every knob is checked here, so a bad one fails before any pool starts:
-    the quantizer's in either variant, and a stream budget of less than
-    one frame after the code's and the decoder's."""
+    """The run, over the code and one decoder built here: its batch runner,
+    ``(point_idx, frame_lo, frame_hi) ->`` one (bits, bit errors, block
+    errors) row per frame; the blocks in a frame (one for the block code);
+    and the frames the decoder takes per call.  Each run keeps its own
+    rate.  Every knob is checked here, so a bad one fails before any pool
+    starts: the quantizer's in either variant, and a stream budget of less
+    than one frame after the code's and the decoder's."""
     quantizer = Quantizer(cfg.quant_bits, cfg.quant_step)
     if cfg.variant == VARIANT_FLOAT:
         if quantizer != Quantizer():
@@ -156,14 +148,17 @@ def _build_run(cfg: ExperimentConfig, baseline: bool):
     dec_cfg = DecoderConfig(cfg.iterations, cfg.variant, quantizer, cfg.clamp)
     if baseline:
         decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations, quantizer, cfg.clamp)
-        return functools.partial(_block_batch, cfg, decoder), decoder.frames_per_call
-    decoder = StreamDecoder(split_and_unwrap(cfg.base), dec_cfg)
-    if cfg.max_blocks < cfg.frame_blocks:
-        raise ValueError(f"max_blocks ({cfg.max_blocks}) is less than one frame of "
-                         f"{cfg.frame_blocks} blocks")
-    per_call = _stream_frames_per_call(decoder.code, cfg.iterations, cfg.frame_blocks,
-                                       quantizer)
-    return functools.partial(_stream_batch, cfg, decoder, per_call), per_call
+        decode, blocks, n = functools.partial(_block_bits, decoder), 1, decoder.matrix.cols
+        rate, per_call = 1.0 - cfg.base.block_rows / cfg.base.block_cols, decoder.frames_per_call
+    else:
+        decoder = StreamDecoder(split_and_unwrap(cfg.base), dec_cfg)
+        if cfg.max_blocks < cfg.frame_blocks:
+            raise ValueError(f"max_blocks ({cfg.max_blocks}) is less than one frame of "
+                             f"{cfg.frame_blocks} blocks")
+        decode, blocks = functools.partial(_stream_bits, decoder), cfg.frame_blocks
+        rate, n = decoder.code.rate, blocks * decoder.code.block_len
+        per_call = _stream_frames_per_call(decoder.code, cfg.iterations, blocks, quantizer)
+    return functools.partial(_frame_batch, cfg, decode, blocks, rate, n), blocks, per_call
 
 
 # the batch runner a pool worker was given by _init_worker
@@ -180,41 +175,39 @@ def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
     return _worker_runner(point_idx, frame_lo, frame_hi)
 
 
-def _run_points(cfg: ExperimentConfig, baseline: bool) -> list[BerPoint]:
-    run_batch, per_call = _build_run(cfg, baseline)
+def _run_points(cfg: ExperimentConfig, run_batch, blocks_per_frame: int,
+                per_call: int) -> list[BerPoint]:
     if cfg.workers == 1:
-        return _sweep(cfg, baseline, run_batch, per_call, None)
+        return _sweep(cfg, run_batch, blocks_per_frame, per_call, None)
     # one pool for the whole grid; its workers receive the run built here
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                              initargs=(run_batch,)) as pool:
-        return _sweep(cfg, baseline, run_batch, per_call, pool)
+        return _sweep(cfg, run_batch, blocks_per_frame, per_call, pool)
 
 
-def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
+def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, per_call: int,
            pool) -> list[BerPoint]:
     """Every grid point, its batches run by ``run_batch`` here or, given a
     pool whose workers hold that runner, in ``pool``.
 
-    The batches of the whole grid form one sequence in (point, frame)
-    order.  A pool keeps up to ``2 * workers`` of them in flight, across
-    point boundaries, so no worker waits for a point's last batch; results
-    are consumed strictly in order, so the stopping point never depends on
-    the worker count.  When a point stops, its batches still queued are
-    cancelled and the sequence skips past it.  A point's first batch holds
-    the frames of one decoder call, and each next batch twice as many, up
-    to ``min(64, max_frames // workers)``.  Batches below that size hold
-    whole calls, so they cost no more decoder calls than full-size ones,
-    and where a call holds few frames few are decoded past an early stop.
-    A call is sized in bytes, so a qspa call holds 8 (int8 sums) or 4
-    (int16) times the frames of a float one, and a qspa point's first
-    batch is one larger call: 8 rate-5/6 frames of 64 blocks, all decoded
-    even where the point stops on the first.
+    Every batch is one decoder call of ``min(per_call, cap)`` frames, with
+    ``cap = max(1, min(64, max_frames // workers))``; a point's last batch
+    takes the frames its budget has left.  The batches of the whole grid
+    form one sequence in (point, frame) order.  A pool keeps up to
+    ``2 * workers`` of them in flight, across point boundaries, so no
+    worker waits for a point's last batch; results are consumed strictly
+    in order, so the stopping point never depends on the worker count.
+    When a point stops, its batches still queued are cancelled and the
+    sequence skips past it, so the frames decoded past a stop are at most
+    those of the batches in flight.  A call is sized in bytes, so a qspa
+    batch holds 8 (int8 sums) or 4 (int16) times the frames of a float
+    one: up to 8 rate-5/6 frames of 64 blocks, all decoded even where the
+    point stops on the first.
     ``wall_time_s`` is the time from the previous point's end (or the
     sweep's start) to this point's end.
     """
-    blocks_per_frame = 1 if baseline else cfg.frame_blocks
     max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
-    cap = max(1, min(64, max_frames // cfg.workers))
+    size = min(per_call, max(1, min(64, max_frames // cfg.workers)))
     # seeding imports numpy.random; doing it before the first submit forks
     # the pool lets the workers inherit that module instead of loading it
     seeds = [derive_seed(cfg.seed, p) for p in range(len(cfg.ebno_grid))]
@@ -232,10 +225,10 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
 
     def grid_batches():
         for p in range(len(cfg.ebno_grid)):
-            lo, size = 0, min(per_call, cap)
+            lo = 0
             while lo < max_frames and point_idx <= p:
                 yield p, lo, min(lo + size, max_frames)
-                lo, size = min(lo + size, max_frames), min(2 * size, cap)
+                lo += size
 
     batches = grid_batches()
     pending: deque = deque()  # (point, frame_hi, future) in sequence order
@@ -248,8 +241,8 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
             while len(pending) < window and (args := next(batches, None)) is not None:
                 pending.append((args[0], args[2], submit(args)))
             _, frame_hi, fut = pending.popleft()
-            for nb, n_bits, be, blke in fut.result():
-                blocks += nb
+            for n_bits, be, blke in fut.result():
+                blocks += blocks_per_frame
                 decoded_bits += n_bits
                 bit_errors += be
                 block_errors += blke
@@ -279,7 +272,7 @@ def _sweep(cfg: ExperimentConfig, baseline: bool, run_batch, per_call: int,
 
 def run_ber(cfg: ExperimentConfig) -> list[BerPoint]:
     """BER/BLER per Eb/N0 point for the convolutional stream decoder."""
-    return _run_points(cfg, baseline=False)
+    return _run_points(cfg, *_build_run(cfg, baseline=False))
 
 
 def run_block_baseline(cfg: ExperimentConfig) -> list[BerPoint]:
@@ -288,7 +281,7 @@ def run_block_baseline(cfg: ExperimentConfig) -> list[BerPoint]:
     Uses the same frame-seed derivation as run_ber so paired comparisons
     share channel randomness where frame sizes line up.
     """
-    return _run_points(cfg, baseline=True)
+    return _run_points(cfg, *_build_run(cfg, baseline=True))
 
 
 def write_csv(points: list[BerPoint], path, timings: bool = False) -> None:

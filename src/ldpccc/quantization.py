@@ -43,6 +43,8 @@ class Quantizer:
     step: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.bits, (int, np.integer)):
+            raise ValueError(f"bits must be an integer, got {self.bits!r}")
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
         if not (np.isfinite(self.step) and self.step > 0):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,20 @@ def test_params_reject_degenerate_grid():
 def test_params_reject_rate_at_or_below_zero(rows, cols):
     with pytest.raises(ArchModelError, match="rate"):
         ArchParams(z=8, block_rows=rows, block_cols=cols, stages=1, processors=2)
+
+
+@pytest.mark.parametrize("name", ["z", "block_rows", "block_cols", "stages", "processors",
+                                  "quant_bits", "stage_delay", "codewords"])
+def test_params_reject_non_integer_counts(name):
+    # processors=2.5 used to report 38,400 memory bits and quant_bits=4.5
+    # 34,560: plausible numbers from an impossible model; numpy integers
+    # are integers
+    good = PRESETS["1-S"]
+    value = getattr(good, name)
+    for bad in (value + 0.5, float(value)):
+        with pytest.raises(ArchModelError, match=f"{name} must be an integer, got {bad!r}"):
+            replace(good, **{name: bad})
+    assert replace(good, **{name: np.int64(value)}) == good
 
 
 @pytest.mark.parametrize("clock", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -125,6 +125,21 @@ def test_demo_bases_load():
         assert base.block_cols > base.block_rows
 
 
+def test_demo_base_reads_each_bundled_file_once(monkeypatch):
+    # bundled bases are parsed once per process and shared, being frozen;
+    # an unknown name raises on every call
+    construction._bundled_base.cache_clear()
+    parsed = []
+    from_text = BaseMatrix.from_text
+    monkeypatch.setattr(BaseMatrix, "from_text",
+                        lambda text: parsed.append(text) or from_text(text))
+    first, second = demo_base("toy_2x4_z8"), demo_base("toy_2x4_z8")
+    assert first is second and len(parsed) == 1
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="unknown demo base 'nope'"):
+            demo_base("nope")
+
+
 # ---------------------------------------------------------------------------
 # expand_base
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ldpccc.cli
 import ldpccc.decoder
 from ldpccc import harness
 from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
@@ -51,6 +52,20 @@ def test_config_validation():
         ExperimentConfig(base=base, ebno_grid=(3.0, 2.0))
     with pytest.raises(ValueError):
         ExperimentConfig(base=base, min_error_events=0)
+
+
+@pytest.mark.parametrize("name", ["iterations", "quant_bits", "min_error_events",
+                                  "max_blocks", "seed", "workers", "frame_blocks"])
+def test_config_rejects_non_integer_settings(name):
+    # a float frame_blocks, workers, max_blocks, seed or quant_bits used to
+    # fail with a TypeError deep inside the run, and min_error_events=2.5
+    # ran and reported numbers; numpy integers are integers
+    good = ExperimentConfig(base=demo_base("toy_2x4_z8"))
+    value = getattr(good, name)
+    for bad in (value + 0.5, float(value)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            dataclasses.replace(good, **{name: bad})
+    assert dataclasses.replace(good, **{name: np.int64(value)}) == good
 
 
 @pytest.mark.parametrize("max_blocks", [0, -1])
@@ -310,10 +325,10 @@ def _log_decoder_calls(monkeypatch, log):
 
 
 def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_path):
-    # a point that stops on its first frame with a budget of thousands: a
-    # point's first batch is one decoder call and each next one doubles, so
-    # the batches in flight hold at most per_call * (2**window - 1) frames,
-    # not 64 per batch; per_call divides the batch cap, so every call is full
+    # a point that stops on its first frame with a budget of thousands:
+    # every batch is one decoder call of per_call frames, under the batch
+    # cap of 64, so the batches in flight hold at most per_call * window
+    # frames, not 64 per batch
     log = tmp_path / "frames.txt"
     _log_decoder_calls(monkeypatch, log)
     cfg = dataclasses.replace(small_cfg, base=demo_base("rate56_4x24_z31"), iterations=4,
@@ -329,7 +344,36 @@ def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_
         calls = [int(n) for n in log.read_text().split()]
         window = 1 if workers == 1 else 2 * workers
         assert calls and all(n == per_call for n in calls)
-        assert sum(calls) <= per_call * (2 ** window - 1)
+        assert sum(calls) <= per_call * window
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_sweep_batch_is_one_decoder_call(monkeypatch, tmp_path, workers):
+    # a float call takes 28 toy frames of 64 blocks at I = 8, under the
+    # batch cap of 64: every batch is one call of 28 frames, but a point's
+    # last, which takes the 20 frames its budget of 300 has left
+    log = tmp_path / "frames.txt"
+    _log_decoder_calls(monkeypatch, log)
+    cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"), iterations=8, ebno_grid=(3.0, 4.0),
+                           min_error_events=10**9, max_blocks=300 * 64, seed=4,
+                           workers=workers)
+    assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
+                                   cfg.frame_blocks, None) == 28
+    points = run_ber(cfg)
+    assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
+    calls = [int(n) for n in log.read_text().split()]
+    want = ([28] * 10 + [20]) * 2
+    assert sorted(calls) == sorted(want)  # pool workers log in finishing order
+    assert workers > 1 or calls == want
+
+
+def test_a_run_computes_no_syndrome_flags(small_cfg, monkeypatch):
+    # the harness reads only the decisions; the flags cost about 6% of a
+    # toy job
+    calls = []
+    monkeypatch.setattr(ldpccc.decoder, "_block_syndromes", lambda *args: calls.append(args))
+    (point,) = run_ber(dataclasses.replace(small_cfg, ebno_grid=(3.0,)))
+    assert point.blocks_sent > 0 and calls == []
 
 
 def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
@@ -348,8 +392,8 @@ def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
 
 def test_qspa_sweep_batches_split_no_decoder_call(monkeypatch, tmp_path):
     # a quantized call takes eight rate-5/6 frames of 64 blocks; each
-    # point's batches of 8, 16 and 8 frames go to the decoder, and from it
-    # to the flooding engine, in calls of eight, from a point's first batch on
+    # point's batches of 8, 8, 8 and 8 frames go to the decoder, and from
+    # it to the flooding engine, in calls of eight
     log, engine_log = tmp_path / "frames.txt", tmp_path / "engine.txt"
     _log_decoder_calls(monkeypatch, log)
     flood = ldpccc.decoder._flood
@@ -445,6 +489,47 @@ def test_cli_ber_config_file(tmp_path, capsys):
         "--seed", "9", "--out", str(out2),
     ]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_flag_at_its_default_wins_over_the_config_file(tmp_path, capsys, monkeypatch):
+    # a flag given on the command line used to lose to the config file
+    # whenever it repeated its default; the file still fills the rest
+    seen = []
+    monkeypatch.setattr(ldpccc.cli, "run_ber", lambda cfg: seen.append(cfg) or [])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("iters=4\nseed=5\n")
+    assert main(["ber", "--base", "toy_2x4_z8", "--iters", "8", "--config", str(cfg)]) == 0
+    assert (seen[0].iterations, seen[0].seed) == (8, 5)
+    cfg.write_text("bits=6\n")
+    capsys.readouterr()
+    assert main(["lut-dump", "--bits", "4", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == dump_lut(build_pair_lut(Quantizer(4, 1.0)))
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["ber", "--base", "toy_2x4_z8", "--ebno", "3", "--max-blocks", "16",
+      "--frame-blocks", "16"], "timings"),
+    (["arch", "--preset", "1-S"], "trace_demo"),
+], ids=["ber", "arch"])
+def test_cli_config_rejects_a_mistyped_boolean(tmp_path, capsys, argv, key):
+    # "timings=ture" used to read as False and silently turn timings off
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key}=ture\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{key!r}" in captured.err and "'ture'" in captured.err
+
+
+def test_cli_config_booleans_take_any_case(tmp_path, capsys):
+    golden = (Path(__file__).parent / "data" / "ram_trace_golden.txt").read_text()
+    cfg = tmp_path / "arch.cfg"
+    for raw, on in [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                    ("0", False), ("False", False), ("NO", False), ("Off", False)]:
+        cfg.write_text(f"trace-demo={raw}\n")
+        assert main(["arch", "--preset", "1-S", "--config", str(cfg)]) == 0
+        assert (golden in capsys.readouterr().out) == on
 
 
 @pytest.mark.parametrize("key", ["func", "subparser", "command", "help", "config"])

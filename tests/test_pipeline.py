@@ -885,6 +885,30 @@ def test_stream_syndromes_match_the_stream_window():
     assert seen == {False, True}
 
 
+def test_stream_flags_are_computed_when_first_read(toy_code, monkeypatch):
+    # decode_stream leaves its flags to their first read, which gives what
+    # _block_syndromes gives on the decisions, for one stream and for
+    # several; a second read returns the same array
+    block_syndromes = ldpccc.decoder._block_syndromes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return block_syndromes(*args)
+
+    monkeypatch.setattr(ldpccc.decoder, "_block_syndromes", counting)
+    rng = np.random.default_rng(109)
+    for shape in ((5 * toy_code.block_len,), (3, 5 * toy_code.block_len)):
+        calls.clear()
+        res = decode_stream(StreamDecoder(toy_code, DecoderConfig(2)),
+                            rng.normal(1.0, 2.0, shape))
+        assert calls == []
+        flags = res.syndrome_ok
+        assert res.syndrome_ok is flags and len(calls) == 1
+        assert_identical(flags, block_syndromes(toy_code, res.bits))
+        assert flags.shape == shape[:-1] + (5,)
+
+
 def test_block_syndromes_match_per_block_windows():
     # flag w is the parity of block row w over the blocks it touches, as
     # one window per block computes it; errors sit in the first and last

@@ -41,6 +41,16 @@ def test_build_rejects_a_step_that_is_not_finite_and_positive(step):
         Quantizer(4, step)
 
 
+@pytest.mark.parametrize("name", ["bits"])
+def test_build_rejects_non_integer_counts(name):
+    # bits=4.5, and even 4.0, used to build and then fail in build_pair_lut
+    # with a TypeError; numpy integers are integers
+    for bad in (4.5, 4.0):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            Quantizer(**{name: bad})
+    assert Quantizer(**{name: np.int64(4)}) == Quantizer(**{name: 4})
+
+
 def test_max_magnitude(q4):
     assert q4.max_magnitude == pytest.approx(3.5)
     assert q4.max_magnitude_int == 7
