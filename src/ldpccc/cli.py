@@ -69,12 +69,26 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
         if key in given:
             continue
         if key not in switches:
-            setattr(args, key, (actions[key].type or str)(raw))
+            setattr(args, key, _config_value(key, raw, actions[key]))
         elif raw.lower() in _BOOLEANS:
             setattr(args, key, _BOOLEANS[raw.lower()])
         else:
             raise ValueError(f"config key {key!r} needs a boolean "
                              f"(1/true/yes/on or 0/false/no/off), got {raw!r}")
+
+
+def _config_value(key: str, raw: str, action: argparse.Action):
+    """``raw`` converted by the option's type and checked against its choices,
+    as argparse would on the command line; an error names the key."""
+    convert = action.type or str
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {raw!r} (choose from "
+                         f"{', '.join(map(str, action.choices))})")
+    return value
 
 
 def _resolve_base(name_or_path: str) -> BaseMatrix:

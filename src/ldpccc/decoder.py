@@ -644,12 +644,23 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
     return soft
 
 
+def _kept_tables(owner: ConvCode | SparseBinaryMatrix, key, build, *args) -> _FloodTables:
+    """``owner``'s flooding tables under ``key``: on first use ``build(*args)``,
+    kept on ``owner`` with every array read-only, since a code or a matrix
+    is shared by every run of the process."""
+    tables = owner._decoder_tables.get(key)
+    if tables is None:
+        tables = build(*args)
+        for a in (tables.slot_col, tables.col_slots,
+                  *(rows for *_, rows in tables.groups if rows is not None)):
+            a.setflags(write=False)
+        owner._decoder_tables[key] = tables
+    return tables
+
+
 def _window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     """Flooding tables of block rows 0 .. n_rows - 1 over blocks 0 .. n_rows - 1."""
-    key = ("window", n_rows)
-    if key not in code._decoder_tables:
-        code._decoder_tables[key] = _build_window_tables(code, n_rows)
-    return code._decoder_tables[key]
+    return _kept_tables(code, ("window", n_rows), _build_window_tables, code, n_rows)
 
 
 def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
@@ -749,8 +760,9 @@ class BlockDecoder:
     decodes stream frames, on tables built from the matrix; used to compare
     a block code against its unwrapped form.  A batch of frames is one
     array problem, ``frames_per_call`` frames at a time; each check degree
-    is one group of slots, and each column sums in edge order.  The knobs
-    form a ``DecoderConfig``, qspa with a quantizer and float without.
+    is one group of slots, and each column sums in edge order.  The tables
+    are built on the matrix's first decoder and kept on the matrix, read-only.
+    The knobs form a ``DecoderConfig``, qspa with a quantizer and float without.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
@@ -758,22 +770,7 @@ class BlockDecoder:
         self.config = DecoderConfig(iterations, VARIANT_FLOAT if quantizer is None
                                     else VARIANT_QSPA, quantizer, clamp)
         self.matrix = matrix
-        edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
-        n_edges = edge_col.size
-        degrees = matrix.row_weights()
-        starts = np.cumsum(degrees) - degrees
-        groups = []
-        slot_edge = []
-        for deg in sorted(set(degrees.tolist()) - {0}):
-            first = starts[degrees == deg]
-            slot_edge.append((first + np.arange(deg)[:, None]).ravel())
-            lo = groups[-1][2] if groups else 0
-            groups.append((deg, lo, lo + slot_edge[-1].size, None))
-        slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
-        edge_slot = np.empty(n_edges, dtype=np.intp)
-        edge_slot[slot_edge] = np.arange(n_edges)
-        self._tables = _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
-                                    _column_table(edge_col, edge_slot, matrix.cols, n_edges))
+        self._tables = _kept_tables(matrix, "block", _build_block_tables, matrix)
         self.frames_per_call = _frames_per_call(self._tables,
                                                 _message_dtype(self._tables, quantizer))
         self.lut = None if quantizer is None else build_pair_lut(quantizer)
@@ -791,3 +788,24 @@ class BlockDecoder:
         soft = _decode_frames(self._tables, llrs.reshape(-1, n), self.config.iterations,
                               self.lut, self.config.clamp).reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft
+
+
+def _build_block_tables(matrix: SparseBinaryMatrix) -> _FloodTables:
+    """One group per check degree, its checks in row order; each column
+    lists its slots in edge order."""
+    edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
+    n_edges = edge_col.size
+    degrees = matrix.row_weights()
+    starts = np.cumsum(degrees) - degrees
+    groups = []
+    slot_edge = []
+    for deg in sorted(set(degrees.tolist()) - {0}):
+        first = starts[degrees == deg]
+        slot_edge.append((first + np.arange(deg)[:, None]).ravel())
+        lo = groups[-1][2] if groups else 0
+        groups.append((deg, lo, lo + slot_edge[-1].size, None))
+    slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
+    edge_slot = np.empty(n_edges, dtype=np.intp)
+    edge_slot[slot_edge] = np.arange(n_edges)
+    return _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
+                        _column_table(edge_col, edge_slot, matrix.cols, n_edges))

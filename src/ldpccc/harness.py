@@ -3,10 +3,11 @@
 A BER point streams seeded all-zero-codeword frames through the channel
 and decoder until enough bit-error events accumulate.  Frames are seeded
 by frame index, never by worker, so any worker count reproduces the same
-numbers; workers only split the frame list.  A run's code and its one
-decoder are built once, in the caller, before any pool starts: pool
-workers receive that run, so a bad config fails the same way at any
-worker count.
+numbers; workers only split the frame list.  A run's one decoder is
+built in the caller, before any pool starts, over the code or block
+matrix that ``split_and_unwrap`` or ``expand_base`` builds once per base
+for the whole process; pool workers receive that run, so a bad config
+fails the same way at any worker count.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class ExperimentConfig:
     frame_blocks: int = 64
 
     def __post_init__(self):
+        if not isinstance(self.base, BaseMatrix):
+            raise ValueError(f"base must be a BaseMatrix, got {type(self.base).__name__}; "
+                             "load a bundled one with demo_base(name)")
         for name in ("iterations", "quant_bits", "min_error_events", "max_blocks", "seed",
                      "workers", "frame_blocks"):
             if not isinstance(getattr(self, name), (int, np.integer)):

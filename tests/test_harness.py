@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,15 @@ def test_config_rejects_a_non_finite_grid_point(grid):
     # and failed deep in the decoder after the points before it had run
     with pytest.raises(ValueError, match="finite"):
         ExperimentConfig(base=demo_base("toy_2x4_z8"), ebno_grid=grid)
+
+
+@pytest.mark.parametrize("base", ["toy_2x4_z8", [[0, 1, 2, 3]], None])
+def test_config_rejects_a_base_that_is_not_a_base_matrix(base):
+    # a bundled name used to construct and then fail inside run_ber with an
+    # AttributeError; the code is now built once per hashable base
+    with pytest.raises(ValueError, match=f"base must be a BaseMatrix, got "
+                                         f"{type(base).__name__}; .*demo_base"):
+        ExperimentConfig(base=base, max_blocks=64)
 
 
 def test_cli_ber_rejects_zero_max_blocks(capsys):
@@ -532,6 +543,22 @@ def test_cli_config_booleans_take_any_case(tmp_path, capsys):
         assert (golden in capsys.readouterr().out) == on
 
 
+@pytest.mark.parametrize("argv, line, message", [
+    # int("4.5") used to surface as "invalid literal for int() with base 10"
+    (["ber", "--base", "toy_2x4_z8"], "iters=4.5",
+     "error: config key 'iters': invalid int value '4.5'"),
+    (["arch"], "clock=fast", "error: config key 'clock': invalid float value 'fast'"),
+    # a config value used to skip argparse's choices and fail in the decoder
+    (["ber", "--base", "toy_2x4_z8"], "variant=bogus",
+     "error: config key 'variant': invalid choice 'bogus' (choose from float, qspa)"),
+], ids=["int", "float", "choice"])
+def test_cli_config_values_pass_the_option_checks(tmp_path, capsys, argv, line, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 @pytest.mark.parametrize("key", ["func", "subparser", "command", "help", "config"])
 def test_cli_config_rejects_non_option_keys(tmp_path, capsys, key):
     cfg = tmp_path / "exp.cfg"
@@ -627,6 +654,16 @@ def test_cli_lut_dump_roundtrip(tmp_path, capsys):
     q = Quantizer(4, 1.0)
     again = parse_lut(out.read_text(), q)
     assert dump_lut(build_pair_lut(q)) == dump_lut(again)
+
+
+def test_python_m_ldpccc_runs_the_cli_from_a_source_checkout():
+    src = str(Path(ldpccc.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "ldpccc", "arch", "--preset", "1-S"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("config ")
 
 
 def test_cli_bad_flag_value(capsys):
