@@ -8,12 +8,6 @@ upper block-triangular part (at the granularity of an M-by-M partition,
 M = gcd of the grid dimensions) and tiling the two parts down an infinite
 diagonal yields the parity-check matrix of an unterminated convolutional
 code with period M and memory M - 1.
-
-``split_and_unwrap`` and ``expand_base`` build one code and one matrix per
-distinct base and keep the last ``_CACHED_BASES`` of them for the process.
-Every caller shares them, with the row layouts, the decoder's tables and
-the matrix's arrays they hold; each of those arrays is read-only from the
-moment it is built, so no run can change another's.
 """
 
 from __future__ import annotations
@@ -130,22 +124,8 @@ class BaseMatrix:
         return "\n".join(lines) + "\n"
 
 
-# distinct bases whose code and block matrix stay built, most recent first
-_CACHED_BASES = 8
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, marked read-only; so is every view of it taken from now on."""
-    a.setflags(write=False)
-    return a
-
-
 class SparseBinaryMatrix:
-    """Set of (row, col) positions of ones, iterable by row and by column.
-
-    Its arrays are read-only.  The flooding tables of ``ldpccc.decoder``
-    are built on first use and kept here, as a ``ConvCode`` keeps its own.
-    """
+    """Set of (row, col) positions of ones, iterable by row and by column."""
 
     def __init__(self, rows: int, cols: int, entries):
         arr = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries,
@@ -162,12 +142,10 @@ class SparseBinaryMatrix:
         key = np.sort(arr[:, 0] * self.cols + arr[:, 1], kind="stable")  # row-major
         if (key[1:] == key[:-1]).any():
             raise ConstructionError("duplicate entry positions")
-        self._rows, self._cols = map(_read_only, np.divmod(key, max(self.cols, 1)))
+        self._rows, self._cols = np.divmod(key, max(self.cols, 1))
         # CSR-style row pointers for row_support
-        self._row_ptr = _read_only(np.searchsorted(self._rows, np.arange(rows + 1)))
+        self._row_ptr = np.searchsorted(self._rows, np.arange(rows + 1))
         self._col_sorted = None
-        # index tables of ldpccc.decoder, built on first use
-        self._decoder_tables: dict = {}
 
     @property
     def nnz(self) -> int:
@@ -190,8 +168,8 @@ class SparseBinaryMatrix:
             order = np.lexsort((self._rows, self._cols))
             cs = self._cols[order]
             self._col_sorted = (
-                _read_only(self._rows[order]),
-                _read_only(np.searchsorted(cs, np.arange(self.cols + 1))),
+                self._rows[order],
+                np.searchsorted(cs, np.arange(self.cols + 1)),
             )
 
     def col_support(self, c: int) -> np.ndarray:
@@ -239,15 +217,8 @@ def expand_base(base: BaseMatrix) -> SparseBinaryMatrix:
     """Expand circulant exponents into the full binary parity-check matrix.
 
     Block (i, j) with exponent k becomes the z-by-z identity right-shifted
-    by k: row r has its one at column (r + k) mod z.  Built once per base;
-    every caller shares the matrix.
+    by k: row r has its one at column (r + k) mod z.
     """
-    # the cache sits behind a plain function, which perfbench's tracer wraps
-    return _block_matrix(base)
-
-
-@functools.lru_cache(maxsize=_CACHED_BASES)
-def _block_matrix(base: BaseMatrix) -> SparseBinaryMatrix:
     return SparseBinaryMatrix(base.block_rows * base.z, base.block_cols * base.z,
                               np.stack(_expanded_entries(base), axis=1))
 
@@ -290,10 +261,10 @@ class RowStructure:
 
 def _grouped(keys: np.ndarray, n_keys: int, *values: np.ndarray) -> list:
     """Per key k in [0, n_keys), the ``values`` at the positions holding k,
-    in position order, read-only: one stable sort."""
+    in position order: one stable sort."""
     order = keys.argsort(kind="stable")
     ends = np.bincount(keys, minlength=n_keys).cumsum().tolist()
-    values = [_read_only(v[order]) for v in values]
+    values = [v[order] for v in values]
     return [[v[lo:hi] for v in values] for lo, hi in zip([0] + ends, ends)]
 
 
@@ -302,9 +273,7 @@ def _row_layouts(layout: np.ndarray, check: np.ndarray, delta: np.ndarray, col: 
     """Row structures of edges listed layout by layout, each layout's edges
     in canonical order; layout k has offsets 0 .. n_deltas[k] - 1.  One
     stable sort groups every layout's positions by check degree, another
-    by offset.  Every array the layouts hold is read-only."""
-    for a in (check, delta, col):
-        _read_only(a)
+    by offset."""
     n = len(n_deltas)
     counts = np.bincount(layout, minlength=n)
     ends = counts.cumsum().tolist()
@@ -342,12 +311,6 @@ class ConvCode:
     code's entries gives every row phase's layout, and a phase's layout cut
     to offsets <= t gives row t < memory.  ``h_block``, its triangles and
     the decoder's window tables are built on first use and kept here.
-
-    ``split_and_unwrap`` builds one code per base and hands it to every
-    caller, so the code holds only read-only arrays and changes after its
-    construction only by adding what it builds on first use.  It lists
-    the phases whose diagonal sub-matrix has linearly dependent rows, and
-    ``split_and_unwrap`` warns for each of them on every call.
     """
 
     def __init__(self, base: BaseMatrix):
@@ -387,12 +350,11 @@ class ConvCode:
         self._layouts = layouts[period:] + [layouts[t % period]
                                             for t in range(self.memory, self.memory + period)]
         # the period's edges, phase by phase in full-band layout order
-        self._period_edges = tuple(map(_read_only, (phase, delta, col)))
+        self._period_edges = (phase, delta, col)
         # index tables of ldpccc.decoder, built on first use
         self._decoder_tables: dict = {}
         diagonal = delta == 0
-        self._deficient = self._deficient_phases(
-            phase[diagonal], check[diagonal], col[diagonal])
+        self._check_diagonal_rank(phase[diagonal], check[diagonal], col[diagonal])
 
     @functools.cached_property
     def h_block(self) -> SparseBinaryMatrix:
@@ -414,18 +376,21 @@ class ConvCode:
         """The block code's entries at grid positions above the diagonal."""
         return self._triangle(lower=False)
 
-    def _deficient_phases(self, phase: np.ndarray, check: np.ndarray,
-                          col: np.ndarray) -> tuple[int, ...]:
-        """The phases whose diagonal sub-matrix, entries (phase, check, col),
-        has linearly dependent rows; each row is packed into an int."""
-        dense = np.zeros((self.period, self.checks_per_block, self.block_len), dtype=np.uint8)
-        dense[phase, check, col] = 1
-        packed = np.packbits(dense, axis=2, bitorder="little")
-        raw, width = packed.tobytes(), packed.shape[2]
-        rows = self.checks_per_block * width
-        return tuple(k for k in range(self.period) if not _gf2_full_row_rank(
-            int.from_bytes(raw[i:i + width], "little")
-            for i in range(k * rows, (k + 1) * rows, width)))
+    def _check_diagonal_rank(self, phase: np.ndarray, check: np.ndarray, col: np.ndarray):
+        """Warns for each diagonal sub-matrix, entries (phase, check, col),
+        whose rows are linearly dependent; each row is an int with bit c
+        for column c."""
+        n = self.checks_per_block
+        rows = [0] * (self.period * n)
+        for r, c in zip((phase * n + check).tolist(), col.tolist()):
+            rows[r] |= 1 << c
+        for k in range(self.period):
+            if not _gf2_full_row_rank(rows[k * n:(k + 1) * n]):
+                warnings.warn(
+                    f"diagonal sub-matrix {k} is row-rank deficient; check rows "
+                    "of that phase lack pivots in their own time instant",
+                    stacklevel=3,
+                )
 
     def sub_block(self, i: int, j: int) -> SparseBinaryMatrix:
         """Sub-matrix (i, j) of the M-by-M partition of the block code: row
@@ -452,21 +417,7 @@ class ConvCode:
 
 
 def split_and_unwrap(base: BaseMatrix) -> ConvCode:
-    """Build the convolutional code: expand, split at the gcd partition, unwrap.
-
-    Built once per base; every caller shares the code.  Each call warns for
-    each diagonal sub-matrix that is row-rank deficient.
-    """
-    # the cache sits behind a plain function, which perfbench's tracer wraps
-    code = _conv_code(base)
-    for k in code._deficient:
-        warnings.warn(f"diagonal sub-matrix {k} is row-rank deficient; check rows "
-                      "of that phase lack pivots in their own time instant")
-    return code
-
-
-@functools.lru_cache(maxsize=_CACHED_BASES)
-def _conv_code(base: BaseMatrix) -> ConvCode:
+    """Build the convolutional code: expand, split at the gcd partition, unwrap."""
     return ConvCode(base)
 
 

@@ -107,7 +107,7 @@ def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
     # in-place steps keep the temporaries few on wide batches
     lt = np.multiply(av, 0.5)
     np.tanh(lt, out=lt)
-    np.clip(lt, _TANH_FLOOR, _TANH_CEIL, out=lt)
+    lt.clip(_TANH_FLOOR, _TANH_CEIL, out=lt)  # the method skips np.clip's dispatch
     np.log(lt, out=lt)
     if any_zero:
         np.copyto(lt, 0.0, where=zero)
@@ -212,14 +212,18 @@ def _cnp_rows(v2c: np.ndarray, out: np.ndarray, lut: PairLut | None, clamp: floa
 
     Floats go through ``_cnp_float_rows``.  Integers saturate in place at
     M = max_magnitude_int, fold offset by M through the lut's value table
-    and lose the offset on the way back.
+    and lose the offset on the way back; a degree-2 check folds nothing,
+    so each of its outputs is the other input, saturated.
     """
     if lut is None:
         out[...] = _cnp_float_rows(v2c, clamp).reshape(out.shape)
         return
     m = lut.quantizer.max_magnitude_int
-    bound = v2c.dtype.type(m)  # np.clip converts a Python int on every call
-    np.clip(v2c, -bound, bound, out=v2c)
+    bound = v2c.dtype.type(m)  # clip converts a Python int on every call
+    v2c.clip(-bound, bound, out=v2c)  # the method skips np.clip's dispatch
+    if len(v2c) == 2:
+        out[...] = v2c[::-1].reshape(out.shape)
+        return
     offset = np.empty(v2c.shape, dtype=np.uint8)
     np.add(v2c, m, out=offset, casting="unsafe")
     # a uint8 result less M would wrap before the cast
@@ -639,28 +643,17 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
         if q is None:
             lam[:n] = chunk.T
         else:
-            _code_values(q.quantize(chunk).T, q, lam[:n])
+            _code_values(q.quantize(chunk.T), q, lam[:n])  # codes in lam's layout
         soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp)[:n].T
     return soft
 
 
-def _kept_tables(owner: ConvCode | SparseBinaryMatrix, key, build, *args) -> _FloodTables:
-    """``owner``'s flooding tables under ``key``: on first use ``build(*args)``,
-    kept on ``owner`` with every array read-only, since a code or a matrix
-    is shared by every run of the process."""
-    tables = owner._decoder_tables.get(key)
-    if tables is None:
-        tables = build(*args)
-        for a in (tables.slot_col, tables.col_slots,
-                  *(rows for *_, rows in tables.groups if rows is not None)):
-            a.setflags(write=False)
-        owner._decoder_tables[key] = tables
-    return tables
-
-
 def _window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     """Flooding tables of block rows 0 .. n_rows - 1 over blocks 0 .. n_rows - 1."""
-    return _kept_tables(code, ("window", n_rows), _build_window_tables, code, n_rows)
+    key = ("window", n_rows)
+    if key not in code._decoder_tables:
+        code._decoder_tables[key] = _build_window_tables(code, n_rows)
+    return code._decoder_tables[key]
 
 
 def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
@@ -707,8 +700,9 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
         firsts = [r for r, _ in group]
         heads = sum(r < m for r in firsts)
         band = len(group) - heads  # the group's rows per period from memory on
-        rows = np.array(firsts[:heads] + [r + q for q in range(0, n_rows, p)
-                                          for r in firsts[heads:] if r + q < n_rows])
+        starts = np.array(firsts, dtype=np.intp)
+        band_rows = (np.arange(0, n_rows, p)[:, None] + starts[heads:]).ravel()
+        rows = np.concatenate((starts[:heads], band_rows[band_rows < n_rows]))
         # part j's row has rank j; input d of check i in the row of rank k
         # has slot lo + (d * rows + k) * checks + i
         edges = np.array([e for _, e in group]).transpose(1, 0, 2)
@@ -722,7 +716,9 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
         if band:  # period q's rows: the template's columns plus q * period blocks
             n_q, rest = divmod(rows.size - heads, band)
             template = at[edges[:, heads:]]
-            np.add(template[:, None], p * c * np.arange(n_q)[:, None, None], casting="unsafe",
+            # in the table's type: every value fits, and a cast would cost more than the sum
+            np.add(template.astype(dtype)[:, None],
+                   (p * c * np.arange(n_q)).astype(dtype)[:, None, None],
                    out=cols[:, heads:heads + n_q * band].reshape(deg, n_q, band, -1))
             cols[:, rows.size - rest:] = template[:, :rest] + p * c * n_q
         groups.append((deg, lo, lo + cols.size, rows))
@@ -737,8 +733,11 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     a = np.append(tmpl[:n] + (block + delta[:n] - base) // p * step[:n], n_slots)
     n_q = -(-n_rows // p)
     col_slots = np.empty((len(table), n_q, p, c), dtype=dtype)
-    np.multiply(np.arange(n_q)[:, None, None], step[table][:, None], out=col_slots, casting="unsafe")
-    np.add(col_slots, a[table][:, None], out=col_slots, casting="unsafe")
+    # in the table's type, whose wrap-around matches the cast's on the
+    # entries past the window or before memory, which are replaced below
+    np.multiply(np.arange(n_q, dtype=dtype)[:, None, None], step[table].astype(dtype)[:, None],
+                out=col_slots)
+    np.add(col_slots, a[table].astype(dtype)[:, None], out=col_slots)
     col_slots = col_slots.reshape(len(table), n_q * p, c)[:, :n_rows]
     # blocks with a row before memory or past the window's end
     b = np.array(sorted({*range(min(m, n_rows)), *range(max(0, n_rows - m), n_rows)}))
@@ -760,9 +759,8 @@ class BlockDecoder:
     decodes stream frames, on tables built from the matrix; used to compare
     a block code against its unwrapped form.  A batch of frames is one
     array problem, ``frames_per_call`` frames at a time; each check degree
-    is one group of slots, and each column sums in edge order.  The tables
-    are built on the matrix's first decoder and kept on the matrix, read-only.
-    The knobs form a ``DecoderConfig``, qspa with a quantizer and float without.
+    is one group of slots, and each column sums in edge order.  The knobs
+    form a ``DecoderConfig``, qspa with a quantizer and float without.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
@@ -770,7 +768,22 @@ class BlockDecoder:
         self.config = DecoderConfig(iterations, VARIANT_FLOAT if quantizer is None
                                     else VARIANT_QSPA, quantizer, clamp)
         self.matrix = matrix
-        self._tables = _kept_tables(matrix, "block", _build_block_tables, matrix)
+        edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
+        n_edges = edge_col.size
+        degrees = matrix.row_weights()
+        starts = np.cumsum(degrees) - degrees
+        groups = []
+        slot_edge = []
+        for deg in sorted(set(degrees.tolist()) - {0}):
+            first = starts[degrees == deg]
+            slot_edge.append((first + np.arange(deg)[:, None]).ravel())
+            lo = groups[-1][2] if groups else 0
+            groups.append((deg, lo, lo + slot_edge[-1].size, None))
+        slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
+        edge_slot = np.empty(n_edges, dtype=np.intp)
+        edge_slot[slot_edge] = np.arange(n_edges)
+        self._tables = _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
+                                    _column_table(edge_col, edge_slot, matrix.cols, n_edges))
         self.frames_per_call = _frames_per_call(self._tables,
                                                 _message_dtype(self._tables, quantizer))
         self.lut = None if quantizer is None else build_pair_lut(quantizer)
@@ -788,24 +801,3 @@ class BlockDecoder:
         soft = _decode_frames(self._tables, llrs.reshape(-1, n), self.config.iterations,
                               self.lut, self.config.clamp).reshape(llrs.shape)
         return (soft < 0).astype(np.uint8), soft
-
-
-def _build_block_tables(matrix: SparseBinaryMatrix) -> _FloodTables:
-    """One group per check degree, its checks in row order; each column
-    lists its slots in edge order."""
-    edge_col = matrix.entries()[:, 1]  # edge order: by row, then by column
-    n_edges = edge_col.size
-    degrees = matrix.row_weights()
-    starts = np.cumsum(degrees) - degrees
-    groups = []
-    slot_edge = []
-    for deg in sorted(set(degrees.tolist()) - {0}):
-        first = starts[degrees == deg]
-        slot_edge.append((first + np.arange(deg)[:, None]).ravel())
-        lo = groups[-1][2] if groups else 0
-        groups.append((deg, lo, lo + slot_edge[-1].size, None))
-    slot_edge = np.concatenate(slot_edge) if slot_edge else np.zeros(0, np.intp)
-    edge_slot = np.empty(n_edges, dtype=np.intp)
-    edge_slot[slot_edge] = np.arange(n_edges)
-    return _FloodTables(tuple(groups), edge_col[slot_edge].astype(np.intp),
-                        _column_table(edge_col, edge_slot, matrix.cols, n_edges))

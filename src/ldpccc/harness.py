@@ -3,11 +3,10 @@
 A BER point streams seeded all-zero-codeword frames through the channel
 and decoder until enough bit-error events accumulate.  Frames are seeded
 by frame index, never by worker, so any worker count reproduces the same
-numbers; workers only split the frame list.  A run's one decoder is
-built in the caller, before any pool starts, over the code or block
-matrix that ``split_and_unwrap`` or ``expand_base`` builds once per base
-for the whole process; pool workers receive that run, so a bad config
-fails the same way at any worker count.
+numbers; workers only split the frame list.  A run's code and its one
+decoder are built once, in the caller, before any pool starts: pool
+workers receive that run, so a bad config fails the same way at any
+worker count.
 """
 
 from __future__ import annotations

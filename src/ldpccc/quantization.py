@@ -85,7 +85,7 @@ class Quantizer:
         mag /= self.step
         mag -= 0.5
         np.ceil(mag, out=mag)
-        np.clip(mag, 0, self.max_magnitude_int, out=mag)
+        mag.clip(0, self.max_magnitude_int, out=mag)  # the method skips np.clip's dispatch
         code = mag.astype(np.uint8)
         neg = (flat < 0).view(np.uint8)
         code |= np.multiply(neg, self.sign_bit, out=neg)

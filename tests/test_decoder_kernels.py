@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ldpccc.decoder import (
     _cnp_float_rows,
     _cnp_qspa_rows,
+    _cnp_rows,
     _column_table,
     _variable_update,
     app_decide,
@@ -296,6 +297,25 @@ def test_value_table_fold_matches_the_code_fold(bits, step, degree, checks, seed
     assert table.shape == (2 * m + 1, 2 * m + 1) and table.dtype == np.uint8
     got = _cnp_qspa_rows(offset, table, 2 * m).astype(np.int64) - m
     assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(2, 8), degree=st.integers(1, 6), checks=st.integers(1, 50),
+       in_place=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_engine_check_update_is_the_value_table_fold(bits, degree, checks, in_place, seed):
+    # the engine's check update saturates its integer inputs and folds them
+    # offset by M through the value table; a degree-2 check skips the table
+    # and passes each saturated input across, with the same result, also
+    # when the output is the input's own array
+    q = Quantizer(bits)
+    lut, m = build_pair_lut(q), q.max_magnitude_int
+    ints = np.random.default_rng(seed).integers(-3 * m, 3 * m + 1, (degree, checks))
+    offset = (np.clip(ints, -m, m) + m).astype(np.uint8)
+    want = _cnp_qspa_rows(offset, lut.value_table, 2 * m).astype(np.int64) - m
+    v2c = ints.astype(np.int16)
+    out = v2c if in_place else np.empty_like(v2c)
+    _cnp_rows(v2c, out, lut, 25.0)
+    assert out.tolist() == want.tolist()
 
 
 def test_value_table_needs_both_zeros_alike():

@@ -90,7 +90,7 @@ def test_config_rejects_a_non_finite_grid_point(grid):
 @pytest.mark.parametrize("base", ["toy_2x4_z8", [[0, 1, 2, 3]], None])
 def test_config_rejects_a_base_that_is_not_a_base_matrix(base):
     # a bundled name used to construct and then fail inside run_ber with an
-    # AttributeError; the code is now built once per hashable base
+    # AttributeError
     with pytest.raises(ValueError, match=f"base must be a BaseMatrix, got "
                                          f"{type(base).__name__}; .*demo_base"):
         ExperimentConfig(base=base, max_blocks=64)

@@ -1,13 +1,10 @@
-"""The per-period set-up against the row-by-row builders it replaced, and
-the once-per-process rule.
+"""The per-period set-up against the row-by-row builders it replaced.
 
 ``ConvCode`` derives its sub-matrices, row layouts and diagonal rank check
 from one sort of the block code's entries, and the window tables are one
 period's template broadcast over the window.  ``tests/reference_setup.py``
 keeps the slow forms; every table here must equal them array for array,
-dtypes included.  Codes and block matrices are built once per base and
-shared, with their tables, by every run of the process: a shared one must
-decode as a fresh one does, and none of its arrays can be written.
+dtypes included.
 """
 
 import re
@@ -20,19 +17,15 @@ from hypothesis import strategies as st
 
 import ldpccc.construction
 import ldpccc.decoder
-from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
     BaseMatrix,
-    ConvCode,
     SparseBinaryMatrix,
     demo_base,
     demo_base_names,
-    expand_base,
     split_and_unwrap,
 )
-from ldpccc.decoder import BlockDecoder, DecoderConfig, StreamDecoder, decode_stream
-from ldpccc.harness import ExperimentConfig, run_ber, run_block_baseline
-from ldpccc.quantization import Quantizer
+from ldpccc.decoder import DecoderConfig, StreamDecoder
+from ldpccc.harness import ExperimentConfig, run_ber
 
 from reference_setup import (
     ref_build_row_structure,
@@ -110,11 +103,8 @@ def window_lengths(code):
 
 
 def assert_same_window(code, n_rows):
-    assert_same_tables(ldpccc.decoder._build_window_tables(code, n_rows),
-                       ref_build_window_tables(code, n_rows))
-
-
-def assert_same_tables(got, want):
+    got = ldpccc.decoder._build_window_tables(code, n_rows)
+    want = ref_build_window_tables(code, n_rows)
     assert len(got.groups) == len(want.groups)
     for (deg, lo, hi, rows), (ref_deg, ref_lo, ref_hi, ref_rows) in zip(got.groups, want.groups):
         assert (deg, lo, hi) == (ref_deg, ref_lo, ref_hi)
@@ -163,9 +153,10 @@ def dense_gf2_rank(matrix):
 @settings(max_examples=60, deadline=None)
 @given(base=periodic_bases())
 def test_rank_warning_marks_exactly_the_deficient_phases(base):
-    # the packed elimination warns, from the caller of split_and_unwrap's
-    # frame, for exactly the phases whose diagonal sub-matrix has dependent
-    # rows in a dense elimination and in the bit-loop reference
+    # the elimination on integer rows warns, from the caller of
+    # split_and_unwrap's frame, for exactly the phases whose diagonal
+    # sub-matrix has dependent rows in a dense elimination and in the
+    # bit-loop reference
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = split_and_unwrap(base)
@@ -181,17 +172,11 @@ def test_rank_warning_marks_exactly_the_deficient_phases(base):
         code.h_block, k * cb, (k + 1) * cb, k * c, (k + 1) * c)]
 
 
-def clear_caches():
-    ldpccc.construction._conv_code.cache_clear()
-    ldpccc.construction._block_matrix.cache_clear()
-
-
 def test_a_run_builds_each_row_layout_and_the_window_once(monkeypatch):
-    # from empty caches, the first toy run_ber call builds the code once,
-    # each of its memory + period row layouts once and the window tables
-    # once; a second run on the same base builds none of them
-    clear_caches()
+    # one toy run_ber call builds the code once, each of its memory +
+    # period row layouts once and the window tables once
     base = demo_base("toy_2x4_z16")
+    code = split_and_unwrap(base)
     layouts, windows = [], []
     real_layouts = ldpccc.construction._row_layouts
     real_window = ldpccc.decoder._build_window_tables
@@ -206,117 +191,9 @@ def test_a_run_builds_each_row_layout_and_the_window_once(monkeypatch):
 
     monkeypatch.setattr(ldpccc.construction, "_row_layouts", count_layouts)
     monkeypatch.setattr(ldpccc.decoder, "_build_window_tables", count_window)
-    cfg = ExperimentConfig(base=base, variant="qspa", ebno_grid=(4.0,),
-                           min_error_events=10**9, max_blocks=2 * 32, frame_blocks=32)
-    for _ in range(2):
-        points = run_ber(cfg)
-        assert points[0].blocks_sent == 64
-    code = split_and_unwrap(base)
-    assert ldpccc.construction._conv_code.cache_info().misses == 1
+    points = run_ber(ExperimentConfig(base=base, variant="qspa", ebno_grid=(4.0,),
+                                      min_error_events=10**9, max_blocks=2 * 32,
+                                      frame_blocks=32))
+    assert points[0].blocks_sent == 64
     assert [len(built) for built in layouts] == [code.memory + code.period]
     assert windows == [32 + 8 * code.memory]
-
-
-def test_a_block_baseline_run_builds_its_matrix_and_tables_once(monkeypatch):
-    clear_caches()
-    tables = []
-    real_tables = ldpccc.decoder._build_block_tables
-
-    def count_tables(matrix):
-        tables.append(matrix)
-        return real_tables(matrix)
-
-    monkeypatch.setattr(ldpccc.decoder, "_build_block_tables", count_tables)
-    cfg = ExperimentConfig(base=demo_base("toy_2x4_z16"), variant="qspa", ebno_grid=(4.0,),
-                           min_error_events=10**9, max_blocks=20)
-    for _ in range(2):
-        assert run_block_baseline(cfg)[0].blocks_sent == 20
-    assert ldpccc.construction._block_matrix.cache_info().misses == 1
-    assert tables == [expand_base(cfg.base)] and tables[0] is expand_base(cfg.base)
-
-
-SHARED = ["toy_2x4_z16", "rate56_4x24_z31"]
-
-
-@pytest.mark.parametrize("name", SHARED)
-def test_a_shared_code_has_the_tables_of_a_fresh_one(name):
-    # the code every caller shares against one built apart from the cache,
-    # and both against the row-by-row reference
-    shared = split_and_unwrap(demo_base(name))
-    fresh = ConvCode(demo_base(name))
-    assert fresh is not shared and split_and_unwrap(demo_base(name)) is shared
-    for n_rows in window_lengths(shared):
-        got = ldpccc.decoder._window_tables(shared, n_rows)
-        assert_same_tables(got, ldpccc.decoder._build_window_tables(fresh, n_rows))
-        assert_same_tables(got, ref_build_window_tables(fresh, n_rows))
-
-
-@pytest.mark.parametrize("variant", ["float", "qspa"])
-@pytest.mark.parametrize("name", SHARED)
-def test_a_shared_code_decodes_as_a_fresh_one(name, variant):
-    # twice on the shared code, so the first run cannot have changed it
-    base = demo_base(name)
-    cfg = DecoderConfig(3, variant)
-    code = split_and_unwrap(base)
-    llrs = np.stack([to_llr(transmit_all_zero(20 * code.block_len, ch), noise_sigma(ch))
-                     for ch in (ChannelConfig(3.0, code.rate, seed=s) for s in (1, 2))])
-    want = decode_stream(StreamDecoder(ConvCode(base), cfg), llrs)
-    for _ in range(2):
-        got = decode_stream(StreamDecoder(split_and_unwrap(base), cfg), llrs)
-        for field in ("bits", "soft", "syndrome_ok"):
-            assert_same_array(getattr(got, field), getattr(want, field))
-    assert not want.syndrome_ok.all() and want.bits.any()
-
-
-@pytest.mark.parametrize("quantizer", [None, Quantizer()], ids=["float", "qspa"])
-@pytest.mark.parametrize("name", SHARED)
-def test_a_shared_matrix_decodes_as_a_fresh_one(name, quantizer):
-    shared = expand_base(demo_base(name))
-    fresh = SparseBinaryMatrix(*shared.shape, shared.entries())
-    ch = ChannelConfig(2.0, 0.5, seed=3)
-    llrs = to_llr(transmit_all_zero(3 * shared.cols, ch), noise_sigma(ch)).reshape(3, -1)
-    want = BlockDecoder(fresh, 3, quantizer).decode(llrs)
-    assert fresh._decoder_tables["block"] is not shared._decoder_tables.get("block")
-    for _ in range(2):
-        for got, ref in zip(BlockDecoder(shared, 3, quantizer).decode(llrs), want):
-            assert_same_array(got, ref)
-    assert want[0].any()
-
-
-def test_shared_arrays_are_read_only():
-    base = demo_base("toy_2x4_z16")
-    code, matrix = split_and_unwrap(base), expand_base(base)
-    tables = ldpccc.decoder._window_tables(code, 20)
-    block = BlockDecoder(matrix, 2)._tables
-    matrix.col_support(0)
-    arrays = [*code._period_edges, tables.slot_col, tables.col_slots,
-              *(rows for *_, rows in tables.groups), block.slot_col, block.col_slots,
-              matrix._rows, matrix._cols, matrix._row_ptr, *matrix._col_sorted,
-              matrix.row_support(1), code.h_block._cols, code.h_lower._rows,
-              code.sub_block(0, 1)._cols]
-    for t in range(code.memory + code.period):
-        s = code.row_structure(t)
-        arrays += [s.edge_check, s.edge_delta, s.edge_col, *(pos for _, pos in s.by_degree),
-                   *(a for pair in s.delta_slices.values() for a in pair)]
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
-    assert tables.slot_col.size and block.slot_col.size
-    # a decoder's own state stays writable
-    dec = StreamDecoder(code, DecoderConfig(2))
-    dec.step(np.zeros(code.block_len))
-    assert dec._msg.flags.writeable and dec._lam.flags.writeable
-
-
-def test_the_caches_hold_at_most_their_bound():
-    bound = ldpccc.construction._CACHED_BASES
-    bases = [BaseMatrix(z=z, exponents=((0, 1, 0, -1), (1, 0, -1, 0)))
-             for z in range(2, bound + 5)]
-    first = split_and_unwrap(bases[0])
-    for base in bases:
-        split_and_unwrap(base)
-        expand_base(base)
-    for cache in (ldpccc.construction._conv_code, ldpccc.construction._block_matrix):
-        assert cache.cache_info().currsize == cache.cache_info().maxsize == bound
-    assert split_and_unwrap(bases[-1]) is split_and_unwrap(bases[-1])
-    assert split_and_unwrap(bases[0]) is not first  # evicted, built again
