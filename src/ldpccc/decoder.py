@@ -26,12 +26,17 @@ check-to-variable value after that.  ``_flood`` holds only
 check-to-variable values and forms each check's variable-to-check values
 from the last column sums just before the check runs.  Quantized
 messages are integer values, which the check update saturates and folds
-through the pair table's value-indexed form.  Every decoder, and the scalar
-``vnp``/``app_decide``, sums columns through a padded slot table, in
-float64 or, for codes, in the smallest signed type that holds them.  Both
-check-update kernels take a degree-major ``(degree, n)`` block, row k
-holding input k of n checks: the layout in which the engine stores its
-messages, so no call transposes.
+through the pair table's value-indexed form, offset by M, the largest
+magnitude.  For quantizers of 2 to 4 bits an offset value is below 16, so
+the uint8 offsets of two adjacent checks, read as one uint16 x, fold
+together: a lookup of pairs x and y reads entry ``x * 16 + y`` (below
+2**16) of ``PairLut.packed_table`` and returns both checks' results as one
+such pair.  Wider quantizers fold one check a lookup.  Every decoder, and
+the scalar ``vnp``/``app_decide``, sums columns through a padded slot
+table, in float64 or, for codes, in the smallest signed type that holds
+them.  Both check-update kernels take a degree-major ``(degree, n)``
+block, row k holding input k of n checks: the layout in which the engine
+stores its messages, so no call transposes.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ from .quantization import (
     Quantizer,
     _checked_codes,
     _code_values,
+    _fold_tables,
+    _FoldTables,
+    _nearest_codes,
     build_pair_lut,
     from_twos_complement,
     to_twos_complement,
@@ -152,47 +160,51 @@ def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
     return _cnp_float_rows(values[:, None], clamp)[:, 0]
 
 
-def _cnp_qspa_rows(codes: np.ndarray, table: np.ndarray,
-                   max_pos_code: int) -> np.ndarray:
-    """Table-driven check update on a (degree, n) block of uint8 indices.
+def _cnp_qspa_rows(codes: np.ndarray, table, max_pos_code: int) -> np.ndarray:
+    """Table-driven check update on a (degree, n) block of unsigned indices.
 
-    Row k holds input k of n checks, indices into the square ``table``:
-    codes for ``PairLut.table``, offset values for ``PairLut.value_table``;
-    ``max_pos_code`` is the index of +max, a degree-1 check's output.
-    Output i combines a left fold of inputs before i with a right-to-left
-    fold of inputs after i; a running prefix and the suffixes, kept in the
-    output rows until they are overwritten, hold the lookup count at 3d - 6
-    without changing any fold order.  Each lookup reads the flat table at
-    ``a * width + b``, with ``width`` the table's side (numpy multiplies
-    small integers faster than it shifts them); the prefix's multiple
-    serves both lookups that read it.
+    Row k holds input k of n checks, indices into ``table``: codes for the
+    square ``PairLut.table``, offset values for ``PairLut.value_table``, or
+    offset-value pairs, read as uint16, for ``PairLut.packed_table``; or the
+    table's ``_FoldTables``, which are otherwise built here.
+    ``max_pos_code`` is the index of +max, a degree-1 check's output; the
+    output takes the input's dtype.  Output i combines a left fold of
+    inputs before i with a right-to-left fold of inputs after i; a running
+    prefix and the suffixes, kept in the output rows until they are
+    overwritten, hold the lookup count at 3d - 6 without changing any fold
+    order.  A lookup of (a, b) reads entry ``a * width + b``: the suffixes
+    are kept times width, as ``scaled`` returns them, so they serve as left
+    operands as they are; the prefix, the left operand of its lookups, is
+    read as the right one of ``flipped``, against the inputs times width,
+    all multiplied in one call.
     """
     d, n = codes.shape
     if d == 1:
-        return np.full((1, n), max_pos_code, dtype=np.uint8)
-    width = table.shape[0]
-    flat = table.ravel()
-    # the index must hold width**2 - 1
-    idx, left = np.empty((2, n), dtype=np.uint8 if width <= 16 else np.uint16)
+        return np.full((1, n), max_pos_code, dtype=codes.dtype)
+    width, flat, flipped, scaled = (table if isinstance(table, _FoldTables)
+                                    else _fold_tables(table))
+    wide = np.multiply(codes, width, dtype=scaled.dtype)
+    idx = np.empty(n, dtype=scaled.dtype)
 
-    def combine(b, out):
-        """out = table[a, b] for the ``a`` whose a * width is in ``left``."""
-        np.add(left, b, out=idx)
-        flat.take(idx, out=out, mode="clip")  # every index is in range; no checking pass
+    def lookup(a, b, forms, out):
+        """out = the combine that ``forms`` holds at a + b."""
+        np.add(a, b, out=idx)
+        forms.take(idx, out=out, mode="clip")  # every index is in range; no checking pass
 
-    out = np.empty_like(codes)
-    out[d - 1] = codes[d - 1]
-    for k in range(d - 2, 0, -1):
-        np.multiply(out[k + 1], width, out=left, dtype=left.dtype)
-        combine(codes[k], out[k])  # suffix k
-    out[0] = out[1]
-    prefix = codes[0].copy()
+    out = np.empty(codes.shape, dtype=scaled.dtype)
+    out[d - 1] = wide[d - 1]  # suffix d - 1, times width
+    for k in range(d - 2, 1, -1):
+        lookup(out[k + 1], codes[k], scaled, out[k])  # suffix k, times width
+    if d > 2:
+        lookup(out[2], codes[1], flat, out[0])  # suffix 1, output 0
+    else:
+        out[0] = codes[1]
+    prefix = codes[0].astype(scaled.dtype)
     for i in range(1, d - 1):
-        np.multiply(prefix, width, out=left, dtype=left.dtype)
-        combine(out[i + 1], out[i])  # suffix i + 1 is still in row i + 1
-        combine(codes[i], prefix)
+        lookup(out[i + 1], prefix, flipped, out[i])  # prefix i - 1 with suffix i + 1
+        lookup(wide[i], prefix, flipped, prefix)
     out[d - 1] = prefix
-    return out
+    return out.astype(codes.dtype, copy=False)
 
 
 def cnp_qspa(codes, lut: PairLut) -> np.ndarray:
@@ -211,9 +223,12 @@ def _cnp_rows(v2c: np.ndarray, out: np.ndarray, lut: PairLut | None, clamp: floa
     values ``v2c``, which may be a view of it.
 
     Floats go through ``_cnp_float_rows``.  Integers saturate in place at
-    M = max_magnitude_int, fold offset by M through the lut's value table
+    M = max_magnitude_int, fold offset by M through the lut's fold tables
     and lose the offset on the way back; a degree-2 check folds nothing,
-    so each of its outputs is the other input, saturated.
+    so each of its outputs is the other input, saturated.  Where the lut
+    has a packed table (quantizers of 2 to 4 bits), adjacent checks fold
+    in pairs through it, the uint8 offsets read as uint16 and an odd n
+    padded by one check.
     """
     if lut is None:
         out[...] = _cnp_float_rows(v2c, clamp).reshape(out.shape)
@@ -224,11 +239,15 @@ def _cnp_rows(v2c: np.ndarray, out: np.ndarray, lut: PairLut | None, clamp: floa
     if len(v2c) == 2:
         out[...] = v2c[::-1].reshape(out.shape)
         return
-    offset = np.empty(v2c.shape, dtype=np.uint8)
-    np.add(v2c, m, out=offset, casting="unsafe")
+    d, n = v2c.shape
+    pairs = lut.packed_table is not None
+    offset = np.empty((d, n + (n % 2 if pairs else 0)), dtype=np.uint8)
+    offset[:, n:] = 0  # an odd n's pad check
+    np.add(v2c, m, out=offset[:, :n], casting="unsafe")
+    c2v = _cnp_qspa_rows(offset.view(np.uint16 if pairs else np.uint8), lut.fold_tables,
+                         2 * m * (0x101 if pairs else 1))  # +max in each byte
     # a uint8 result less M would wrap before the cast
-    c2v = _cnp_qspa_rows(offset, lut.value_table, 2 * m).reshape(out.shape)
-    np.subtract(c2v, m, out=out, dtype=out.dtype)
+    np.subtract(c2v.view(np.uint8)[:, :n].reshape(out.shape), m, out=out, dtype=out.dtype)
 
 
 def _column_sums(alpha: np.ndarray, slots: np.ndarray, channel: np.ndarray) -> np.ndarray:
@@ -643,7 +662,8 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
         if q is None:
             lam[:n] = chunk.T
         else:
-            _code_values(q.quantize(chunk.T), q, lam[:n])  # codes in lam's layout
+            # codes in lam's layout; the scan above has ruled out NaN
+            _code_values(_nearest_codes(chunk.T, q), q, lam[:n])
         soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp)[:n].T
     return soft
 

@@ -193,7 +193,10 @@ def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, per_call: in
     """Every grid point, its batches run by ``run_batch`` here or, given a
     pool whose workers hold that runner, in ``pool``.
 
-    Every batch is one decoder call of ``min(per_call, cap)`` frames, with
+    A point's budget is ``max_frames = max_blocks // blocks_per_frame``
+    whole frames, so it never decodes past ``max_blocks``; a budget below
+    one frame is rejected before any run starts.  Every batch is one
+    decoder call of ``min(per_call, cap)`` frames, with
     ``cap = max(1, min(64, max_frames // workers))``; a point's last batch
     takes the frames its budget has left.  The batches of the whole grid
     form one sequence in (point, frame) order.  A pool keeps up to
@@ -209,7 +212,7 @@ def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, per_call: in
     ``wall_time_s`` is the time from the previous point's end (or the
     sweep's start) to this point's end.
     """
-    max_frames = max(1, -(-cfg.max_blocks // blocks_per_frame))
+    max_frames = cfg.max_blocks // blocks_per_frame
     size = min(per_call, max(1, min(64, max_frames // cfg.workers)))
     # seeding imports numpy.random; doing it before the first submit forks
     # the pool lets the workers inherit that module instead of loading it

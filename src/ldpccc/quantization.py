@@ -7,13 +7,16 @@ The check-node combine of two values, 2*atanh(tanh(a/2)*tanh(b/2)) followed
 by re-quantization, is tabulated once per (bits, step) pair; a check node of
 any degree then reduces to chained table lookups.  The flooding engine keeps
 its messages as integer values and folds them through the table's
-value-indexed form, ``PairLut.value_table``.
+value-indexed form, ``PairLut.value_table``, or, for quantizers of 2 to 4
+bits, two checks a lookup through its pair-packed form,
+``PairLut.packed_table``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,17 +82,7 @@ class Quantizer:
         x = np.asarray(x, dtype=np.float64)
         if np.isnan(x).any():
             raise ValueError("cannot quantize NaN")
-        # in place on one float temporary, so batches of frames stay cheap
-        flat = x.reshape(-1)
-        mag = np.abs(flat)
-        mag /= self.step
-        mag -= 0.5
-        np.ceil(mag, out=mag)
-        mag.clip(0, self.max_magnitude_int, out=mag)  # the method skips np.clip's dispatch
-        code = mag.astype(np.uint8)
-        neg = (flat < 0).view(np.uint8)
-        code |= np.multiply(neg, self.sign_bit, out=neg)
-        code = code.reshape(x.shape)
+        code = _nearest_codes(x, self)
         return code if code.ndim else code[()]
 
     def value(self, code):
@@ -104,6 +97,22 @@ class Quantizer:
         code = _checked_codes(code, self).astype(np.uint8)
         out = code ^ np.uint8(self.sign_bit)
         return out if out.ndim else out[()]
+
+
+def _nearest_codes(x: np.ndarray, q: Quantizer) -> np.ndarray:
+    """``Quantizer.quantize`` of a float64 array its caller has already
+    checked for NaN, in x's shape."""
+    # in place on one float temporary, so batches of frames stay cheap
+    flat = x.reshape(-1)
+    mag = np.abs(flat)
+    mag /= q.step
+    mag -= 0.5
+    np.ceil(mag, out=mag)
+    mag.clip(0, q.max_magnitude_int, out=mag)  # the method skips np.clip's dispatch
+    code = mag.astype(np.uint8)
+    neg = (flat < 0).view(np.uint8)
+    code |= np.multiply(neg, q.sign_bit, out=neg)
+    return code.reshape(x.shape)
 
 
 def _checked_codes(code, q: Quantizer) -> np.ndarray:
@@ -195,6 +204,70 @@ class PairLut:
         table = offset.take(self.table.take(codes, axis=0).take(codes, axis=1))
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def packed_table(self) -> np.ndarray | None:
+        """``value_table`` on two checks per lookup, or None for quantizers
+        of 5 bits or more, whose offset values need more than 4 bits.
+
+        See ``_packed_pairs``: the flooding engine folds through it whenever
+        it exists.
+        """
+        table = self.value_table
+        return _packed_pairs(table) if len(table) <= 16 else None
+
+    @functools.cached_property
+    def fold_tables(self) -> _FoldTables:
+        """The forms the flooding engine's check update folds through: of
+        the packed table where there is one, else of the value table."""
+        packed = self.packed_table
+        return _fold_tables(self.value_table if packed is None else packed)
+
+
+def _packed_pairs(table: np.ndarray) -> np.ndarray:
+    """The (16, 16, 16, 16) uint16 pair-packed form of a square uint8 table
+    of side at most 16.
+
+    Two adjacent uint8 indices, read as one native uint16 ``x``, hold one
+    check's index in the low byte and the next check's in the high byte;
+    for two such pairs x and y, the flat entry ``x * 16 + y`` (below
+    2**16, since every index is below 16) holds ``table[x_lo, y_lo]`` in its
+    low byte and ``table[x_hi, y_hi]`` in its high byte, so one lookup
+    combines two checks and its result is again such a pair.  Indexed
+    ``[x_hi, y_hi, x_lo, y_lo]``; entries past the table's side hold 0.
+    """
+    side = np.zeros((16, 16), dtype=np.uint16)
+    side[:len(table), :len(table)] = table
+    packed = (side[:, :, None, None] << 8) | side
+    packed.setflags(write=False)
+    return packed
+
+
+class _FoldTables(NamedTuple):
+    """A pair table flattened for a fold that reads entry ``a * width + b``:
+    ``table`` there holds the combine of (a, b), ``flipped`` that of (b, a)
+    and ``scaled`` width times that of (a, b), all in the index's type."""
+
+    width: int
+    table: np.ndarray
+    flipped: np.ndarray
+    scaled: np.ndarray
+
+
+def _fold_tables(table: np.ndarray) -> _FoldTables:
+    """The fold forms of a square table or of a ``_packed_pairs`` table,
+    whose width is its last side; an index is a uint8 where it can hold the
+    table's last entry, else a uint16."""
+    width = table.shape[-1]
+    index = np.uint8 if table.size <= 256 else np.uint16
+    # swapping the operands swaps the two axes of each pair: (1, 0) or (1, 0, 3, 2)
+    swap = np.arange(table.ndim).reshape(-1, 2)[:, ::-1].ravel()
+    forms = (table.astype(index, copy=False).ravel(),
+             np.ascontiguousarray(table.transpose(swap), dtype=index).ravel(),
+             np.multiply(table, width, dtype=index).ravel())
+    for form in forms:
+        form.setflags(write=False)
+    return _FoldTables(width, *forms)
 
 
 @functools.cache

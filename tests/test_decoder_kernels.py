@@ -17,6 +17,7 @@ from ldpccc.decoder import (
 from ldpccc.quantization import (
     Quantizer,
     _code_values,
+    _packed_pairs,
     _saturated_codes,
     build_pair_lut,
     dump_lut,
@@ -300,13 +301,14 @@ def test_value_table_fold_matches_the_code_fold(bits, step, degree, checks, seed
 
 
 @settings(max_examples=60, deadline=None)
-@given(bits=st.integers(2, 8), degree=st.integers(1, 6), checks=st.integers(1, 50),
+@given(bits=st.integers(2, 8), degree=st.integers(1, 30), checks=st.integers(1, 50),
        in_place=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_engine_check_update_is_the_value_table_fold(bits, degree, checks, in_place, seed):
     # the engine's check update saturates its integer inputs and folds them
-    # offset by M through the value table; a degree-2 check skips the table
-    # and passes each saturated input across, with the same result, also
-    # when the output is the input's own array
+    # offset by M through the value table (two checks a lookup, through the
+    # packed table, up to 4 bits); a degree-2 check skips the table and
+    # passes each saturated input across, with the same result, also when
+    # the output is the input's own array
     q = Quantizer(bits)
     lut, m = build_pair_lut(q), q.max_magnitude_int
     ints = np.random.default_rng(seed).integers(-3 * m, 3 * m + 1, (degree, checks))
@@ -316,6 +318,55 @@ def test_engine_check_update_is_the_value_table_fold(bits, degree, checks, in_pl
     out = v2c if in_place else np.empty_like(v2c)
     _cnp_rows(v2c, out, lut, 25.0)
     assert out.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(2, 4), degree=st.integers(1, 30), checks=st.integers(1, 101),
+       pair_table=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_packed_fold_is_the_plain_fold_on_each_check(bits, degree, checks, pair_table, seed):
+    # checks side by side, two to a uint16 and an odd count padded by one,
+    # fold through the packed table exactly as each check folds through the
+    # plain one; a random table is neither symmetric nor associative, so
+    # every operand order shows
+    rng = np.random.default_rng(seed)
+    m = (1 << (bits - 1)) - 1
+    if pair_table:
+        table = build_pair_lut(Quantizer(bits)).value_table
+    else:
+        table = rng.integers(0, 2 * m + 1, (2 * m + 1, 2 * m + 1)).astype(np.uint8)
+    offset = rng.integers(0, 2 * m + 1, (degree, checks)).astype(np.uint8)
+    want = _cnp_qspa_rows(offset, table, 2 * m)
+    pairs = np.zeros((degree, checks + checks % 2), dtype=np.uint8)
+    pairs[:, :checks] = offset
+    got = _cnp_qspa_rows(pairs.view(np.uint16), _packed_pairs(table), 2 * m * 0x101)
+    assert got.dtype == np.uint16 and got.shape == (degree, pairs.shape[1] // 2)
+    assert got.view(np.uint8)[:, :checks].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_only_quantizers_of_up_to_4_bits_have_a_packed_table(bits):
+    # an offset value below 16 fits in 4 bits, so two checks index one
+    # 2**16-entry table; wider quantizers fold through the value table
+    lut = build_pair_lut(Quantizer(bits))
+    packed, fold = lut.packed_table, lut.fold_tables
+    if bits <= 4:
+        assert packed.shape == (16, 16, 16, 16) and packed.dtype == np.uint16
+        assert not packed.flags.writeable
+        assert fold.width == 16 and fold.table.base is packed
+    else:
+        assert packed is None
+        assert fold.width == len(lut.value_table)
+    assert not any(form.flags.writeable for form in fold[1:])
+
+
+def test_degree_one_checks_keep_the_input_dtype():
+    # a degree-1 check outputs +max, in the input's dtype, for plain and
+    # for packed indices
+    lut = build_pair_lut(Quantizer(4))
+    plain = _cnp_qspa_rows(np.zeros((1, 3), dtype=np.uint8), lut.value_table, 14)
+    assert plain.dtype == np.uint8 and plain.tolist() == [[14, 14, 14]]
+    pairs = _cnp_qspa_rows(np.zeros((1, 2), dtype=np.uint16), lut.packed_table, 14 * 0x101)
+    assert pairs.dtype == np.uint16 and pairs.view(np.uint8).tolist() == [[14] * 4]
 
 
 def test_value_table_needs_both_zeros_alike():

@@ -176,6 +176,18 @@ def test_quantizer_settings_and_frame_budget_checks_leave_valid_runs_alone(small
     assert point.blocks_sent == 16 and point.truncated
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stream_points_stop_within_their_block_budget(tmp_path, workers):
+    # a budget that is not a whole number of frames runs the whole frames
+    # it holds: 20 blocks of 7-block frames are 2 frames, 14 blocks, where
+    # rounding the frames up used to decode and report 21
+    out = tmp_path / "ber.csv"
+    assert main(["ber", "--base", "toy_2x4_z8", "--frame-blocks", "7", "--max-blocks", "20",
+                 "--ebno", "1,4", "--workers", str(workers), "--out", str(out)]) == 0
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    assert [int(row["blocks"]) for row in rows] == [14, 14]
+
+
 def test_run_ber_point_fields(small_cfg):
     points = run_ber(small_cfg)
     assert [p.ebno_db for p in points] == [3.0, 6.0]

@@ -693,6 +693,20 @@ def test_decode_stream_rejects_non_finite_llrs(toy_code, bad, variant):
             decode_stream(StreamDecoder(toy_code, DecoderConfig(2, variant)), frames)
 
 
+def test_qspa_frames_are_scanned_for_non_finite_llrs_once(toy_code, monkeypatch):
+    # the frame front end rejects NaN and infinities, then quantizes without
+    # the public quantizer's second NaN scan, to the same codes
+    llrs = noisy_llrs(toy_code, 6, seed=8, ebno_db=2.0)
+    cfg = DecoderConfig(iterations=3, variant=VARIANT_QSPA)
+    want = decode_stream(StreamDecoder(toy_code, cfg), llrs).soft
+
+    def scanning_again(self, x):
+        raise AssertionError("the frame engine scanned its LLRs twice")
+
+    monkeypatch.setattr(Quantizer, "quantize", scanning_again)
+    assert np.array_equal(decode_stream(StreamDecoder(toy_code, cfg), llrs).soft, want)
+
+
 @pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
 def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch):
     # with a byte budget of two toy windows of messages, five frames go to

@@ -57,16 +57,14 @@ def test_float_kernel_mutation_reaches_the_frame_engine(monkeypatch):
         assert not np.array_equal(bad, want)
 
 
-def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
-    # the engine folds quantized messages through the lut's value table,
-    # read where the lut keeps it: one changed entry, the combine of two
-    # values of +2 steps, changes the soft output of frames and of steps
+def assert_lut_mutation_reaches_the_engine(monkeypatch, mutate):
+    """The soft output of rate-5/6 4-bit frames and of steps both change
+    once ``mutate(lut)`` has patched the shared lut's tables."""
     monkeypatch.syspath_prepend(str(ROOT / "src"))
     import numpy as np
 
     import ldpccc.decoder as d
     from ldpccc.construction import demo_base, split_and_unwrap
-    from ldpccc.quantization import PairLut
 
     code = split_and_unwrap(demo_base("rate56_4x24_z31"))
     llrs = np.random.default_rng(3).normal(1.0, 1.5, 36 * code.block_len) * 2.0
@@ -78,13 +76,54 @@ def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
                 np.concatenate(stepped_soft(d, code, cfg, codes)))
 
     good = decode()
-    lut = d.StreamDecoder(code, cfg).lut
-    m = lut.quantizer.max_magnitude_int
-    table = lut.value_table.copy()
-    table[m + 2, m + 2] += 1
-    monkeypatch.setattr(PairLut, "value_table", property(lambda self: table))
+    mutate(d.StreamDecoder(code, cfg).lut)
     for bad, want in zip(decode(), good):
         assert not np.array_equal(bad, want)
+
+
+def rebuild_from(monkeypatch, *names):
+    """Makes each named table of every PairLut derived again on each read,
+    so that it follows a patched table it is derived from; the values
+    cached on the lut before the patch return with it."""
+    from ldpccc.quantization import PairLut
+
+    for name in names:
+        monkeypatch.setattr(PairLut, name, property(getattr(PairLut, name).func))
+
+
+def test_value_table_mutation_reaches_the_frame_engine(monkeypatch):
+    # the engine folds quantized messages through forms of the lut's value
+    # table, built from it: one changed entry, the combine of two values of
+    # +2 steps, changes the soft output of frames and of steps
+    def mutate(lut):
+        from ldpccc.quantization import PairLut
+
+        m = lut.quantizer.max_magnitude_int
+        table = lut.value_table.copy()
+        table[m + 2, m + 2] += 1
+        monkeypatch.setattr(PairLut, "value_table", property(lambda self: table))
+        rebuild_from(monkeypatch, "packed_table", "fold_tables")
+        # the low byte of a packed entry is the first check's combine
+        packed = lut.fold_tables.table.reshape(16, 16, 16, 16)
+        assert packed[0, 0, m + 2, m + 2] & 0xFF == table[m + 2, m + 2]
+
+    assert_lut_mutation_reaches_the_engine(monkeypatch, mutate)
+
+
+def test_packed_table_mutation_reaches_the_frame_engine(monkeypatch):
+    # a 4-bit engine folds two checks per lookup through the packed table:
+    # one changed entry, where each of the two checks combines 0 with +2
+    # steps, changes the soft output of frames and of steps
+    def mutate(lut):
+        from ldpccc.quantization import PairLut
+
+        m = lut.quantizer.max_magnitude_int
+        table = lut.packed_table.copy()
+        table[m, m + 2, m, m + 2] += 1  # [x_hi, y_hi, x_lo, y_lo]: the low byte
+        monkeypatch.setattr(PairLut, "packed_table", property(lambda self: table))
+        rebuild_from(monkeypatch, "fold_tables")
+
+    assert_lut_mutation_reaches_the_engine(monkeypatch, mutate)
 
 
 def test_benchmark_jobs_pass_their_checks_at_the_golden_seed(monkeypatch, tmp_path):
