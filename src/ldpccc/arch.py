@@ -65,8 +65,9 @@ class ArchParams:
     def __post_init__(self):
         for name in ("z", "block_rows", "block_cols", "stages", "processors",
                      "quant_bits", "stage_delay", "codewords"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ArchModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ArchModelError(f"{name} must be an integer, got {value!r}")
         period = math.gcd(self.block_rows, self.block_cols)
         if period < 2:
             raise ArchModelError("block_rows/block_cols give a degenerate period")
@@ -84,15 +85,12 @@ class ArchParams:
             raise ArchModelError(
                 f"codewords must be in [1, {period}], got {self.codewords}"
             )
+        # this also splits the edge RAMs evenly: z·rows·cols / (period²·stages)
+        # is checks_per_block / stages times block_cols / period
         if self.checks_per_block % self.stages != 0:
             raise ArchModelError(
                 f"stages={self.stages} does not divide the "
                 f"{self.checks_per_block} checks per block"
-            )
-        edge = self.z * self.block_rows * self.block_cols
-        if edge % (self.period ** 2 * self.stages) != 0:
-            raise ArchModelError(
-                f"stages={self.stages} does not split the edge RAMs evenly"
             )
         # a processor's channel RAMs hold a period of blocks
         if self.block_len % self.stages != 0:

@@ -4,7 +4,8 @@ Subcommands: ``construct`` (summarize a base matrix and its unwrapped
 code), ``ber`` (seeded Monte-Carlo sweeps), ``arch`` (hardware reports and
 schedules), ``lut-dump`` (write the pairwise combine table).  Every flag
 can also be given in a config file of ``key=value`` lines via ``--config``;
-explicit flags win.
+explicit flags win.  A setting given neither way takes the default of the
+config type it sets (``ExperimentConfig``, ``Quantizer``, ``ArchParams``).
 """
 
 from __future__ import annotations
@@ -50,25 +51,21 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv):
-    """Fill args from the config file; flags on the command line win."""
+def _apply_config(args: argparse.Namespace):
+    """Fill args from the config file; flags on the command line win: one
+    holds neither its parser default, None, nor a switch's, False."""
     if not getattr(args, "config", None):
         return
     values = _load_config_file(args.config)
     # only the subcommand's own options; not help, config or dispatch attributes
     actions = {a.dest: a for a in args.subparser._actions
                if a.option_strings and a.dest not in ("help", "config")}
-    switches = {dest for dest, a in actions.items() if isinstance(a.default, bool)}
-    # parsed again without defaults, the args hold only the flags given
-    for action in actions.values():
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
     for key, raw in values.items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        if key in given:
+        if (given := getattr(args, key)) is not None and given is not False:
             continue
-        if key not in switches:
+        if not isinstance(actions[key].default, bool):
             setattr(args, key, _config_value(key, raw, actions[key]))
         elif raw.lower() in _BOOLEANS:
             setattr(args, key, _BOOLEANS[raw.lower()])
@@ -103,10 +100,6 @@ def _resolve_base(name_or_path: str) -> BaseMatrix:
     )
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
 def _cmd_construct(args) -> int:
     base = _resolve_base(args.base)
     code = split_and_unwrap(base)
@@ -126,21 +119,26 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _given(args, flags) -> dict:
+    """The values of the ``flags`` given; their parser default is None, so
+    the config type they set supplies the rest."""
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+
+
+# ``ber`` flags and the ExperimentConfig field each sets; --ebno sets ebno_grid
+_BER_FIELDS = {"variant": "variant", "iters": "iterations", "bits": "quant_bits",
+               "step": "quant_step", "clamp": "clamp", "seed": "seed",
+               "min_errors": "min_error_events", "max_blocks": "max_blocks",
+               "workers": "workers", "frame_blocks": "frame_blocks"}
+
+
 def _cmd_ber(args) -> int:
-    cfg = ExperimentConfig(
-        base=_resolve_base(args.base),
-        variant=args.variant,
-        iterations=args.iters,
-        ebno_grid=_parse_grid(args.ebno),
-        quant_bits=args.bits,
-        quant_step=args.step,
-        clamp=args.clamp,
-        min_error_events=args.min_errors,
-        max_blocks=args.max_blocks,
-        seed=args.seed,
-        workers=args.workers,
-        frame_blocks=args.frame_blocks,
-    )
+    if args.timings and not args.out:
+        raise ValueError("--timings needs --out: it only changes the CSV")
+    fields = {_BER_FIELDS[flag]: value for flag, value in _given(args, _BER_FIELDS).items()}
+    if args.ebno is not None:
+        fields["ebno_grid"] = tuple(float(x) for x in args.ebno.replace(",", " ").split())
+    cfg = ExperimentConfig(base=_resolve_base(args.base), **fields)
     points = run_block_baseline(cfg) if args.block_baseline else run_ber(cfg)
     for p in points:
         flag = " (truncated)" if p.truncated else ""
@@ -154,36 +152,33 @@ def _cmd_ber(args) -> int:
     return 0
 
 
-class ArchPresetError(ValueError):
-    pass
-
-
-# custom-configuration flags of ``arch``: the ArchParams field each sets and
-# its default; the parser leaves them None, so that one given beside a
-# preset is seen even when it repeats its default
-_ARCH_CUSTOM = {"z": ("z", 512), "nc": ("block_rows", 4), "nv": ("block_cols", 24),
-                "g": ("stages", 512), "iters": ("processors", 18),
-                "bits": ("quant_bits", 4), "clock": ("clock_hz", 1.0e8),
-                "dpipe": ("stage_delay", 0), "codewords": ("codewords", 1)}
+# custom-configuration flags of ``arch`` and the ArchParams field each sets;
+# the parser leaves them None, so that one given beside a preset is seen
+# even when it repeats its default
+_ARCH_CUSTOM = {"z": "z", "nc": "block_rows", "nv": "block_cols", "g": "stages",
+                "iters": "processors", "bits": "quant_bits", "clock": "clock_hz",
+                "dpipe": "stage_delay", "codewords": "codewords"}
+# the custom model's fields that ArchParams gives no default
+_ARCH_SHAPE = {"z": 512, "block_rows": 4, "block_cols": 24, "stages": 512, "processors": 18}
 
 
 def _cmd_arch(args) -> int:
     if args.preset and args.all_presets:  # both can come from a config file
-        raise ArchPresetError("--preset and --all-presets exclude each other")
+        raise ValueError("--preset and --all-presets exclude each other")
     if args.all_presets and args.schedule_csv:
-        raise ArchPresetError(
+        raise ValueError(
             "--schedule-csv needs one configuration, not --all-presets"
         )
-    custom = {k: getattr(args, k) for k in _ARCH_CUSTOM if getattr(args, k) is not None}
+    custom = _given(args, _ARCH_CUSTOM)
     if custom and (args.preset or args.all_presets):
         flags = ", ".join(f"--{k}" for k in custom)
-        raise ArchPresetError(
+        raise ValueError(
             f"{flags} cannot be combined with "
             f"{'--preset' if args.preset else '--all-presets'} (custom model only)"
         )
     if args.preset:
         if args.preset not in arch_mod.PRESETS:
-            raise ArchPresetError(
+            raise ValueError(
                 f"unknown preset {args.preset!r}; available: "
                 + ", ".join(arch_mod.PRESETS)
             )
@@ -193,8 +188,8 @@ def _cmd_arch(args) -> int:
         print(arch_mod.report_presets())
         params = None
     else:
-        params = arch_mod.ArchParams(**{field: custom.get(flag, default)
-                                        for flag, (field, default) in _ARCH_CUSTOM.items()})
+        params = arch_mod.ArchParams(**{**_ARCH_SHAPE, **{_ARCH_CUSTOM[flag]: value
+                                                          for flag, value in custom.items()}})
         print(arch_mod.report_arch(params))
     if args.trace_demo:
         print()
@@ -207,7 +202,7 @@ def _cmd_arch(args) -> int:
 
 
 def _cmd_lut_dump(args) -> int:
-    lut = build_pair_lut(Quantizer(bits=args.bits, step=args.step))
+    lut = build_pair_lut(Quantizer(**_given(args, ("bits", "step"))))
     text = dump_lut(lut)
     if args.out:
         Path(args.out).write_text(text)
@@ -230,53 +225,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-girth", action="store_true",
                    help="skip the girth search (breadth-first from every "
                    "vertex at once, linear in the edge count per root)")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_construct, subparser=p)
 
-    p = sub.add_parser("ber", help="seeded Monte-Carlo BER sweep")
+    p = sub.add_parser("ber", help="seeded Monte-Carlo BER sweep", description=(
+        "A setting not given takes ExperimentConfig's default. --bits and --step "
+        "apply to the qspa variant only, --clamp to the float variant only."))
     p.add_argument("--base", required=True)
-    p.add_argument("--variant", choices=(VARIANT_FLOAT, VARIANT_QSPA),
-                   default=VARIANT_FLOAT)
-    p.add_argument("--iters", type=int, default=8)
-    p.add_argument("--ebno", default="2.0,3.0,4.0",
-                   help="comma-separated Eb/N0 grid in dB, strictly increasing")
-    p.add_argument("--bits", type=int, default=4)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--clamp", type=float, default=25.0)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--min-errors", type=int, default=100)
-    p.add_argument("--max-blocks", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--frame-blocks", type=int, default=64)
+    p.add_argument("--ebno", help="comma-separated Eb/N0 grid in dB, strictly increasing")
+    for flag, field in _BER_FIELDS.items():  # each typed as its field's default
+        p.add_argument("--" + flag.replace("_", "-"), type=type(getattr(ExperimentConfig, field)),
+                       choices=(VARIANT_FLOAT, VARIANT_QSPA) if flag == "variant" else None)
     p.add_argument("--block-baseline", action="store_true",
                    help="decode the block code with flooding instead")
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--out", help="CSV output path")
     p.add_argument("--timings", action="store_true",
-                   help="record wall time in the CSV (breaks byte determinism)")
-    p.add_argument("--config", default=None)
+                   help="record wall time in the CSV given by --out "
+                   "(breaks byte determinism)")
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_ber, subparser=p)
 
     p = sub.add_parser("arch", help="hardware model report")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--preset", default=None,
-                       help="built-in configuration name (1-S..4-P)")
+    which.add_argument("--preset", help="built-in configuration name (1-S..4-P)")
     which.add_argument("--all-presets", action="store_true",
                        help="print the full preset comparison table")
-    for flag, (_, default) in _ARCH_CUSTOM.items():
-        p.add_argument(f"--{flag}", type=type(default), default=None,
+    for flag, field in _ARCH_CUSTOM.items():
+        default = getattr(arch_mod.ArchParams, field, _ARCH_SHAPE.get(field))
+        p.add_argument(f"--{flag}", type=type(default),
                        help=f"custom configuration (default {default:g}); "
                        "not with a preset")
-    p.add_argument("--schedule-csv", default=None)
+    p.add_argument("--schedule-csv")
     p.add_argument("--trace-demo", action="store_true",
                    help="print the canonical RAM storage walkthrough")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_arch, subparser=p)
 
     p = sub.add_parser("lut-dump", help="write the pairwise combine table")
-    p.add_argument("--bits", type=int, default=4)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--bits", type=int)
+    p.add_argument("--step", type=float)
+    p.add_argument("--out")
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_lut_dump, subparser=p)
     return parser
 
@@ -285,7 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser, argv)
+        _apply_config(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

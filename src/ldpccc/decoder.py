@@ -93,6 +93,32 @@ _TANH_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
 
 
+@dataclass(frozen=True)
+class DecoderConfig:
+    """The knobs of either decoder, checked here and nowhere else.  Only the
+    float variant reads ``clamp``, and only qspa takes a quantizer."""
+
+    iterations: int
+    variant: str = VARIANT_FLOAT
+    quantizer: Quantizer | None = None
+    clamp: float = 25.0
+
+    def __post_init__(self):
+        it = self.iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
+        if not (np.isfinite(self.clamp) and self.clamp > 0):
+            raise ValueError(f"clamp must be finite and > 0, got {self.clamp!r}")
+        if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant == VARIANT_FLOAT and self.quantizer is not None:
+            raise ValueError("the float variant takes no quantizer")
+        if self.variant == VARIANT_QSPA and self.clamp != DecoderConfig.clamp:
+            raise ValueError("clamp applies to the float variant only")
+        if self.variant == VARIANT_QSPA and self.quantizer is None:
+            object.__setattr__(self, "quantizer", Quantizer())
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -152,7 +178,7 @@ def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
     return mag
 
 
-def cnp_float(values, clamp: float = 25.0) -> np.ndarray:
+def cnp_float(values, clamp: float = DecoderConfig.clamp) -> np.ndarray:
     """Check-to-variable values for one check node (degree >= 2)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
@@ -323,28 +349,6 @@ def app_decide(channel, incoming, quantizer: Quantizer | None = None):
 
 # ---------------------------------------------------------------------------
 # stream decoder
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """The knobs of either decoder, checked here and nowhere else."""
-
-    iterations: int
-    variant: str = VARIANT_FLOAT
-    quantizer: Quantizer | None = None
-    clamp: float = 25.0
-
-    def __post_init__(self):
-        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
-            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
-        if not (np.isfinite(self.clamp) and self.clamp > 0):
-            raise ValueError(f"clamp must be finite and > 0, got {self.clamp!r}")
-        if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_FLOAT and self.quantizer is not None:
-            raise ValueError("the float variant takes no quantizer")
-        if self.variant == VARIANT_QSPA and self.quantizer is None:
-            object.__setattr__(self, "quantizer", Quantizer())
 
 
 @dataclass(frozen=True)
@@ -784,7 +788,7 @@ class BlockDecoder:
     """
 
     def __init__(self, matrix: SparseBinaryMatrix, iterations: int,
-                 quantizer: Quantizer | None = None, clamp: float = 25.0):
+                 quantizer: Quantizer | None = None, clamp: float = DecoderConfig.clamp):
         self.config = DecoderConfig(iterations, VARIANT_FLOAT if quantizer is None
                                     else VARIANT_QSPA, quantizer, clamp)
         self.matrix = matrix

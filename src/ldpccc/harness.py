@@ -61,9 +61,9 @@ class ExperimentConfig:
     variant: str = VARIANT_FLOAT
     iterations: int = 8
     ebno_grid: tuple[float, ...] = (2.0, 3.0, 4.0)
-    quant_bits: int = 4
-    quant_step: float = 1.0
-    clamp: float = 25.0
+    quant_bits: int = Quantizer.bits
+    quant_step: float = Quantizer.step
+    clamp: float = DecoderConfig.clamp
     min_error_events: int = 100
     max_blocks: int = 200_000
     seed: int = 1
@@ -76,8 +76,9 @@ class ExperimentConfig:
                              "load a bundled one with demo_base(name)")
         for name in ("iterations", "quant_bits", "min_error_events", "max_blocks", "seed",
                      "workers", "frame_blocks"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_error_events < 1:
             raise ValueError("min_error_events must be >= 1")
         if self.max_blocks < 1:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -29,6 +30,7 @@ from ldpccc.arch import (
     schedule_multi,
     schedule_single,
 )
+from ldpccc.arch import _RamMap
 from ldpccc.cli import main
 from ldpccc.construction import (
     BaseMatrix,
@@ -87,10 +89,26 @@ def test_params_reject_non_integer_counts(name):
     # are integers
     good = PRESETS["1-S"]
     value = getattr(good, name)
-    for bad in (value + 0.5, float(value)):
+    for bad in (value + 0.5, float(value), True, False):
         with pytest.raises(ArchModelError, match=f"{name} must be an integer, got {bad!r}"):
             replace(good, **{name: bad})
     assert replace(good, **{name: np.int64(value)}) == good
+
+
+def test_every_valid_model_splits_the_edge_rams_evenly():
+    # no separate check guards the edge RAM split: z·rows·cols / (period²·stages)
+    # is checks_per_block / stages times block_cols / period, an integer
+    # whenever stages divides the checks per block
+    models = list(PRESETS.values())
+    for z, rows, cols in itertools.product(range(2, 13), range(1, 5), range(2, 13)):
+        for stages in range(1, z * rows + 1):
+            try:
+                models.append(ArchParams(z, rows, cols, stages, processors=2))
+            except ArchModelError:
+                pass
+    assert len(models) > 300 and any(p.stages not in (1, p.checks_per_block) for p in models)
+    for p in models:
+        assert _RamMap(p).edge_per_pair * p.period ** 2 * p.stages == p.z * p.block_rows * p.block_cols
 
 
 @pytest.mark.parametrize("clock", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -38,6 +38,12 @@ def test_transmit_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_transmit_rejects_fewer_than_one_symbol(n):
+    with pytest.raises(ValueError, match="need at least one symbol"):
+        transmit_all_zero(n, ChannelConfig(2.0, 0.5, seed=1))
+
+
 def test_transmit_noiseless_limit():
     cfg = ChannelConfig(200.0, 0.5, seed=1)
     y = transmit_all_zero(100, cfg)

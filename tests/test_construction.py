@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,34 @@ def test_base_matrix_validation():
 def test_base_matrix_error_names_position():
     with pytest.raises(ConstructionError, match=r"\(1, 2\)"):
         BaseMatrix(z=5, exponents=((0, 1, 2, 3), (4, 0, 7, 1)))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: BaseMatrix(z=4, exponents=()), ConstructionError, "exponent grid is empty"),
+    (lambda: BaseMatrix.from_text("# comment only\n\n"), ConstructionError,
+     "no data in base matrix text"),
+    (lambda: BaseMatrix.from_text("1 4\n0 1 2 3\n"), ConstructionError,
+     "header must be 'rows cols z', got '1 4'"),
+    (lambda: BaseMatrix.from_text("2 4 8\n0 1 2 3\n"), ConstructionError,
+     "expected 2 grid rows, found 1"),
+    (lambda: BaseMatrix.from_text("1 4 8\n0 1 2\n"), ConstructionError,
+     "expected 4 entries per row, got 3"),
+    (lambda: SparseBinaryMatrix(2, 2, [(0, 1, 1)]), ConstructionError,
+     "entries must be (row, col) pairs"),
+    (lambda: split_and_unwrap(demo_base("toy_2x4_z8")).row_structure(-1), ValueError,
+     "block row index must be >= 0"),
+    (lambda: window_matrix(split_and_unwrap(demo_base("toy_2x4_z8")), 0, 0), ValueError,
+     "need at least one block row"),
+    (lambda: window_matrix(split_and_unwrap(demo_base("toy_2x4_z8")), -1, 1), ValueError,
+     "window start must be >= 0"),
+    (lambda: window_matrix(split_and_unwrap(demo_base("toy_2x4_z8")), 0, 10**5),
+     ConstructionError, "window too large to materialize"),
+], ids=["empty-grid", "no-data", "short-header", "missing-row", "short-row",
+        "triple-entries", "negative-row", "no-window-rows", "negative-window-start",
+        "huge-window"])
+def test_construction_rejects_malformed_input(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 def test_base_matrix_text_roundtrip(tmp_path):

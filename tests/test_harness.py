@@ -13,7 +13,8 @@ import ldpccc.cli
 import ldpccc.decoder
 from ldpccc import harness
 from ldpccc.channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
-from ldpccc.cli import main
+from ldpccc.arch import ArchParams, report_arch
+from ldpccc.cli import build_parser, main
 from ldpccc.construction import BaseMatrix, demo_base, expand_base, split_and_unwrap
 from ldpccc.decoder import (
     BlockDecoder,
@@ -64,10 +65,24 @@ def test_config_rejects_non_integer_settings(name):
     # ran and reported numbers; numpy integers are integers
     good = ExperimentConfig(base=demo_base("toy_2x4_z8"))
     value = getattr(good, name)
-    for bad in (value + 0.5, float(value)):
+    for bad in (value + 0.5, float(value), True, False):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             dataclasses.replace(good, **{name: bad})
     assert dataclasses.replace(good, **{name: np.int64(value)}) == good
+
+
+@pytest.mark.parametrize("name", ["frame_blocks", "workers"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_frames_or_workers_below_one(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        ExperimentConfig(base=demo_base("toy_2x4_z8"), **{name: value})
+
+
+def test_qspa_block_baseline_rejects_a_clamp(small_cfg):
+    # the quantized check update never reads the clamp
+    cfg = dataclasses.replace(small_cfg, variant="qspa", clamp=0.5)
+    with pytest.raises(ValueError, match="clamp applies to the float variant only"):
+        run_block_baseline(cfg)
 
 
 @pytest.mark.parametrize("max_blocks", [0, -1])
@@ -121,7 +136,7 @@ def test_cli_ber_rejects_decoder_knobs_that_yield_plausible_numbers(flags, messa
 
 @pytest.mark.parametrize("bad", ["square-base", "no-iterations", "nine-bit-quantizer",
                                  "float-nine-bit-quantizer", "float-quantizer-settings",
-                                 "budget-below-a-frame"])
+                                 "budget-below-a-frame", "qspa-clamp"])
 def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
     # a run that fails while it is built fails the same way at any worker
     # count: one error line from the CLI, the same exception from run_ber.
@@ -146,6 +161,9 @@ def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
                                      "quant_bits and quant_step apply to the qspa variant only"),
         "budget-below-a-frame": (["--base", "toy_2x4_z8"], {},
                                  "max_blocks (16) is less than one frame of 64 blocks"),
+        "qspa-clamp": (["--base", "toy_2x4_z8", "--variant", "qspa", "--clamp", "0.5"],
+                       {"variant": "qspa", "clamp": 0.5},
+                       "clamp applies to the float variant only"),
     }[bad]
     errors, raised = [], []
     for workers in (1, 2):
@@ -494,6 +512,52 @@ def test_cli_ber_writes_csv(tmp_path, capsys):
     ])
     assert rc == 0
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_cli_settings_not_given_take_the_config_types_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(ldpccc.cli, "run_ber", lambda cfg: seen.append(cfg) or [])
+    assert main(["ber", "--base", "toy_2x4_z8"]) == 0
+    assert seen == [ExperimentConfig(base=demo_base("toy_2x4_z8"))]
+    capsys.readouterr()
+    assert main(["lut-dump"]) == 0
+    assert capsys.readouterr().out == dump_lut(build_pair_lut(Quantizer()))
+    shape = ["--z", "12", "--nc", "2", "--nv", "4", "--g", "3", "--iters", "2"]
+    assert main(["arch", *shape]) == 0
+    assert capsys.readouterr().out == report_arch(ArchParams(12, 2, 4, 3, 2)) + "\n"
+    # every option's parser default is None, or False for a switch: the
+    # config types own every default, and a config file fills what holds
+    # neither
+    for sub in build_parser()._subparsers._group_actions[0].choices.values():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                assert action.default is None or action.default is False, action.dest
+
+
+def test_cli_ber_timings_without_out_is_an_error(tmp_path, capsys):
+    # the flag only changes the CSV: without one the run printed the same lines
+    argv = ["ber", "--base", "toy_2x4_z8", "--ebno", "3", "--max-blocks", "16",
+            "--frame-blocks", "16", "--timings"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --timings needs --out: it only changes "
+                                       "the CSV\n")
+    assert main(argv + ["--out", str(tmp_path / "ber.csv")]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# comment\n\n   \niters=2  # trailing comment\n", None),
+    ("iters 2\n", "error: config lines must be key=value, got 'iters 2'"),
+], ids=["comments-and-blank-lines", "no-equals-sign"])
+def test_cli_config_file_lines(tmp_path, capsys, monkeypatch, text, message):
+    seen = []
+    monkeypatch.setattr(ldpccc.cli, "run_ber", lambda cfg: seen.append(cfg) or [])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    rc = main(["ber", "--base", "toy_2x4_z8", "--config", str(cfg)])
+    if message is None:
+        assert rc == 0 and seen[0].iterations == 2
+    else:
+        assert rc == 1 and capsys.readouterr() == ("", message + "\n")
 
 
 def test_cli_ber_config_file(tmp_path, capsys):

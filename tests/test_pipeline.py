@@ -75,7 +75,25 @@ def test_config_rejects_a_clamp_that_is_not_finite_and_positive(clamp):
         BlockDecoder(expand_base(demo_base("toy_2x4_z8")), 4, clamp=clamp)
 
 
-@pytest.mark.parametrize("iterations", [4.5, 4.0, 0, -1, "4"])
+@pytest.mark.parametrize("clamp", [0.5, 24.9, 100.0])
+def test_qspa_config_rejects_a_clamp_it_would_not_read(clamp):
+    # the quantized check update never reads the clamp: a qspa run at clamp
+    # 0.5 gave the same bit errors as at 25, where a float run's tripled
+    with pytest.raises(ValueError, match="clamp applies to the float variant only"):
+        DecoderConfig(4, "qspa", clamp=clamp)
+    with pytest.raises(ValueError, match="clamp applies to the float variant only"):
+        BlockDecoder(expand_base(demo_base("toy_2x4_z8")), 4, Quantizer(), clamp)
+    assert DecoderConfig(4, "float", clamp=clamp).clamp == clamp
+    assert DecoderConfig(4, "qspa", clamp=DecoderConfig.clamp).quantizer == Quantizer()
+
+
+@pytest.mark.parametrize("variant", ["bogus", "QSPA", ""])
+def test_config_rejects_an_unknown_variant(variant):
+    with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+        DecoderConfig(4, variant)
+
+
+@pytest.mark.parametrize("iterations", [4.5, 4.0, 0, -1, "4", True, False])
 def test_config_rejects_iterations_that_are_not_a_positive_integer(iterations):
     with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
         DecoderConfig(iterations)
