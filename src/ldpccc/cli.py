@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber", help="seeded Monte-Carlo BER sweep", description=(
         "A setting not given takes ExperimentConfig's default. --bits and --step "
-        "apply to the qspa variant only, --clamp to the float variant only."))
+        "apply to the qspa variant only, --clamp to the float variant only, "
+        "--frame-blocks to stream runs only."))
     p.add_argument("--base", required=True)
     p.add_argument("--ebno", help="comma-separated Eb/N0 grid in dB, strictly increasing")
     for flag, field in _BER_FIELDS.items():  # each typed as its field's default

@@ -40,6 +40,11 @@ class ConstructionError(ValueError):
     """Invalid base matrix, parameters, or matrix data."""
 
 
+def _is_int(value) -> bool:
+    """Python and numpy integers pass; a bool, float or string does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BaseMatrix:
     """Circulant-exponent description of a QC-LDPC block code.
@@ -53,22 +58,26 @@ class BaseMatrix:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not _is_int(self.z):
+            raise ConstructionError(f"expansion factor must be an integer, got {self.z!r}")
         if self.z < 2:
             raise ConstructionError(f"expansion factor must be >= 2, got {self.z}")
         rows = len(self.exponents)
         if rows < 1:
             raise ConstructionError("exponent grid is empty")
         cols = len(self.exponents[0])
-        exps = tuple(tuple(int(e) for e in row) for row in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        for i, row in enumerate(exps):
+        for i, row in enumerate(self.exponents):
             if len(row) != cols:
                 raise ConstructionError(f"ragged exponent grid at row {i}")
             for j, e in enumerate(row):
+                if not _is_int(e):
+                    raise ConstructionError(f"exponent {e!r} at ({i}, {j}) is not an integer")
                 if e != -1 and not 0 <= e < self.z:
                     raise ConstructionError(
                         f"exponent {e} at ({i}, {j}) outside {{-1}} | [0, {self.z})"
                     )
+        object.__setattr__(self, "exponents",
+                           tuple(tuple(int(e) for e in row) for row in self.exponents))
         if cols < rows:
             raise ConstructionError(
                 f"grid must be at least as wide as tall, got {rows}x{cols}"
@@ -256,25 +265,21 @@ class RowStructure:
     edge_delta: np.ndarray     # (n_edges,) block offset, 0 = newest block
     edge_col: np.ndarray       # (n_edges,) column inside the variable block
     by_degree: tuple           # ((degree, positions (k, degree)), ...)
-    delta_slices: dict         # delta -> (positions, cols)
 
 
-def _grouped(keys: np.ndarray, n_keys: int, *values: np.ndarray) -> list:
+def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> list:
     """Per key k in [0, n_keys), the ``values`` at the positions holding k,
     in position order: one stable sort."""
-    order = keys.argsort(kind="stable")
     ends = np.bincount(keys, minlength=n_keys).cumsum().tolist()
-    values = [v[order] for v in values]
-    return [[v[lo:hi] for v in values] for lo, hi in zip([0] + ends, ends)]
+    values = values[keys.argsort(kind="stable")]
+    return [values[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _row_layouts(layout: np.ndarray, check: np.ndarray, delta: np.ndarray, col: np.ndarray,
-                 n_deltas: list, n_checks: int) -> list:
-    """Row structures of edges listed layout by layout, each layout's edges
-    in canonical order; layout k has offsets 0 .. n_deltas[k] - 1.  One
-    stable sort groups every layout's positions by check degree, another
-    by offset."""
-    n = len(n_deltas)
+                 n: int, n_checks: int) -> list:
+    """Row structures of edges listed layout by layout (``n`` layouts),
+    each layout's edges in canonical order.  One stable sort groups every
+    layout's positions by check degree."""
     counts = np.bincount(layout, minlength=n)
     ends = counts.cumsum().tolist()
     # each edge's position in its layout
@@ -283,17 +288,13 @@ def _row_layouts(layout: np.ndarray, check: np.ndarray, delta: np.ndarray, col: 
     degree = np.bincount(node, minlength=n * n_checks)[node]
     top = int(degree.max(initial=0)) + 1
     by_degree = _grouped(layout * top + degree, n * top, local)
-    width = max(n_deltas)
-    by_delta = _grouped(layout * width + delta, n * width, local, col)
     return [RowStructure(
         n_edges=hi - lo,
         edge_check=check[lo:hi],
         edge_delta=delta[lo:hi],
         edge_col=col[lo:hi],
         by_degree=tuple((g, pos.reshape(-1, g))
-                        for g, (pos,) in enumerate(by_degree[k * top:(k + 1) * top]) if pos.size),
-        delta_slices={d: tuple(pair)
-                      for d, pair in enumerate(by_delta[k * width:k * width + n_deltas[k]])},
+                        for g, pos in enumerate(by_degree[k * top:(k + 1) * top]) if pos.size),
     ) for k, (lo, hi) in enumerate(zip([0] + ends, ends))]
 
 
@@ -345,7 +346,7 @@ class ConvCode:
         head = np.flatnonzero((phase < self.memory) & (delta <= phase))
         layouts = _row_layouts(*(np.concatenate([x, y[head]]) for x, y in (
             (phase, phase + period), (check, check), (delta, delta), (col, col))),
-            [period] * period + list(range(1, period)), self.checks_per_block)
+            period + self.memory, self.checks_per_block)
         # row_structure(t) for t < memory, then one row per phase from memory on
         self._layouts = layouts[period:] + [layouts[t % period]
                                             for t in range(self.memory, self.memory + period)]
@@ -396,9 +397,9 @@ class ConvCode:
         """Sub-matrix (i, j) of the M-by-M partition of the block code: row
         phase i's edges at offset (i - j) mod M."""
         struct = self.row_structure(self.memory + (i - self.memory) % self.period)
-        pos, cols = struct.delta_slices[(i - j) % self.period]
+        at = struct.edge_delta == (i - j) % self.period
         return SparseBinaryMatrix(self.checks_per_block, self.block_len,
-                                  np.stack([struct.edge_check[pos], cols], axis=1))
+                                  np.stack([struct.edge_check[at], struct.edge_col[at]], axis=1))
 
     def row_structure(self, t: int) -> RowStructure:
         """Edge layout of block row t: its own before ``memory``, its

@@ -142,8 +142,9 @@ def _build_run(cfg: ExperimentConfig, baseline: bool):
     errors) row per frame; the blocks in a frame (one for the block code);
     and the frames the decoder takes per call.  Each run keeps its own
     rate.  Every knob is checked here, so a bad one fails before any pool
-    starts: the quantizer's in either variant, and a stream budget of less
-    than one frame after the code's and the decoder's."""
+    starts: the quantizer's in either variant, a baseline's frame_blocks
+    (its frame is one codeword) after the decoder's, and a stream budget of
+    less than one frame after the code's and the decoder's."""
     quantizer = Quantizer(cfg.quant_bits, cfg.quant_step)
     if cfg.variant == VARIANT_FLOAT:
         if quantizer != Quantizer():
@@ -151,6 +152,8 @@ def _build_run(cfg: ExperimentConfig, baseline: bool):
         quantizer = None
     dec_cfg = DecoderConfig(cfg.iterations, cfg.variant, quantizer, cfg.clamp)
     if baseline:
+        if cfg.frame_blocks != ExperimentConfig.frame_blocks:
+            raise ValueError("frame_blocks applies to stream runs only")
         decoder = BlockDecoder(expand_base(cfg.base), cfg.iterations, quantizer, cfg.clamp)
         decode, blocks, n = functools.partial(_block_bits, decoder), 1, decoder.matrix.cols
         rate, per_call = 1.0 - cfg.base.block_rows / cfg.base.block_cols, decoder.frames_per_call

@@ -87,10 +87,7 @@ class Quantizer:
 
     def value(self, code):
         """Level of each code; anything but integer codes in [0, n_codes) raises."""
-        code = _checked_codes(code, self).astype(np.int64)
-        mag = code & (self.sign_bit - 1)
-        val = np.where(code & self.sign_bit, -mag, mag) * self.step
-        return val if val.ndim else float(val)
+        return to_twos_complement(code, self) * self.step
 
     def negate(self, code):
         """Flip the sign bit (value negation; +0 <-> -0)."""

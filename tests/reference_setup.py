@@ -83,17 +83,12 @@ def ref_build_row_structure(code: ConvCode, t: int) -> RowStructure:
         mask = np.isin(edge_check, ids)
         pos = positions[mask].reshape(ids.size, deg)
         by_degree.append((int(deg), pos))
-    delta_slices = {}
-    for d in deltas:
-        mask = edge_delta == d
-        delta_slices[d] = (positions[mask], np.ascontiguousarray(edge_col[mask]))
     return RowStructure(
         n_edges=int(edge_check.size),
         edge_check=edge_check,
         edge_delta=edge_delta,
         edge_col=edge_col,
         by_degree=tuple(by_degree),
-        delta_slices=delta_slices,
     )
 
 
@@ -117,10 +112,11 @@ def ref_leaving_edges(code: ConvCode) -> tuple[list, int]:
     for s in range(p):
         rows, pos, cols = [], [], []
         for j in (m, *range(m)):
-            positions, columns = full[(s - m + j) % p].delta_slices[j]
+            row = full[(s - m + j) % p]
+            positions = np.flatnonzero(row.edge_delta == j)
             rows.append(np.full(positions.size, j))
             pos.append(positions)
-            cols.append(columns)
+            cols.append(row.edge_col[positions])
         edges.append((np.concatenate(rows), np.concatenate(pos),
                       np.concatenate(cols).astype(np.intp)))
     pad = max(cols.size for _, _, cols in edges)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import itertools
@@ -300,6 +301,9 @@ def test_zero_stage_delay_step_span():
 def test_multi_equals_single_for_one_codeword():
     p = sched_params(codewords=1)
     assert schedule_multi(p, steps=5) == schedule_single(p, steps=5)
+    # the default window is two periods, whichever builder fills it in
+    assert schedule_multi(p) == schedule_single(p) == Schedule(p, PROPOSED_PHASES, 2 * p.period)
+    assert schedule_multi(p) != schedule_conventional(p)
 
 
 def test_multi_full_pipeline_busy_and_scales():
@@ -361,9 +365,9 @@ def test_schedule_matches_object_per_access_reference(name, build, kw, phases, s
 
 
 def _with_rams(sched, rams):
-    return Schedule(sched.params, sched.kind, sched.phases, sched.cycles_per_step,
-                    sched.cycle, sched.step, sched.stage, sched.codeword, sched.bpu,
-                    sched.ops, rams)
+    bad = copy.copy(sched)
+    bad.rams = rams
+    return bad
 
 
 def test_audit_finds_injected_port_collisions():

@@ -71,6 +71,32 @@ def test_base_matrix_error_names_position():
         BaseMatrix(z=5, exponents=((0, 1, 2, 3), (4, 0, 7, 1)))
 
 
+@pytest.mark.parametrize("bad", [0.7, 1.9, 1.0, True, False, "2", None])
+def test_base_matrix_rejects_a_non_integer_exponent(bad):
+    # 0.7 and 1.9 used to be truncated to 0 and 1, True read as 1 and "2" as 2
+    exps = [[0, 1, -1, 1], [1, 0, 1, -1]]
+    exps[1][2] = bad
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"exponent {bad!r} at (1, 2) is not an integer")):
+        BaseMatrix(z=4, exponents=tuple(map(tuple, exps)))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "8", None])
+def test_base_matrix_rejects_a_non_integer_z(bad):
+    # 2.5 used to fail in expand_base, 3.0 in a numpy cast, True as "must be >= 2"
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"expansion factor must be an integer, got {bad!r}")):
+        BaseMatrix(z=bad, exponents=((0, 1, -1, 1), (1, 0, 1, -1)))
+
+
+def test_base_matrix_takes_numpy_integers():
+    grid = np.array([[0, 1, -1, 1], [1, 0, 1, -1]])
+    for dtype in (np.int8, np.int32, np.int64):
+        base = BaseMatrix(z=np.int64(4), exponents=tuple(map(tuple, grid.astype(dtype))))
+        assert base == BaseMatrix(z=4, exponents=((0, 1, -1, 1), (1, 0, 1, -1)))
+        assert all(type(e) is int for row in base.exponents for e in row)
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: BaseMatrix(z=4, exponents=()), ConstructionError, "exponent grid is empty"),
     (lambda: BaseMatrix.from_text("# comment only\n\n"), ConstructionError,

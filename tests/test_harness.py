@@ -85,6 +85,27 @@ def test_qspa_block_baseline_rejects_a_clamp(small_cfg):
         run_block_baseline(cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_baseline_rejects_frame_blocks(workers, tmp_path, capfd):
+    # a baseline's frame is one codeword, so frame_blocks changed nothing:
+    # its CSV was the same at any value, and a budget below one frame ran
+    cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"), ebno_grid=(3.0,), max_blocks=8,
+                           frame_blocks=16, workers=workers)
+    with pytest.raises(ValueError, match="frame_blocks applies to stream runs only"):
+        run_block_baseline(cfg)
+    # the decoder settings are checked first
+    with pytest.raises(ValueError, match="clamp applies to the float variant only"):
+        run_block_baseline(dataclasses.replace(cfg, variant="qspa", clamp=0.5))
+    out = tmp_path / "ber.csv"
+    assert main(["ber", "--base", "toy_2x4_z8", "--block-baseline", "--ebno", "3",
+                 "--max-blocks", "8", "--frame-blocks", "16", "--workers", str(workers),
+                 "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: frame_blocks applies to stream runs only\n"
+    assert run_block_baseline(dataclasses.replace(cfg, frame_blocks=64))[0].blocks_sent == 8
+
+
 @pytest.mark.parametrize("max_blocks", [0, -1])
 def test_config_rejects_a_block_budget_below_one(max_blocks):
     # a budget of no blocks used to run a whole frame and report it, with
@@ -260,8 +281,9 @@ def test_csv_schema_and_byte_determinism(small_cfg, tmp_path):
 
 def test_block_baseline_pairing(small_cfg):
     cfg = dataclasses.replace(small_cfg, ebno_grid=(4.0,), max_blocks=120)
-    a = run_block_baseline(cfg)[0]
-    b = run_block_baseline(cfg)[0]
+    block_cfg = dataclasses.replace(cfg, frame_blocks=ExperimentConfig.frame_blocks)
+    a = run_block_baseline(block_cfg)[0]
+    b = run_block_baseline(block_cfg)[0]
     assert (a.blocks_sent, a.bit_errors) == (b.blocks_sent, b.bit_errors)
     assert a.seed == run_ber(cfg)[0].seed  # same per-point seed derivation
 
@@ -349,6 +371,8 @@ def test_a_run_is_built_once_in_the_caller(small_cfg, monkeypatch, tmp_path, run
         monkeypatch.setattr(harness, name, counting("decoder", getattr(harness, name)))
     cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0, 4.0, 6.0), workers=workers,
                               min_error_events=10**9, max_blocks=96)
+    if run is run_block_baseline:
+        cfg = dataclasses.replace(cfg, frame_blocks=ExperimentConfig.frame_blocks)
     points = run(cfg)
     assert len(points) == 3 and all(p.blocks_sent == 96 for p in points)
     assert log.read_text().split("\n") == [f"code {os.getpid()}", f"decoder {os.getpid()}", ""]
@@ -460,10 +484,11 @@ def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):
     # points that stop within their first batches, later, and at the block
     # cap, with the pool window running across point boundaries, for the
     # stream decoder and the block baseline (whose first batch is 64 frames)
-    for run, grid, first in ((run_ber, (0.0, 2.0, 3.0, 9.0), 16),
-                             (run_block_baseline, (0.0, 2.0, 4.0, 9.0), 64)):
+    for run, grid, first, frame_blocks in (
+            (run_ber, (0.0, 2.0, 3.0, 9.0), 16, 8),
+            (run_block_baseline, (0.0, 2.0, 4.0, 9.0), 64, ExperimentConfig.frame_blocks)):
         cfg = dataclasses.replace(small_cfg, ebno_grid=grid, min_error_events=15,
-                                  max_blocks=400, frame_blocks=8)
+                                  max_blocks=400, frame_blocks=frame_blocks)
         texts = []
         for workers in (1, 2, 3):
             path = tmp_path / f"w{workers}.csv"
@@ -482,7 +507,8 @@ def test_conv_vs_block_reported_not_asserted(small_cfg, capsys):
         small_cfg, ebno_grid=(4.0,), min_error_events=10, max_blocks=200
     )
     conv = run_ber(cfg)[0]
-    block = run_block_baseline(cfg)[0]
+    block_cfg = dataclasses.replace(cfg, frame_blocks=ExperimentConfig.frame_blocks)
+    block = run_block_baseline(block_cfg)[0]
     print(f"paired comparison at 4 dB: conv {conv.ber:.3e}, block {block.ber:.3e}")
     assert conv.ber >= 0 and block.ber >= 0
 

@@ -7,6 +7,7 @@ only once the benchmark runs.
 
 import importlib
 import json
+import shlex
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,3 +140,29 @@ def test_benchmark_jobs_pass_their_checks_at_the_golden_seed(monkeypatch, tmp_pa
         out = w.collect(w.job(workloads.GOLDEN_SEED, work_dir))
         assert w.check(out, workloads.GOLDEN_SEED) == [], name
         assert workloads.golden_problems(name, golden, out, workloads.GOLDEN_SEED, job=0) == []
+
+
+def readme_cli_lines():
+    """Each ``ldpccc ...`` command of the README's "Command line" block, its
+    continuation lines joined, as an argument list without the comment."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("ldpccc ")]
+
+
+def test_readme_cli_examples_parse_and_run(monkeypatch, tmp_path, capsys):
+    # every example parses; every one that is not a BER run also runs, in a
+    # scratch directory for the files it writes
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    from ldpccc.cli import build_parser, main
+
+    lines = readme_cli_lines()
+    assert [argv[1] for argv in lines] == ["construct", "ber", "ber", "ber",
+                                           "arch", "arch", "arch", "arch", "lut-dump"]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+        if argv[1] != "ber":
+            assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "sched.csv").exists() and (tmp_path / "lut.txt").exists()
