@@ -16,7 +16,14 @@ from .arch import (
     schedule_multi,
     schedule_single,
 )
-from .channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
+from .channel import (
+    ChannelConfig,
+    derive_seed,
+    frame_llrs,
+    noise_sigma,
+    to_llr,
+    transmit_all_zero,
+)
 from .construction import (
     BaseMatrix,
     ConstructionError,

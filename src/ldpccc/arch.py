@@ -275,8 +275,13 @@ class Schedule:
 
     def __init__(self, params: ArchParams, phases: tuple[str, ...], steps: int | None = None):
         p = params
-        self.params, self.phases = p, phases
-        self.steps = 2 * p.period if steps is None else steps
+        if steps is None:
+            steps = 2 * p.period
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise ArchModelError(f"steps must be an integer, got {steps!r}")
+        if steps < 0:
+            raise ArchModelError(f"steps must be >= 0, got {steps}")
+        self.params, self.phases, self.steps = p, phases, steps
         ram_map = _RamMap(p)
         patterns = [[[(op, ram) for op, bank, _msg in _stage_traffic(ram_map, cw, ph)
                       for ram in bank] for ph in range(p.period)]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, derive_seed, noise_sigma, to_llr, transmit_all_zero
+from .channel import derive_seed, frame_llrs
 from .construction import BaseMatrix, expand_base, split_and_unwrap
 from .decoder import (
     VARIANT_FLOAT,
@@ -81,6 +81,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_error_events < 1:
             raise ValueError("min_error_events must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_blocks < 1:
             raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
         grid = tuple(float(x) for x in self.ebno_grid)
@@ -108,12 +110,6 @@ class BerPoint:
     wall_time_s: float
 
 
-def _frame_llrs(cfg, point_idx, frame, rate, n):
-    ch = ChannelConfig(ebno_db=cfg.ebno_grid[point_idx], rate=rate,
-                       seed=derive_seed(cfg.seed, point_idx, frame))
-    return to_llr(transmit_all_zero(n, ch), noise_sigma(ch))
-
-
 def _stream_bits(decoder, llrs):
     # decode_stream is looked up at call time, so patching harness.decode_stream
     # (as the tests and the benchmark's tracer do) reaches every call
@@ -126,11 +122,9 @@ def _block_bits(decoder, llrs):
 
 def _frame_batch(cfg, decode, blocks, rate, n, point_idx, frame_lo, frame_hi):
     """Frames ``frame_lo .. frame_hi - 1`` of ``blocks`` blocks and ``n``
-    bits, each from its own seed, in one ``decode`` call: one (bits, bit
-    errors, block errors) row per frame."""
-    llrs = np.empty((frame_hi - frame_lo, n))
-    for i in range(len(llrs)):
-        llrs[i] = _frame_llrs(cfg, point_idx, frame_lo + i, rate, n)
+    bits, each from its own seed, in one ``frame_llrs`` call and one
+    ``decode`` call: one (bits, bit errors, block errors) row per frame."""
+    llrs = frame_llrs(cfg.seed, point_idx, frame_lo, frame_hi, cfg.ebno_grid[point_idx], rate, n)
     bits = decode(llrs)
     block_errors = bits.reshape(len(bits), blocks, -1).any(2).sum(1)
     return [(n, int(e), int(b)) for e, b in zip(bits.sum(axis=1), block_errors)]

@@ -96,6 +96,20 @@ def test_params_reject_non_integer_counts(name):
     assert replace(good, **{name: np.int64(value)}) == good
 
 
+@pytest.mark.parametrize("build", [schedule_single, schedule_multi, schedule_conventional])
+def test_schedule_rejects_a_step_count_that_is_not_a_count(build):
+    # steps=-3 used to give an empty schedule whose steps_per_cycle() read
+    # 0.0, and steps=2.5 float columns on which .events raised a TypeError
+    p = ArchParams(z=12, block_rows=4, block_cols=8, stages=3, processors=2)
+    with pytest.raises(ArchModelError, match="steps must be >= 0, got -3"):
+        build(p, steps=-3)
+    for bad in (2.5, 4.0, True):
+        with pytest.raises(ArchModelError, match=f"steps must be an integer, got {bad!r}"):
+            build(p, steps=bad)
+    assert build(p, steps=np.int64(4)) == build(p, steps=4)
+    assert build(p, steps=0).events == ()
+
+
 def test_every_valid_model_splits_the_edge_rams_evenly():
     # no separate check guards the edge RAM split: z·rows·cols / (period²·stages)
     # is checks_per_block / stages times block_cols / period, an integer

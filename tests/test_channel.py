@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ldpccc.channel
 from ldpccc.channel import (
     ChannelConfig,
+    _frame_seeds,
+    _philox_keys,
     derive_seed,
+    frame_llrs,
     noise_sigma,
     to_llr,
     transmit_all_zero,
@@ -84,3 +95,87 @@ def test_llr_sign_majority_correct_at_high_snr():
     y = transmit_all_zero(100_000, cfg)
     llr = to_llr(y, noise_sigma(cfg))
     assert (llr > 0).mean() > 0.99
+
+
+def per_frame_llrs(master, point, frame_lo, frame_hi, ebno_db, rate, n):
+    """The slow reference: each frame from its own seed and generator."""
+    rows = []
+    for frame in range(frame_lo, frame_hi):
+        cfg = ChannelConfig(ebno_db, rate, seed=derive_seed(master, point, frame))
+        rows.append(to_llr(transmit_all_zero(n, cfg), noise_sigma(cfg)))
+    return np.stack(rows)
+
+
+_masters = st.one_of(
+    st.integers(0, 2**260),                       # 1 to 9 words of entropy
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**31 - 1).map(np.int32),
+)
+_first_frames = st.one_of(
+    st.integers(0, 300),
+    st.integers(2**32 - 20, 2**32 + 20),          # ranges that cross 2**32
+    st.integers(0, 2**64 - 20),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=_masters, point=st.one_of(st.integers(0, 6), st.integers(0, 2**40)),
+       frame_lo=_first_frames, frames=st.integers(1, 12), n=st.integers(1, 40),
+       ebno_db=st.floats(-5.0, 20.0), rate=st.floats(0.05, 0.95))
+@example(master=2**63 + 11, point=0, frame_lo=2**32 - 3, frames=6, n=7, ebno_db=3.0,
+         rate=5 / 6)
+@example(master=0, point=1, frame_lo=2**32 - 1, frames=1, n=1, ebno_db=0.0, rate=0.5)
+@example(master=np.uint64(2**64 - 1), point=2**33, frame_lo=2**64 - 2, frames=2, n=3,
+         ebno_db=1.0, rate=0.5)
+def test_frame_llrs_equals_the_per_frame_path_bit_for_bit(master, point, frame_lo, frames,
+                                                           n, ebno_db, rate):
+    frame_hi = frame_lo + frames
+    got = frame_llrs(master, point, frame_lo, frame_hi, ebno_db, rate, n)
+    want = per_frame_llrs(master, point, frame_lo, frame_hi, ebno_db, rate, n)
+    assert got.dtype == np.float64 and got.shape == (frames, n)
+    assert got.tobytes() == want.tobytes()
+    # the seeds and Philox keys hashed in one pass are numpy's own
+    seeds = _frame_seeds(master, point, frame_lo, frame_hi)
+    want_seeds = [derive_seed(master, point, f) for f in range(frame_lo, frame_hi)]
+    assert [int(lo) | int(hi) << 32 for lo, hi in seeds.T] == want_seeds
+    for key, seed in zip(_philox_keys(seeds), want_seeds):
+        assert np.array_equal(key, np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
+def test_frame_llrs_rows_do_not_depend_on_the_batch():
+    whole = frame_llrs(7, 1, 10, 42, 2.0, 0.5, 64)
+    for lo, hi in [(10, 11), (11, 13), (13, 42)]:
+        assert np.array_equal(frame_llrs(7, 1, lo, hi, 2.0, 0.5, 64), whole[lo - 10:hi - 10])
+
+
+@pytest.mark.parametrize("master", [-1, np.int64(-3), -(2**70)])
+def test_frame_llrs_rejects_a_negative_master_seed(master):
+    with pytest.raises(ValueError):
+        frame_llrs(master, 0, 0, 2, 3.0, 0.5, 8)
+
+
+@pytest.mark.parametrize("frame_lo, frame_hi", [(-1, 2), (3, 3), (5, 4), (0, 2**64 + 1)])
+def test_frame_llrs_rejects_a_frame_range_it_cannot_seed(frame_lo, frame_hi):
+    with pytest.raises(ValueError, match="frame_lo < frame_hi <= 2\\*\\*64"):
+        frame_llrs(1, 0, frame_lo, frame_hi, 3.0, 0.5, 8)
+
+
+def test_frame_llrs_rejects_what_transmit_all_zero_rejects():
+    with pytest.raises(ValueError, match="need at least one symbol"):
+        frame_llrs(1, 0, 0, 1, 3.0, 0.5, 0)
+    with pytest.raises(ValueError, match="rate must be in"):
+        frame_llrs(1, 0, 0, 1, 3.0, 1.0, 8)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # importing numpy.random takes about 18 ms; the first seeding pays it,
+    # before the pool forks, so set-up and workers that never seed do not
+    src = str(Path(ldpccc.channel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, ldpccc; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

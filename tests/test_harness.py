@@ -78,6 +78,18 @@ def test_config_rejects_frames_or_workers_below_one(name, value):
         ExperimentConfig(base=demo_base("toy_2x4_z8"), **{name: value})
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_config_rejects_a_negative_seed(seed, capsys):
+    # a negative seed used to fail inside numpy's seeding with "expected
+    # non-negative integer", a message that names no setting
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        ExperimentConfig(base=demo_base("toy_2x4_z8"), seed=seed)
+    assert main(["ber", "--base", "toy_2x4_z8", "--ebno", "3.0", "--max-blocks", "64",
+                 "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert ExperimentConfig(base=demo_base("toy_2x4_z8"), seed=0).seed == 0
+
+
 def test_qspa_block_baseline_rejects_a_clamp(small_cfg):
     # the quantized check update never reads the clamp
     cfg = dataclasses.replace(small_cfg, variant="qspa", clamp=0.5)

@@ -127,6 +127,30 @@ def test_packed_table_mutation_reaches_the_frame_engine(monkeypatch):
     assert_lut_mutation_reaches_the_engine(monkeypatch, mutate)
 
 
+def test_channel_mutation_reaches_the_harness(monkeypatch):
+    # the harness draws each batch's channel LLRs through one frame_llrs
+    # call, looked up where it calls it: zero LLRs in its place change what
+    # a block baseline reports
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import numpy as np
+
+    from ldpccc import harness
+    from ldpccc.construction import demo_base
+
+    cfg = harness.ExperimentConfig(base=demo_base("toy_2x4_z8"), iterations=4,
+                                   ebno_grid=(1.0,), min_error_events=10**9, max_blocks=16)
+
+    def counts():
+        return [(p.blocks_sent, p.bit_errors, p.block_errors)
+                for p in harness.run_block_baseline(cfg)]
+
+    good = counts()
+    assert good[0][1] > 0
+    monkeypatch.setattr(harness, "frame_llrs", lambda master, point, lo, hi, *rest:
+                        np.zeros((hi - lo, rest[-1])))
+    assert counts() != good
+
+
 def test_benchmark_jobs_pass_their_checks_at_the_golden_seed(monkeypatch, tmp_path):
     # one job of every workload, checked as the benchmark checks it: a
     # change to the harness or to how the decoders are called fails here
