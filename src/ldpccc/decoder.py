@@ -168,9 +168,13 @@ def _cnp_float_rows(v: np.ndarray, clamp: float) -> np.ndarray:
     mag[arg, cols] = np.minimum(at_min, av.min(axis=0))
     np.minimum(mag, clamp, out=mag)
     # output k is negative iff the other inputs hold an odd count of
-    # negatives; multiplying by -1.0 keeps the sign of a zero magnitude
+    # negatives.  Negation is exactly a flip of the sign bit, so a zero
+    # magnitude turns -0.0 as a product with -1.0 would; a shift and an xor
+    # cost less than np.where's data-dependent select, which took about a
+    # tenth of a rate-5/6 float frame
     flip = np.bitwise_xor(neg, np.bitwise_xor.reduce(neg, axis=0), out=neg)
-    mag *= np.where(flip, -1.0, 1.0)
+    sign_bits = mag.view(np.uint64)
+    sign_bits ^= np.left_shift(flip, 63, dtype=np.uint64)
     if any_zero:
         n_zero = zero.sum(axis=0)
         np.copyto(mag, 0.0, where=(n_zero == 1) & ~zero)

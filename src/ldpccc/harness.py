@@ -12,10 +12,11 @@ worker count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,101 +177,141 @@ def _worker_batch(point_idx: int, frame_lo: int, frame_hi: int):
     return _worker_runner(point_idx, frame_lo, frame_hi)
 
 
+class _Ran(tuple):
+    """The rows of a batch run in the caller, read as a pool's future."""
+
+    def done(self):
+        return True
+
+    def result(self):
+        return self
+
+
 def _run_points(cfg: ExperimentConfig, run_batch, blocks_per_frame: int,
                 per_call: int) -> list[BerPoint]:
-    if cfg.workers == 1:
-        return _sweep(cfg, run_batch, blocks_per_frame, per_call, None)
+    max_frames = cfg.max_blocks // blocks_per_frame
+    size = min(per_call, max(1, min(64, max_frames // cfg.workers)))
+    # a forked pool starts all its workers at the first submit, so it gets
+    # no more than the grid has batches
+    workers = min(cfg.workers, len(cfg.ebno_grid) * -(-max_frames // size))
+    if workers == 1:
+        return _sweep(cfg, run_batch, blocks_per_frame, size, None, 1)
     # one pool for the whole grid; its workers receive the run built here
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(run_batch,)) as pool:
-        return _sweep(cfg, run_batch, blocks_per_frame, per_call, pool)
+        return _sweep(cfg, run_batch, blocks_per_frame, size, pool, workers)
 
 
-def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, per_call: int,
-           pool) -> list[BerPoint]:
+def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, size: int,
+           pool, slots: int) -> list[BerPoint]:
     """Every grid point, its batches run by ``run_batch`` here or, given a
-    pool whose workers hold that runner, in ``pool``.
+    pool of ``slots`` workers that hold that runner, in ``pool``.
 
     A point's budget is ``max_frames = max_blocks // blocks_per_frame``
     whole frames, so it never decodes past ``max_blocks``; a budget below
     one frame is rejected before any run starts.  Every batch is one
-    decoder call of ``min(per_call, cap)`` frames, with
-    ``cap = max(1, min(64, max_frames // workers))``; a point's last batch
-    takes the frames its budget has left.  The batches of the whole grid
-    form one sequence in (point, frame) order.  A pool keeps up to
-    ``2 * workers`` of them in flight, across point boundaries, so no
-    worker waits for a point's last batch; results are consumed strictly
-    in order, so the stopping point never depends on the worker count.
-    When a point stops, its batches still queued are cancelled and the
-    sequence skips past it, so the frames decoded past a stop are at most
-    those of the batches in flight.  A call is sized in bytes, so a qspa
-    batch holds 8 (int8 sums) or 4 (int16) times the frames of a float
-    one: up to 8 rate-5/6 frames of 64 blocks, all decoded even where the
-    point stops on the first.
-    ``wall_time_s`` is the time from the previous point's end (or the
-    sweep's start) to this point's end.
+    decoder call of ``size`` frames; a point's last batch takes the frames
+    its budget has left.  A batch holds one of the ``slots``, one per
+    worker, from its submission until it is consumed or, once its point
+    has stopped, until it ends.  A free slot takes the lowest point's
+    *needed* batch, the next of a point that has consumed all its batches
+    and not stopped (every first batch is needed), and only when no point
+    has one, the lowest point's *speculative* batch, the next of a point
+    whose earlier batches are in flight.  Each point consumes its results
+    in frame order, so its counts, and the CSV bytes, never depend on the
+    worker count, though points may finish out of grid order.  When a
+    point stops, its batches still held are cancelled, so a stop discards
+    at most ``slots - 1`` batches.  The serial path is one slot: one
+    needed batch at a time, in (point, frame) order.
+    A call is sized in bytes, so a qspa batch holds 8 (int8 sums) or 4
+    (int16) times the frames of a float one: up to 8 rate-5/6 frames of
+    64 blocks, all decoded even where the point stops on the first.
+    A point ends once it and every point before it have finished;
+    ``wall_time_s`` runs from the previous point's end (or the sweep's
+    start) to its own, so wall times are >= 0 and sum to the sweep's.
     """
     max_frames = cfg.max_blocks // blocks_per_frame
-    size = min(per_call, max(1, min(64, max_frames // cfg.workers)))
+    max_sent = max_frames * blocks_per_frame  # the blocks of a whole budget
+    n_points = len(cfg.ebno_grid)
     # seeding imports numpy.random; doing it before the first submit forks
     # the pool lets the workers inherit that module instead of loading it
-    seeds = [derive_seed(cfg.seed, p) for p in range(len(cfg.ebno_grid))]
+    seeds = [derive_seed(cfg.seed, p) for p in range(n_points)]
     if pool is None:
-        def submit(args):
-            fut = Future()
-            fut.set_result(run_batch(*args))
-            return fut
-        window = 1
+        def submit(p, lo, hi):
+            return _Ran(run_batch(p, lo, hi))
+
+        def settle(futures):
+            pass  # every batch ran at its submit
     else:
-        def submit(args):
-            return pool.submit(_worker_batch, *args)
-        window = 2 * cfg.workers
-    point_idx = 0
+        submit = functools.partial(pool.submit, _worker_batch)
 
-    def grid_batches():
-        for p in range(len(cfg.ebno_grid)):
-            lo = 0
-            while lo < max_frames and point_idx <= p:
-                yield p, lo, min(lo + size, max_frames)
-                lo += size
-
-    batches = grid_batches()
-    pending: deque = deque()  # (point, frame_hi, future) in sequence order
-    points = []
+        def settle(futures):
+            wait(futures, return_when=FIRST_COMPLETED)
+    next_lo = [0] * n_points
+    queued = [deque() for _ in range(n_points)]  # unconsumed futures in frame order
+    counts = [(0, 0, 0, 0)] * n_points  # blocks, decoded bits, bit errors, block errors
+    finished = [0.0] * n_points
+    live = list(range(n_points))  # points not stopped, in grid order
+    discarded = []  # batches of stopped points that may still run
+    held = 0  # slots held: batches neither consumed nor, once discarded, ended
     t_start = time.perf_counter()
-    for point_idx, ebno_db in enumerate(cfg.ebno_grid):
-        blocks = decoded_bits = bit_errors = block_errors = 0
-        stop = False
-        while not stop:
-            while len(pending) < window and (args := next(batches, None)) is not None:
-                pending.append((args[0], args[2], submit(args)))
-            _, frame_hi, fut = pending.popleft()
-            for n_bits, be, blke in fut.result():
-                blocks += blocks_per_frame
-                decoded_bits += n_bits
-                bit_errors += be
-                block_errors += blke
-                if bit_errors >= cfg.min_error_events or blocks >= cfg.max_blocks:
-                    stop = True
+    while live:
+        while held < slots:
+            for p in live:
+                if not queued[p]:
+                    break  # the lowest needed batch
+            else:
+                p = next((p for p in live if next_lo[p] < max_frames), None)
+                if p is None:
                     break
-            stop = stop or frame_hi == max_frames
-        while pending and pending[0][0] == point_idx:
-            pending.popleft()[2].cancel()
-        t_end = time.perf_counter()
+            lo = next_lo[p]
+            hi = next_lo[p] = min(lo + size, max_frames)
+            queued[p].append(submit(p, lo, hi))
+            held += 1
+        # a slot frees when a live point's oldest unconsumed batch or a
+        # discarded one ends
+        settle([q[0] for p in live if (q := queued[p])] + discarded)
+        for p in live[:]:
+            q = queued[p]
+            blocks, decoded_bits, bit_errors, block_errors = counts[p]
+            stop = False
+            while not stop and q and q[0].done():
+                held -= 1
+                for n_bits, be, blke in q.popleft().result():
+                    blocks += blocks_per_frame
+                    decoded_bits += n_bits
+                    bit_errors += be
+                    block_errors += blke
+                    if bit_errors >= cfg.min_error_events or blocks >= max_sent:
+                        stop = True
+                        break
+            counts[p] = blocks, decoded_bits, bit_errors, block_errors
+            if stop:
+                for fut in q:
+                    fut.cancel()
+                discarded += q
+                live.remove(p)
+                finished[p] = time.perf_counter()
+        running = [fut for fut in discarded if not fut.done()]
+        held -= len(discarded) - len(running)
+        discarded = running
+    points = []
+    for p, end in enumerate(itertools.accumulate(finished, max)):
+        blocks, decoded_bits, bit_errors, block_errors = counts[p]
         points.append(
             BerPoint(
-                ebno_db=ebno_db,
+                ebno_db=cfg.ebno_grid[p],
                 blocks_sent=blocks,
                 bit_errors=bit_errors,
                 block_errors=block_errors,
                 ber=bit_errors / decoded_bits if decoded_bits else 0.0,
                 bler=block_errors / blocks if blocks else 0.0,
-                seed=seeds[point_idx],
+                seed=seeds[p],
                 truncated=bit_errors < cfg.min_error_events,
-                wall_time_s=t_end - t_start,
+                wall_time_s=end - t_start,
             )
         )
-        t_start = t_end
+        t_start = end
     return points
 
 

@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,8 +406,8 @@ def _log_decoder_calls(monkeypatch, log):
 def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_path):
     # a point that stops on its first frame with a budget of thousands:
     # every batch is one decoder call of per_call frames, under the batch
-    # cap of 64, so the batches in flight hold at most per_call * window
-    # frames, not 64 per batch
+    # cap of 64, and a pool holds one batch per worker, so at most
+    # per_call * workers frames are decoded, not 64 per batch
     log = tmp_path / "frames.txt"
     _log_decoder_calls(monkeypatch, log)
     cfg = dataclasses.replace(small_cfg, base=demo_base("rate56_4x24_z31"), iterations=4,
@@ -419,9 +421,116 @@ def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_
         (point,) = run_ber(dataclasses.replace(cfg, workers=workers))
         assert point.blocks_sent == cfg.frame_blocks and not point.truncated
         calls = [int(n) for n in log.read_text().split()]
-        window = 1 if workers == 1 else 2 * workers
         assert calls and all(n == per_call for n in calls)
-        assert sum(calls) <= per_call * window
+        assert sum(calls) <= per_call * workers
+
+
+# a float call takes one toy_3x6_z16 frame of 512 blocks at I = 2, so a
+# batch is one frame and frames decoded can be set against frames used
+_ONE_FRAME_CALLS = dict(base=demo_base("toy_3x6_z16"), iterations=2, frame_blocks=512, seed=5)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_decodes_only_needed_batches_when_every_budget_is_one_batch(
+        monkeypatch, tmp_path, workers):
+    # every batch is a point's first, so every batch is needed and the pool
+    # decodes exactly the frames its points report
+    log = tmp_path / "frames.txt"
+    _log_decoder_calls(monkeypatch, log)
+    cfg = ExperimentConfig(**_ONE_FRAME_CALLS, ebno_grid=(0.0, 1.0, 2.0, 3.0, 4.0),
+                           min_error_events=10**9, max_blocks=512, workers=workers)
+    points = run_ber(cfg)
+    calls = [int(n) for n in log.read_text().split()]
+    assert calls == [1] * 5
+    assert [p.blocks_sent for p in points] == [512] * 5
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_takes_speculative_batches_only_when_none_is_needed(
+        monkeypatch, tmp_path, workers):
+    # four points that stop on their first frame, with budgets of 40: every
+    # first batch is needed, so speculation starts only once every live
+    # point has its first batch in flight and a slot is free, that is with
+    # at most workers - 1 points live, and each stop discards at most
+    # workers - 1 batches.  At 2 workers that is the last point alone and
+    # one batch; at 3, a discarded batch that ends frees its slot for one
+    # more, so the bound is (workers - 1) ** 2
+    log = tmp_path / "frames.txt"
+    _log_decoder_calls(monkeypatch, log)
+    cfg = ExperimentConfig(**_ONE_FRAME_CALLS, ebno_grid=(0.0, 0.5, 1.0, 1.5),
+                           min_error_events=1, max_blocks=40 * 512, workers=workers)
+    assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
+                                   cfg.frame_blocks, None) == 1
+    points = run_ber(cfg)
+    assert [p.blocks_sent for p in points] == [512] * 4
+    calls = [int(n) for n in log.read_text().split()]
+    assert calls and all(n == 1 for n in calls)
+    assert sum(calls) <= len(points) + (workers - 1) ** 2
+
+
+def test_a_pool_starts_no_more_workers_than_the_grid_has_batches(monkeypatch, tmp_path):
+    # a forked pool starts all its workers at the first submit; a stand-in
+    # pool records its size and runs every call in the caller, so no
+    # process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_worker_runner", None)
+    # three points of two one-frame batches each: six batches
+    argv = ["ber", "--base", "toy_2x4_z8", "--iters", "2", "--ebno", "1,2,3",
+            "--min-errors", "1000000", "--max-blocks", "128"]
+    texts = []
+    for workers in (1, 5, 6, 64):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert sizes == [5, 6, 6]
+    assert len(set(texts)) == 1
+    # a grid of one batch runs without a pool
+    assert main(["ber", "--base", "toy_2x4_z8", "--iters", "2", "--ebno", "3",
+                 "--max-blocks", "64", "--workers", "64"]) == 0
+    assert sizes == [5, 6, 6]
+
+
+def test_pooled_wall_times_are_ordered_ends_that_sum_to_the_sweep(monkeypatch, tmp_path):
+    # at seed 29 point 0 stops on its 7th frame, in its third batch of 3
+    # frames, and point 1 on its 2nd, so point 1 finishes first; a point ends
+    # once it and every point before it have, so its wall time is >= 0 and
+    # the times sum to the sweep's.  A clock that ticks once a reading
+    # makes every time exact.
+    readings = []
+
+    def clock():
+        readings.append(float(len(readings)))
+        return readings[-1]
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=clock))
+    cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"), iterations=3, ebno_grid=(7.0, 7.5, 9.0),
+                           min_error_events=1, max_blocks=16 * 512, seed=29, frame_blocks=512,
+                           workers=2)
+    path = tmp_path / "ber.csv"
+    points = run_ber(cfg)
+    assert [p.blocks_sent // 512 for p in points] == [7, 2, 16]
+    write_csv(points, path, timings=True)
+    walls = [float(line.split(",")[-1]) for line in path.read_text().splitlines()[1:]]
+    assert all(w >= 0 for w in walls)
+    assert sum(walls) == max(readings) - readings[0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
