@@ -12,10 +12,15 @@ One engine runs the pipeline on two schedules, with the same slot tables
 (``_window_tables``), check update (``_cnp_rows``) and column sums; each
 check lists its edges in row-structure order and each column sums in the
 pipeline's order, so both give the same bits, float sums included.
-``decode_stream`` and ``BlockDecoder`` flood a whole window per processor
+``decode_stream`` and ``BlockDecoder`` flood a window per processor
 (``_flood``): processor i depends only on processor i - 1, so over a frame
-it is one flooding iteration over block rows 0 .. n_blocks + I*memory - 1,
-with zero-LLR blocks past the frame.
+it is one flooding iteration on block rows 0 .. n_blocks + I*memory - 1,
+with zero-LLR blocks past the frame.  ``decode_stream`` floods only the
+dependency cone of the frame's decisions (``_cone``): iteration i checks
+the rows below n_blocks + min((i + 1) * J, (I - i) * memory), where J <=
+memory is the code's zero reach (0 on the bundled codes).  The rows it
+skips are either read by no decision or output zero, so the bits are those
+of the whole window.
 ``StreamDecoder.step`` runs a processor-batched wavefront over a fixed
 window: step t checks rows t, t - period, ... as one strided batch per
 slot group and completes the leaving blocks as one column-sum batch.
@@ -88,6 +93,11 @@ _CALL_BYTES = 1 << 19
 # wider call runs out of cache (on a 2-core Xeon host the float kernel took
 # 48 ns an edge on a (24, 2,728) block against 26-27 ns on (24, 682))
 _KERNEL_BYTES = 1 << 17
+# messages (window slots times frames) from which decode_stream floods only
+# the dependency cone; a smaller flood is bound by per-call overhead, which
+# the cut's strided views and plans only add to (a 2-frame toy_2x4_z16
+# flood at I = 8, 9,152 messages, took x1.04 the time of the whole window)
+_CUT_MESSAGES = 1 << 14
 
 _TANH_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
@@ -571,9 +581,14 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     if llr_stream.ndim == 2 and len(llr_stream) == 0:
         raise ValueError(f"expected {c} channel values in each of one or more "
                          f"frames, got shape {llr_stream.shape}")
-    tables = _window_tables(code, llr_stream.shape[-1] // c + cfg.iterations * code.memory)
-    soft = _decode_frames(tables, np.atleast_2d(llr_stream), cfg.iterations, decoder.lut,
-                          cfg.clamp).reshape(llr_stream.shape)
+    frames = np.atleast_2d(llr_stream)
+    n_blocks = frames.shape[1] // c
+    tables = _window_tables(code, n_blocks + cfg.iterations * code.memory)
+    cone = None  # a small flood floods the whole window, with the same bits
+    if tables.slot_col.size * len(frames) >= _CUT_MESSAGES:
+        cone = _cone(code, n_blocks, cfg.iterations)
+    soft = _decode_frames(tables, frames, cfg.iterations, decoder.lut, cfg.clamp,
+                          cone).reshape(llr_stream.shape)
     bits = (soft < 0).astype(np.uint8)
     return StreamResult(bits, soft, code, tables)
 
@@ -608,7 +623,7 @@ class _FloodTables(NamedTuple):
 
 
 def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
-           lut: PairLut | None, clamp: float) -> np.ndarray:
+           lut: PairLut | None, clamp: float, cone: list | None = None) -> np.ndarray:
     """(columns, F) a-posteriori sums after flooding iterations.
 
     ``lam`` holds the channel values, (columns, F): floats, or the codes'
@@ -618,25 +633,94 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     its check update writes over them, a run of checks at a time that
     holds at most ``_KERNEL_BYTES`` of messages, so beside the messages
     only one run's values are live.
+
+    ``cone``, from ``_cone``, gives per iteration i = 0 .. iterations a
+    bound on the block rows iteration i checks and one on the columns the
+    sums before it cover, the sums after the last iteration included.  A
+    group's rows ascend, so the checks of rows below a bound are a prefix
+    of the group and each cut run a prefix of its whole one.  Without a
+    cone every iteration checks every row and sums every column.
     """
     groups, slot_col, col_slots = tables
     f = lam.shape[1]
     msg = np.zeros((slot_col.size + 1, f), dtype=lam.dtype)
+    bounds = sorted({rows for rows, _ in cone[:iterations]}) if cone else []
     calls = []  # (degree, slots, messages) of each kernel call, in order
-    for deg, lo, hi, _rows in groups:
+    cuts = []  # per call: its first check, and its group's checks below each bound
+    for deg, lo, hi, rows in groups:
         slots = slot_col[lo:hi].reshape(deg, -1)
         group = msg[lo:hi].reshape(deg, -1, f)
         run = max(1, _KERNEL_BYTES // (deg * f * msg.itemsize))  # checks per call
-        calls += [(deg, slots[:, c:c + run], group[:, c:c + run].reshape(deg, -1))
-                  for c in range(0, slots.shape[1], run)]
+        below = []
+        if bounds:  # a window's group: rows.size rows of as many checks each
+            below = (rows.searchsorted(bounds) * (slots.shape[1] // rows.size)).tolist()
+        for c in range(0, slots.shape[1], run):
+            calls.append((deg, slots[:, c:c + run], group[:, c:c + run].reshape(deg, -1)))
+            cuts.append((c, below))
+    if cone is None:
+        steps = [(calls, col_slots, lam)] * iterations
+    else:  # each row bound's calls, cut to its rows; each iteration's calls and next sums
+        plans = {bound: [(deg, slots[:, :below[b] - c], out[:, :(below[b] - c) * f])
+                         for (deg, slots, out), (c, below) in zip(calls, cuts) if below[b] > c]
+                 for b, bound in enumerate(bounds)}
+        steps = [(plans[rows], col_slots[:, :cols], lam[:cols])
+                 for (rows, _), (_, cols) in zip(cone, cone[1:])]
     post = lam  # the first variable-to-check messages are the channel values
-    for _ in range(iterations):
-        for deg, slots, out in calls:
+    for i, (plan, sum_slots, channel) in enumerate(steps):
+        for deg, slots, out in plan:
             v2c = post.take(slots, axis=0).reshape(deg, -1)
-            v2c -= out
+            if i:  # before the first iteration every message is 0
+                v2c -= out
             _cnp_rows(v2c, out, lut, clamp)
-        post = _column_sums(msg, col_slots, lam)
+        post = _column_sums(msg, sum_slots, channel)
     return post
+
+
+def _cone(code: ConvCode, n_blocks: int, iterations: int) -> list:
+    """``_flood``'s cone for the decisions on blocks 0 .. n_blocks - 1 of a
+    stream window whose blocks from n_blocks on have zero LLRs.
+
+    Iteration i checks the block rows below ``n_blocks + min((i + 1) * J,
+    (iterations - i) * memory)``, and the sums before it cover those rows'
+    blocks; the sums after the last iteration cover the n_blocks decided
+    blocks.  Block row r reads blocks r - memory .. r, so the sums of block
+    b read rows b .. b + memory:
+    - the decisions read iteration i's rows below ``n_blocks +
+      (iterations - i) * memory`` only, for every code;
+    - before iteration i the sums of the blocks from ``n_blocks + i * J``
+      on are zero, and so are the messages of their rows: each check of a
+      row from ``n_blocks + (i + 1) * J`` on reads two or more of those
+      blocks (``_zero_reach``), so it outputs zero, as it holds already.
+      Without J (a degree-1 check) the first bound holds alone.
+    """
+    m, c = code.memory, code.block_len
+    reach = _zero_reach(code)
+    cone = []
+    for i in range(iterations + 1):
+        rows = n_blocks + (iterations - i) * m
+        if reach is not None:
+            rows = min(rows, n_blocks + (i + 1) * reach)
+        cone.append((rows, rows * c))
+    return cone
+
+
+def _zero_reach(code: ConvCode) -> int | None:
+    """J: each check of a full-band row r reads two or more blocks at or
+    past block r - J, the largest second-smallest block offset
+    (``edge_delta``) of a check, at most ``memory``.  So while the blocks
+    from Z on are zero, every row from Z + J on outputs zero: a check with
+    two zero inputs outputs zero.  None when a check has degree 1: it
+    outputs +max whatever it reads.  A row before ``memory`` keeps its
+    phase's offsets up to its own index, so the same holds for it.
+    """
+    reach = 0
+    for k in range(code.period):
+        struct = code.row_structure(code.memory + k)
+        for deg, pos in struct.by_degree:
+            if deg == 1:
+                return None
+            reach = max(reach, int(np.sort(struct.edge_delta[pos], axis=1)[:, 1].max()))
+    return reach
 
 
 def _message_dtype(tables: _FloodTables, quantizer: Quantizer | None) -> type:
@@ -652,10 +736,11 @@ def _frames_per_call(tables: _FloodTables, dtype) -> int:
 
 
 def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
-                   lut: PairLut | None, clamp: float) -> np.ndarray:
+                   lut: PairLut | None, clamp: float, cone: list | None = None) -> np.ndarray:
     """(F, n) soft values of (F, n) finite channel LLRs, floats or, with
     ``lut``, integers; columns past n read zero LLRs.  ``_frames_per_call``
-    frames at a time become channel values: floats, or the codes' integers.
+    frames at a time become channel values: floats, or the codes' integers,
+    flooded over ``cone`` (see ``_flood``).
     """
     if not np.isfinite(llrs).all():
         raise ValueError("channel LLRs must be finite, not NaN or infinite")
@@ -672,7 +757,7 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
         else:
             # codes in lam's layout; the scan above has ruled out NaN
             _code_values(_nearest_codes(chunk.T, q), q, lam[:n])
-        soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp)[:n].T
+        soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp, cone)[:n].T
     return soft
 
 

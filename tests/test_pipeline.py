@@ -29,7 +29,7 @@ from ldpccc.decoder import (
     _stream_frames_per_call,
     decode_stream,
 )
-from ldpccc.quantization import Quantizer, build_pair_lut
+from ldpccc.quantization import Quantizer, build_pair_lut, to_twos_complement
 
 from reference_decoder import (
     ref_cnp_float_rows,
@@ -896,6 +896,175 @@ def test_float_block_decoder_splits_wide_groups(monkeypatch):
     assert len(shapes) > len(dec._tables.groups)
     assert all(d * n * 8 <= ldpccc.decoder._KERNEL_BYTES for d, n in shapes)
     assert sum(d * n for d, n in shapes) == dec.frames_per_call * matrix.row_weights().sum()
+
+
+# ---------------------------------------------------------------------------
+# dependency cone
+
+
+def degree_one_code():
+    """A period-2 code with degree-1 checks in its full-band rows: a degree-1
+    check outputs +max whatever it reads, so a window row that reads only
+    zero LLRs does not output zeros."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        return split_and_unwrap(BaseMatrix(z=8, exponents=((3, -1, -1, -1, 0, 7),
+                                                           (4, -1, -1, -1, -1, -1))))
+
+
+def whole_window_soft(code, cfg, llrs):
+    """decode_stream's soft values from a flood of every row of its window
+    at every iteration, on the same tables and channel values."""
+    frames = np.atleast_2d(llrs)
+    n, q = frames.shape[1], cfg.quantizer
+    tables = ldpccc.decoder._window_tables(code, n // code.block_len
+                                           + cfg.iterations * code.memory)
+    lam = np.zeros((tables.col_slots.shape[1], len(frames)),
+                   dtype=ldpccc.decoder._message_dtype(tables, q))
+    lam[:n] = (frames if q is None else to_twos_complement(q.quantize(frames), q)).T
+    lut = None if q is None else build_pair_lut(q)
+    post = ldpccc.decoder._flood(tables, lam, cfg.iterations, lut, cfg.clamp)[:n].T
+    return post.reshape(np.shape(llrs)).astype(np.float64 if q is None else np.int64)
+
+
+def assert_cone_is_whole_window(code, cfg, llrs):
+    # every flood is cut, however small
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ldpccc.decoder, "_CUT_MESSAGES", 0)
+        soft = decode_stream(StreamDecoder(code, cfg), llrs).soft
+    assert_identical(soft, whole_window_soft(code, cfg, llrs))
+
+
+CONE_VARIANTS = [("float", None), (VARIANT_QSPA, Quantizer(2, 0.5)), (VARIANT_QSPA, Quantizer()),
+                 (VARIANT_QSPA, Quantizer(6, 0.75)), (VARIANT_QSPA, Quantizer(8, 0.25))]
+
+
+@pytest.mark.parametrize("code", bundled_codes() + [oldest_block_code(), degree_one_code()],
+                         ids=["toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31",
+                              "period_four", "oldest_block", "degree_one"])
+def test_decode_stream_floods_only_the_cone_bit_for_bit(code):
+    # iteration i checks only the rows below n_blocks + min((i + 1) * J,
+    # (I - i) * memory), J the code's zero reach: 0 on the bundled codes, 1
+    # of memory 3 on the period-4 one, all of memory on oldest_block_code,
+    # none with degree-1 checks; the soft values equal a flood of the whole
+    # window byte for byte, from one block to past I * memory blocks, one
+    # to three frames, some LLRs zero
+    rng = np.random.default_rng(111)
+    for (variant, q), n_proc in itertools.product(CONE_VARIANTS, (1, 2, 5, 8)):
+        reach = n_proc * code.memory
+        for k, frames in zip((1, reach, reach + 1, reach + code.period + 2), ((), (2,), (3,), (1,))):
+            llrs = rng.normal(1.0, 1.3, frames + (k * code.block_len,)) * 2.5
+            llrs[rng.random(llrs.shape) < 0.05] = 0.0
+            assert_cone_is_whole_window(code, DecoderConfig(n_proc, variant, q), llrs)
+
+
+def test_degree_one_checks_keep_the_rows_past_the_forward_bound():
+    # the counterexample to the forward bound: float, I = 3, four blocks;
+    # its degree-1 checks output +max from only zero inputs, so a flood cut
+    # at n_blocks + (i + 1) * memory gives other soft values
+    code, cfg = degree_one_code(), DecoderConfig(3)
+    llrs = noisy_llrs(code, 4, 17, ebno_db=2.0)
+    tables = ldpccc.decoder._window_tables(code, 4 + 3 * code.memory)
+    assert ldpccc.decoder._zero_reach(code) is None
+    rows = [bound for bound, _ in ldpccc.decoder._cone(code, 4, 3)]
+    assert rows == [4 + code.memory * (3 - i) for i in range(4)]
+    assert_cone_is_whole_window(code, cfg, llrs)
+    lam = np.zeros((tables.col_slots.shape[1], 1))
+    lam[:llrs.size, 0] = llrs
+    forward = tuple((b, b * code.block_len)
+                    for b in (4 + code.memory * min(i + 1, 3 - i) for i in range(4)))
+    cut = ldpccc.decoder._flood(tables, lam, 3, None, cfg.clamp, forward)[:, 0]
+    assert cut.tobytes() != whole_window_soft(code, cfg, llrs).tobytes()
+
+
+@st.composite
+def cone_cases(draw):
+    """A small base whose block rows and columns share a factor, with -1
+    entries anywhere (so degree-1 and empty rows), a decoder configuration
+    and channel values of one to three frames."""
+    z = draw(st.integers(2, 9))
+    rows = draw(st.integers(2, 4))
+    cols = draw(st.sampled_from([c for c in range(rows + 1, 9) if math.gcd(rows, c) >= 2]))
+    entry = st.one_of(st.just(-1), st.integers(0, z - 1))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        code = split_and_unwrap(BaseMatrix(z=z, exponents=tuple(map(tuple, grid))))
+    n_proc = draw(st.integers(1, 8))
+    variant, q = draw(st.sampled_from(CONE_VARIANTS[:1] + [
+        (VARIANT_QSPA, Quantizer(bits, step)) for bits in range(2, 9) for step in (0.5, 1.0)]))
+    n_blocks = draw(st.integers(1, n_proc * code.memory + code.period + 1))
+    frames = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    llrs = rng.normal(1.0, 1.5, frames + (n_blocks * code.block_len,)) * 2.0
+    llrs[rng.random(llrs.shape) < 0.1] = 0.0
+    return code, DecoderConfig(n_proc, variant, q), llrs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cone_cases())
+def test_cone_matches_the_whole_window_property(case):
+    assert_cone_is_whole_window(*case)
+
+
+def checks_checked(monkeypatch, code, cfg, llrs):
+    """The checks, per frame, that _cnp_rows receives in one decode_stream call."""
+    seen = []
+    cnp_rows = ldpccc.decoder._cnp_rows
+
+    def counting(v2c, *args):
+        seen.append(v2c.shape[1])
+        return cnp_rows(v2c, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ldpccc.decoder, "_cnp_rows", counting)
+        decode_stream(StreamDecoder(code, cfg), llrs)
+    return sum(seen) // len(np.atleast_2d(llrs))
+
+
+def row_checks(code, n_rows):
+    """The checks of each block row of a window."""
+    return [sum(len(pos) for _, pos in code.row_structure(r).by_degree) for r in range(n_rows)]
+
+
+def test_decode_stream_checks_only_the_cone(monkeypatch):
+    # rate 5/6, float, I = 8, one 64-block frame: every check has two or
+    # more edges in its own row's block (zero reach 0), so each iteration
+    # checks the frame's 64 rows of 31 checks, where flooding all 88 rows of
+    # the window checks 704 row-iterations
+    code = split_and_unwrap(demo_base("rate56_4x24_z31"))
+    assert ldpccc.decoder._zero_reach(code) == 0
+    llrs = noisy_llrs(code, 64, 3, ebno_db=3.0)
+    assert checks_checked(monkeypatch, code, DecoderConfig(8), llrs) == 8 * 64 * 31 == 15_872
+    assert (64 + 8 * code.memory) * 8 * 31 == 21_824
+    # zero reach equal to memory: iteration i checks the rows below
+    # n_blocks + memory * min(i + 1, I - i); with degree-1 checks only the
+    # backward bound holds, rows below n_blocks + (I - i) * memory
+    monkeypatch.setattr(ldpccc.decoder, "_CUT_MESSAGES", 0)
+    n_blocks, n_proc = 5, 6
+    for code, reach in ((oldest_block_code(), lambda i: min(i + 1, n_proc - i)),
+                        (degree_one_code(), lambda i: n_proc - i)):
+        m = code.memory
+        assert ldpccc.decoder._zero_reach(code) in (m, None)
+        checks = row_checks(code, n_blocks + n_proc * m)
+        want = sum(sum(checks[:n_blocks + reach(i) * m]) for i in range(n_proc))
+        assert want < n_proc * sum(checks)
+        assert checks_checked(monkeypatch, code, DecoderConfig(n_proc),
+                              noisy_llrs(code, n_blocks, 4)) == want
+
+
+def test_small_floods_check_the_whole_window(monkeypatch):
+    # below _CUT_MESSAGES window slots times frames (two 64-block frames of
+    # toy_2x4_z16 at I = 8: 9,152), decode_stream checks every row of the
+    # window at every iteration
+    code = split_and_unwrap(demo_base("toy_2x4_z16"))
+    n_rows = 64 + 8 * code.memory
+    slots = ldpccc.decoder._window_tables(code, n_rows).slot_col.size
+    assert slots * 2 == 9_152 < ldpccc.decoder._CUT_MESSAGES
+    llrs = np.stack([noisy_llrs(code, 64, seed) for seed in (5, 6)])
+    want = 8 * sum(row_checks(code, n_rows))
+    assert checks_checked(monkeypatch, code, DecoderConfig(8, VARIANT_QSPA), llrs) == want
 
 
 # ---------------------------------------------------------------------------
