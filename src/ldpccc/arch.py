@@ -13,11 +13,14 @@ multi-codeword operation, and information throughput.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ArchParams",
@@ -79,6 +82,8 @@ class ArchParams:
             raise ArchModelError("block_cols must exceed block_rows (rate > 0)")
         if self.stage_delay < 0:
             raise ArchModelError("stage_delay must be >= 0")
+        if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, numbers.Real):
+            raise ArchModelError(f"clock_hz must be a real number, got {self.clock_hz!r}")
         if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
             raise ArchModelError("clock_hz must be finite and positive")
         if not 1 <= self.codewords <= period:
@@ -450,6 +455,8 @@ def schedule_conventional(p: ArchParams, steps: int | None = None) -> Schedule:
 def proposed_conventional_ratio(p: ArchParams) -> Fraction:
     """Time to decode one check group, proposed over conventional: the
     ratio of their phase counts, whatever the configuration."""
+    from fractions import Fraction  # imported on use: it loads decimal too
+
     return Fraction(len(PROPOSED_PHASES), len(CONVENTIONAL_PHASES))
 
 

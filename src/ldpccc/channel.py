@@ -17,6 +17,8 @@ that frame's own key.  Each row is bit for bit the frame
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,12 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self):
+        e = self.ebno_db
+        if isinstance(e, bool) or not isinstance(e, numbers.Real):
+            raise ValueError(f"ebno_db must be a real number, got {e!r}")
+        # an infinite Eb/N0 gave sigma 0 and infinite LLRs, a NaN one NaN LLRs
+        if not math.isfinite(e):
+            raise ValueError(f"ebno_db must be finite, got {e!r}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
 

@@ -47,6 +47,8 @@ stores its messages, so no call transposes.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -117,8 +119,11 @@ class DecoderConfig:
         it = self.iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
             raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
-        if not (np.isfinite(self.clamp) and self.clamp > 0):
-            raise ValueError(f"clamp must be finite and > 0, got {self.clamp!r}")
+        c = self.clamp
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise ValueError(f"clamp must be a real number, got {c!r}")
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"clamp must be finite and > 0, got {c!r}")
         if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_FLOAT and self.quantizer is not None:

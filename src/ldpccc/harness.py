@@ -16,7 +16,6 @@ import itertools
 import math
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,6 +195,11 @@ def _run_points(cfg: ExperimentConfig, run_batch, blocks_per_frame: int,
     workers = min(cfg.workers, len(cfg.ebno_grid) * -(-max_frames // size))
     if workers == 1:
         return _sweep(cfg, run_batch, blocks_per_frame, size, None, 1)
+    # the pool stack (multiprocessing, socket, subprocess, ...) is imported
+    # here, at a process's first pool, so a serial run never loads it; the
+    # workers fork after this import and inherit it
+    from concurrent.futures import ProcessPoolExecutor
+
     # one pool for the whole grid; its workers receive the run built here
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(run_batch,)) as pool:
@@ -243,6 +247,8 @@ def _sweep(cfg: ExperimentConfig, run_batch, blocks_per_frame: int, size: int,
         def settle(futures):
             pass  # every batch ran at its submit
     else:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         submit = functools.partial(pool.submit, _worker_batch)
 
         def settle(futures):

@@ -15,6 +15,8 @@ bits, two checks a lookup through its pair-packed form,
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +52,9 @@ class Quantizer:
             raise ValueError(f"bits must be an integer, got {self.bits!r}")
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if not (np.isfinite(self.step) and self.step > 0):
+        if isinstance(self.step, bool) or not isinstance(self.step, numbers.Real):
+            raise ValueError(f"step must be a real number, got {self.step!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and > 0, got {self.step}")
 
     @property

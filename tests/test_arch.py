@@ -132,6 +132,14 @@ def test_params_reject_non_finite_or_non_positive_clock(clock):
         params_2s(clock_hz=clock)
 
 
+@pytest.mark.parametrize("clock", [True, False, "1e8", None])
+def test_params_reject_a_clock_that_is_not_a_real_number(clock):
+    # True used to model a 1 Hz clock
+    with pytest.raises(ArchModelError, match=f"clock_hz must be a real number, got {clock!r}"):
+        params_2s(clock_hz=clock)
+    assert params_2s(clock_hz=100_000_000) == params_2s(clock_hz=1e8)
+
+
 @pytest.mark.parametrize("clock", ["nan", "inf"])
 def test_cli_arch_rejects_non_finite_clock(clock, capsys):
     assert main(["arch", "--clock", clock]) == 1

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,26 @@ def test_frame_llrs_rejects_a_negative_master_seed(master):
 def test_frame_llrs_rejects_a_frame_range_it_cannot_seed(frame_lo, frame_hi):
     with pytest.raises(ValueError, match="frame_lo < frame_hi <= 2\\*\\*64"):
         frame_llrs(1, 0, frame_lo, frame_hi, 3.0, 0.5, 8)
+
+
+@pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_ebno_is_rejected_before_any_draw(ebno_db):
+    # +inf gave sigma 0 and infinite LLRs with a divide-by-zero warning,
+    # -inf and NaN gave NaN LLRs
+    with pytest.raises(ValueError, match="ebno_db must be finite"):
+        ChannelConfig(ebno_db, 0.5, seed=1)
+    with pytest.raises(ValueError, match="ebno_db must be finite"):
+        transmit_all_zero(8, ChannelConfig(ebno_db, 0.5, seed=1))
+    with pytest.raises(ValueError, match="ebno_db must be finite"):
+        frame_llrs(1, 0, 0, 1, ebno_db, 0.5, 8)
+
+
+@pytest.mark.parametrize("ebno_db", [True, "3.0", None])
+def test_an_ebno_that_is_not_a_real_number_is_rejected(ebno_db):
+    with pytest.raises(ValueError, match=f"ebno_db must be a real number, got {ebno_db!r}"):
+        ChannelConfig(ebno_db, 0.5, seed=1)
+    assert noise_sigma(ChannelConfig(np.float64(3.0), 0.5, 1)) == noise_sigma(
+        ChannelConfig(3.0, 0.5, 1))
 
 
 def test_frame_llrs_rejects_what_transmit_all_zero_rejects():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -490,7 +491,8 @@ def test_a_pool_starts_no_more_workers_than_the_grid_has_batches(monkeypatch, tm
         def __exit__(self, *exc):
             return None
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # _run_points imports the pool class from concurrent.futures at its first pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness, "_worker_runner", None)
     # three points of two one-frame batches each: six batches
     argv = ["ber", "--base", "toy_2x4_z8", "--iters", "2", "--ebno", "1,2,3",
@@ -506,6 +508,57 @@ def test_a_pool_starts_no_more_workers_than_the_grid_has_batches(monkeypatch, tm
     assert main(["ber", "--base", "toy_2x4_z8", "--iters", "2", "--ebno", "3",
                  "--max-blocks", "64", "--workers", "64"]) == 0
     assert sizes == [5, 6, 6]
+
+
+# the modules only a pool (the first two) or proposed_conventional_ratio
+# (fractions, which loads decimal) needs; a process imports each at first use
+_ON_USE = ("concurrent.futures", "multiprocessing", "fractions")
+
+_TOY_RUN = """
+from ldpccc import ExperimentConfig, demo_base, run_ber, write_csv
+cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"), iterations=2, ebno_grid=(1.0, 2.0, 3.0),
+                       min_error_events=40, max_blocks=256, workers={workers})
+write_csv(run_ber(cfg), {out!r})
+"""
+
+
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this checkout."""
+    src = str(Path(ldpccc.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _loaded_on_use(code: str) -> list[str]:
+    """The modules of _ON_USE in sys.modules after ``code`` runs in a fresh
+    interpreter."""
+    code += f"\nimport sys\nprint(*[m for m in {_ON_USE!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("code", [
+    "import ldpccc",
+    _TOY_RUN.format(workers=1, out=os.devnull),
+    "from ldpccc.cli import main; main(['construct', '--base', 'toy_3x6_z16'])",
+    "from ldpccc.cli import main; main(['arch', '--preset', '1-S'])",
+], ids=["import", "serial-ber", "construct", "arch"])
+def test_a_process_without_a_pool_leaves_the_pool_stack_unloaded(code):
+    # these modules took about half of a fresh `import ldpccc`
+    assert _loaded_on_use(code) == []
+
+
+def test_the_first_pool_loads_the_pool_stack_and_keeps_the_serial_bytes(tmp_path):
+    serial, pooled = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert _loaded_on_use(_TOY_RUN.format(workers=1, out=str(serial))) == []
+    assert _loaded_on_use(_TOY_RUN.format(workers=2, out=str(pooled))) == [
+        "concurrent.futures", "multiprocessing"]
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert _loaded_on_use("from ldpccc import PRESETS, proposed_conventional_ratio\n"
+                          "proposed_conventional_ratio(PRESETS['1-S'])") == ["fractions"]
 
 
 def test_pooled_wall_times_are_ordered_ends_that_sum_to_the_sweep(monkeypatch, tmp_path):
@@ -880,11 +933,8 @@ def test_cli_lut_dump_roundtrip(tmp_path, capsys):
 
 
 def test_python_m_ldpccc_runs_the_cli_from_a_source_checkout():
-    src = str(Path(ldpccc.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-m", "ldpccc", "arch", "--preset", "1-S"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_checkout_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("config ")
 

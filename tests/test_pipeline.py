@@ -75,6 +75,15 @@ def test_config_rejects_a_clamp_that_is_not_finite_and_positive(clamp):
         BlockDecoder(expand_base(demo_base("toy_2x4_z8")), 4, clamp=clamp)
 
 
+@pytest.mark.parametrize("clamp", [True, False, "5", None, np.bool_(True)])
+def test_config_rejects_a_clamp_that_is_not_a_real_number(clamp):
+    # True used to pass as a clamp of 1.0, and "5" failed in np.isfinite
+    # with a TypeError that named no setting
+    with pytest.raises(ValueError, match=f"clamp must be a real number, got {clamp!r}"):
+        DecoderConfig(8, clamp=clamp)
+    assert DecoderConfig(8, clamp=np.float32(5.0)) == DecoderConfig(8, clamp=5.0)
+
+
 @pytest.mark.parametrize("clamp", [0.5, 24.9, 100.0])
 def test_qspa_config_rejects_a_clamp_it_would_not_read(clamp):
     # the quantized check update never reads the clamp: a qspa run at clamp

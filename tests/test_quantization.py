@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def test_build_rejects_a_step_that_is_not_finite_and_positive(step):
     # an infinite step used to build, then failed as "cannot quantize NaN"
     with pytest.raises(ValueError, match="step must be finite and > 0"):
         Quantizer(4, step)
+
+
+@pytest.mark.parametrize("step", [True, False, "0.5", None, np.array(0.5)])
+def test_build_rejects_a_step_that_is_not_a_real_number(step):
+    # True used to build as a step of 1.0
+    with pytest.raises(ValueError, match=re.escape(f"step must be a real number, got {step!r}")):
+        Quantizer(4, step)
+    assert Quantizer(4, np.float32(0.5)) == Quantizer(4, 0.5)
 
 
 @pytest.mark.parametrize("name", ["bits"])
