@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -266,6 +267,10 @@ def _sorted_runs(*keys):
     return order, new
 
 
+# events per write of Schedule.write_csv: about 100 KB of text on preset 1-S
+_CSV_BATCH = 64
+
+
 class Schedule:
     """Stage slots of ``steps`` decoding steps (default two periods) of
     ``params.codewords`` codewords, each slot running ``phases``.
@@ -380,16 +385,16 @@ class Schedule:
 
     def write_csv(self, out) -> None:
         """Write ``csv_rows`` as CSV under the header ``cycle,bpu,activity,
-        ram_id,address`` to the text file ``out``, one join per event."""
+        ram_id,address`` to the text file ``out``: one string per event, one
+        write per ``_CSV_BATCH`` events."""
         label = "+".join(self.phases) + ",,\n"
-        mids = [[[f"{op},{ram}," for op, ram in zip(self.ops, p)] for p in row]
-                for row in self.rams.tolist()]
+        tails = [[[f"{op},{ram}," for op, ram in zip(self.ops, p)] + [label] for p in row]
+                 for row in self.rams.tolist()]
         out.write("cycle,bpu,activity,ram_id,address\n")
-        for cy, _st, sg, cw, ph, b in self._event_lists():
-            prefix, suffix = f"{cy},{b},", f"{sg}\n"
-            if self.ops:
-                out.write(prefix + (suffix + prefix).join(mids[cw][ph]) + suffix)
-            out.write(prefix + label)
+        events = self._event_lists()
+        while batch := "".join(f"{cy},{b}," + f"{sg}\n{cy},{b},".join(tails[cw][ph])
+                               for cy, _st, sg, cw, ph, b in islice(events, _CSV_BATCH)):
+            out.write(batch)
 
     def gantt(self) -> str:
         """Cycle-by-BPU activity grid."""

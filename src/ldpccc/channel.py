@@ -40,12 +40,13 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self):
-        e = self.ebno_db
-        if isinstance(e, bool) or not isinstance(e, numbers.Real):
-            raise ValueError(f"ebno_db must be a real number, got {e!r}")
+        for name in ("ebno_db", "rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # an infinite Eb/N0 gave sigma 0 and infinite LLRs, a NaN one NaN LLRs
-        if not math.isfinite(e):
-            raise ValueError(f"ebno_db must be finite, got {e!r}")
+        if not math.isfinite(self.ebno_db):
+            raise ValueError(f"ebno_db must be finite, got {self.ebno_db!r}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
 

@@ -212,26 +212,18 @@ def _cmd_lut_dump(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ldpccc",
-        description="QC-LDPC convolutional codes: construction, stream "
-        "decoding, BER sweeps, and hardware cost reports",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="summarize a base matrix and its code")
+def _construct_options(p):
     p.add_argument("--base", required=True, help="base matrix file or bundled name")
     p.add_argument("--skip-girth", action="store_true",
                    help="skip the girth search (breadth-first from every "
                    "vertex at once, linear in the edge count per root)")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_construct, subparser=p)
 
-    p = sub.add_parser("ber", help="seeded Monte-Carlo BER sweep", description=(
+
+def _ber_options(p):
+    p.description = (
         "A setting not given takes ExperimentConfig's default. --bits and --step "
         "apply to the qspa variant only, --clamp to the float variant only, "
-        "--frame-blocks to stream runs only."))
+        "--frame-blocks to stream runs only.")
     p.add_argument("--base", required=True)
     p.add_argument("--ebno", help="comma-separated Eb/N0 grid in dB, strictly increasing")
     for flag, field in _BER_FIELDS.items():  # each typed as its field's default
@@ -243,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="record wall time in the CSV given by --out "
                    "(breaks byte determinism)")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_ber, subparser=p)
 
-    p = sub.add_parser("arch", help="hardware model report")
+
+def _arch_options(p):
     which = p.add_mutually_exclusive_group()
     which.add_argument("--preset", help="built-in configuration name (1-S..4-P)")
     which.add_argument("--all-presets", action="store_true",
@@ -259,20 +250,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-csv")
     p.add_argument("--trace-demo", action="store_true",
                    help="print the canonical RAM storage walkthrough")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_arch, subparser=p)
 
-    p = sub.add_parser("lut-dump", help="write the pairwise combine table")
+
+def _lut_dump_options(p):
     p.add_argument("--bits", type=int)
     p.add_argument("--step", type=float)
     p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_lut_dump, subparser=p)
+
+
+# each subcommand's help, option builder and handler
+_COMMANDS = {
+    "construct": ("summarize a base matrix and its code", _construct_options, _cmd_construct),
+    "ber": ("seeded Monte-Carlo BER sweep", _ber_options, _cmd_ber),
+    "arch": ("hardware model report", _arch_options, _cmd_arch),
+    "lut-dump": ("write the pairwise combine table", _lut_dump_options, _cmd_lut_dump),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand registered; with ``command``,
+    only that one gets its options, which is all its argv needs."""
+    parser = argparse.ArgumentParser(
+        prog="ldpccc",
+        description="QC-LDPC convolutional codes: construction, stream "
+        "decoding, BER sweeps, and hardware cost reports",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_options(p)
+            p.add_argument("--config")
+            p.set_defaults(func=func, subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _apply_config(args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -85,7 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_blocks < 1:
             raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
-        grid = tuple(float(x) for x in self.ebno_grid)
+        grid = tuple(self.ebno_grid)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in grid):
+            raise ValueError(f"ebno_grid must hold real numbers, got {grid!r}")
+        grid = tuple(float(x) for x in grid)
         if not all(math.isfinite(x) for x in grid):
             raise ValueError(f"ebno_grid must hold finite values, got {grid}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

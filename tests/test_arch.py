@@ -425,6 +425,33 @@ def test_schedule_column_statistics_match_events():
     assert empty.gantt() == "(empty schedule)"
 
 
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+@pytest.mark.parametrize("build", [schedule_single, schedule_multi, schedule_conventional],
+                         ids=["single", "multi-2-delay", "conventional"])
+def test_write_csv_keeps_the_rows_at_every_batch_edge(monkeypatch, build, batch):
+    # one stage: a step is one event per codeword, so the step counts give
+    # 0, 1, B-1, B, B+1 and 2B+1 events, twice as many with two codewords
+    monkeypatch.setattr("ldpccc.arch._CSV_BATCH", batch)
+    p = sched_params(stages=1, codewords=2, stage_delay=2)
+    for steps in (0, 1, batch - 1, batch, batch + 1, 2 * batch + 1):
+        sched = build(p, steps=steps)
+        text = _CountedWrites()
+        sched.write_csv(text)
+        assert text.getvalue() == "cycle,bpu,activity,ram_id,address\n" + "".join(
+            f"{','.join(map(str, r))}\n" for r in sched.csv_rows())
+        assert text.writes == 1 + -(-sched.cycle.size // batch)  # the header, then batches
+
+
 PRESET_1S_CSV_SHA256 = "625f1b5491ad13d6939e3f2928f4e07e458b32167c4b32afe90cd647ed225b61"
 
 

@@ -182,6 +182,17 @@ def test_an_ebno_that_is_not_a_real_number_is_rejected(ebno_db):
         ChannelConfig(3.0, 0.5, 1))
 
 
+@pytest.mark.parametrize("rate", [True, "0.5", None])
+def test_a_rate_that_is_not_a_real_number_is_rejected(rate):
+    # "0.5" raised a bare TypeError from the range comparison
+    with pytest.raises(ValueError, match=f"rate must be a real number, got {rate!r}"):
+        ChannelConfig(3.0, rate, seed=1)
+    with pytest.raises(ValueError, match="rate must be in \\(0, 1\\), got 1.5"):
+        ChannelConfig(3.0, 1.5, seed=1)
+    assert noise_sigma(ChannelConfig(3.0, np.float64(0.5), 1)) == noise_sigma(
+        ChannelConfig(3.0, 0.5, 1))
+
+
 def test_frame_llrs_rejects_what_transmit_all_zero_rejects():
     with pytest.raises(ValueError, match="need at least one symbol"):
         frame_llrs(1, 0, 0, 1, 3.0, 0.5, 0)

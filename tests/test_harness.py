@@ -138,6 +138,18 @@ def test_config_rejects_a_non_finite_grid_point(grid):
         ExperimentConfig(base=demo_base("toy_2x4_z8"), ebno_grid=grid)
 
 
+@pytest.mark.parametrize("grid", [(True, "3"), (1.0, "3"), (False,), (1.0, None)])
+def test_config_rejects_a_grid_point_that_is_not_a_real_number(grid):
+    # float() ran True as 1.0 dB and "3" as 3.0 dB
+    with pytest.raises(ValueError, match=re.escape(f"ebno_grid must hold real numbers, "
+                                                   f"got {grid!r}")):
+        ExperimentConfig(base=demo_base("toy_2x4_z8"), ebno_grid=grid)
+    cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"),
+                           ebno_grid=(np.float32(1.0), np.int64(2), 3, np.float64(3.5)))
+    assert cfg.ebno_grid == (1.0, 2.0, 3.0, 3.5)
+    assert all(type(x) is float for x in cfg.ebno_grid)
+
+
 @pytest.mark.parametrize("base", ["toy_2x4_z8", [[0, 1, 2, 3]], None])
 def test_config_rejects_a_base_that_is_not_a_base_matrix(base):
     # a bundled name used to construct and then fail inside run_ber with an
@@ -732,6 +744,46 @@ def test_cli_settings_not_given_take_the_config_types_defaults(capsys, monkeypat
         for action in sub._actions:
             if action.option_strings and action.dest != "help":
                 assert action.default is None or action.default is False, action.dest
+
+
+CLI_COMMANDS = ("construct", "ber", "arch", "lut-dump")
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]] + [
+    [command, flag] for command in CLI_COMMANDS for flag in ("-h", "--bogus")],
+    ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_builds_only_the_named_subcommand_and_prints_the_full_parsers_text(
+        argv, capsys, monkeypatch):
+    full = build_parser()
+    built = []
+    monkeypatch.setattr(ldpccc.cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert built == [argv[0] if argv and argv[0] in CLI_COMMANDS else None]
+    text = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        full.parse_args(argv)
+    assert (got.value.code, text) == (want.value.code, capsys.readouterr())
+
+
+def test_cli_parser_for_one_subcommand_registers_all_but_fills_only_that_one():
+    subs = build_parser("arch")._subparsers._group_actions[0].choices
+    assert tuple(subs) == CLI_COMMANDS
+    assert [name for name, sub in subs.items() if len(sub._actions) > 1] == ["arch"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["arch", "--preset", "1-S"], "base=toy_2x4_z8"),
+    (["construct", "--base", "toy_2x4_z8", "--skip-girth"], "preset=1-S"),
+    (["lut-dump"], "schedule_csv=x.csv"),
+])
+def test_cli_config_keys_of_another_subcommand_stay_unknown(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    key = line.split("=")[0]
+    assert capsys.readouterr() == ("", f"error: unknown config key {key!r}\n")
 
 
 def test_cli_ber_timings_without_out_is_an_error(tmp_path, capsys):

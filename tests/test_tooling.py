@@ -5,6 +5,7 @@ broke its imports, or a binding its self-test patches, would otherwise show
 only once the benchmark runs.
 """
 
+import hashlib
 import importlib
 import json
 import shlex
@@ -164,6 +165,25 @@ def test_benchmark_jobs_pass_their_checks_at_the_golden_seed(monkeypatch, tmp_pa
         out = w.collect(w.job(workloads.GOLDEN_SEED, work_dir))
         assert w.check(out, workloads.GOLDEN_SEED) == [], name
         assert workloads.golden_problems(name, golden, out, workloads.GOLDEN_SEED, job=0) == []
+
+
+def test_the_timed_schedule_csv_path_skips_the_per_access_expansions(monkeypatch, tmp_path,
+                                                                    capsys):
+    # hw-model times this command: its CSV is written from the schedule's
+    # columns, never through the StageEvent objects or the row tuples
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    from ldpccc.arch import Schedule
+    from ldpccc.cli import main
+
+    def expanded(*_args):
+        raise AssertionError("the CLI expanded the schedule per access")
+
+    monkeypatch.setattr(Schedule, "events", property(expanded))
+    monkeypatch.setattr(Schedule, "csv_rows", expanded)
+    path = tmp_path / "schedule.csv"
+    assert main(["arch", "--preset", "1-S", "--schedule-csv", str(path)]) == 0
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["hw-model"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["csv_sha256"]
 
 
 def readme_cli_lines():
