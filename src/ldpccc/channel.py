@@ -44,6 +44,9 @@ class ChannelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            # a Python float, so that sigma, and with it every LLR byte, does
+            # not depend on the numpy type a setting came in (float32 math)
+            object.__setattr__(self, name, float(value))
         # an infinite Eb/N0 gave sigma 0 and infinite LLRs, a NaN one NaN LLRs
         if not math.isfinite(self.ebno_db):
             raise ValueError(f"ebno_db must be finite, got {self.ebno_db!r}")

@@ -15,12 +15,12 @@ pipeline's order, so both give the same bits, float sums included.
 ``decode_stream`` and ``BlockDecoder`` flood a window per processor
 (``_flood``): processor i depends only on processor i - 1, so over a frame
 it is one flooding iteration on block rows 0 .. n_blocks + I*memory - 1,
-with zero-LLR blocks past the frame.  ``decode_stream`` floods only the
-dependency cone of the frame's decisions (``_cone``): iteration i checks
-the rows below n_blocks + min((i + 1) * J, (I - i) * memory), where J <=
-memory is the code's zero reach (0 on the bundled codes).  The rows it
-skips are either read by no decision or output zero, so the bits are those
-of the whole window.
+with zero-LLR blocks past the frame.  ``decode_stream`` builds, budgets and
+floods only the rows that the frame's decisions can read as non-zero
+(``_window_rows``): n_blocks + max over i of min((I - i) * memory, (i + 1)
+* J), where J <= memory is the code's zero reach (0 on the bundled codes,
+so the frame's own rows).  Every row past them is either read by no
+decision or outputs zero, so the bits are those of the whole window.
 ``StreamDecoder.step`` runs a processor-batched wavefront over a fixed
 window: step t checks rows t, t - period, ... as one strided batch per
 slot group and completes the leaving blocks as one column-sum batch.
@@ -95,11 +95,6 @@ _CALL_BYTES = 1 << 19
 # wider call runs out of cache (on a 2-core Xeon host the float kernel took
 # 48 ns an edge on a (24, 2,728) block against 26-27 ns on (24, 682))
 _KERNEL_BYTES = 1 << 17
-# messages (window slots times frames) from which decode_stream floods only
-# the dependency cone; a smaller flood is bound by per-call overhead, which
-# the cut's strided views and plans only add to (a 2-frame toy_2x4_z16
-# flood at I = 8, 9,152 messages, took x1.04 the time of the whole window)
-_CUT_MESSAGES = 1 << 14
 
 _TANH_FLOOR = 1e-300
 _TANH_CEIL = 1.0 - 1e-15
@@ -571,9 +566,12 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
     the same leading axis.  The stream length must be a multiple of the
     block length.  Unlike the hardware's continuous operation, the stream
     ends in erasures (zero LLRs), so every fed block is decided with the
-    bits that stepping the decoder through that flush would give.  One
-    syndrome flag is returned per block, checking the block row that the
-    block completes.
+    bits that stepping the decoder through that flush would give.  Of the
+    flush it floods only the rows that a decision can read as non-zero
+    (``_window_rows``, the frame's own rows on the bundled codes), every
+    row at every iteration, ``_frames_per_call`` frames of that window at
+    a time.  One syndrome flag is returned per block, checking the block
+    row that the block completes.
     """
     llr_stream = np.asarray(llr_stream, dtype=np.float64)
     code, cfg = decoder.code, decoder.config
@@ -587,13 +585,9 @@ def decode_stream(decoder: StreamDecoder, llr_stream: np.ndarray) -> StreamResul
         raise ValueError(f"expected {c} channel values in each of one or more "
                          f"frames, got shape {llr_stream.shape}")
     frames = np.atleast_2d(llr_stream)
-    n_blocks = frames.shape[1] // c
-    tables = _window_tables(code, n_blocks + cfg.iterations * code.memory)
-    cone = None  # a small flood floods the whole window, with the same bits
-    if tables.slot_col.size * len(frames) >= _CUT_MESSAGES:
-        cone = _cone(code, n_blocks, cfg.iterations)
-    soft = _decode_frames(tables, frames, cfg.iterations, decoder.lut, cfg.clamp,
-                          cone).reshape(llr_stream.shape)
+    tables = _window_tables(code, _window_rows(code, frames.shape[1] // c, cfg.iterations))
+    soft = _decode_frames(tables, frames, cfg.iterations, decoder.lut,
+                          cfg.clamp).reshape(llr_stream.shape)
     bits = (soft < 0).astype(np.uint8)
     return StreamResult(bits, soft, code, tables)
 
@@ -602,8 +596,36 @@ def _stream_frames_per_call(code: ConvCode, iterations: int, n_blocks: int,
                             quantizer: Quantizer | None) -> int:
     """Frames of ``n_blocks`` blocks that decode_stream takes at once within
     the byte budget, quantized with ``quantizer`` or, without one, floats."""
-    tables = _window_tables(code, n_blocks + iterations * code.memory)
+    tables = _window_tables(code, _window_rows(code, n_blocks, iterations))
     return _frames_per_call(tables, _message_dtype(tables, quantizer))
+
+
+def _window_rows(code: ConvCode, n_blocks: int, iterations: int) -> int:
+    """Block rows of the window that decode_stream floods for the decisions
+    on blocks 0 .. n_blocks - 1 of a stream whose blocks from n_blocks on
+    have zero LLRs: ``n_blocks + max_i min((iterations - i) * memory, (i +
+    1) * J)`` over iterations i, J the zero reach (cached on the code), or
+    ``n_blocks + iterations * memory`` without one.
+
+    Block row r reads blocks r - memory .. r, so the sums of block b read
+    rows b .. b + memory.  At iteration i, a row that the window leaves out
+    is at or past one of two bounds, so leaving it out changes no decision:
+    - the decisions read iteration i's rows below ``n_blocks + (iterations
+      - i) * memory`` only, for every code;
+    - before iteration i the sums of the blocks from ``n_blocks + i * J`` on
+      are zero, and so are the messages of their rows: each check of a row
+      from ``n_blocks + (i + 1) * J`` on reads two or more of those blocks
+      (``_zero_reach``), so it outputs zero, as a row left out does.
+      Without J (a degree-1 check) the first bound holds alone.
+    A window row past one of iteration i's bounds floods at iteration i
+    too: it reaches no decision or outputs zero, as in the whole window.
+    """
+    if "zero reach" not in code._decoder_tables:
+        code._decoder_tables["zero reach"] = _zero_reach(code)
+    reach, m = code._decoder_tables["zero reach"], code.memory
+    if reach is None:
+        return n_blocks + iterations * m
+    return n_blocks + max(min((iterations - i) * m, (i + 1) * reach) for i in range(iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +650,9 @@ class _FloodTables(NamedTuple):
 
 
 def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
-           lut: PairLut | None, clamp: float, cone: list | None = None) -> np.ndarray:
-    """(columns, F) a-posteriori sums after flooding iterations.
+           lut: PairLut | None, clamp: float) -> np.ndarray:
+    """(columns, F) a-posteriori sums after flooding iterations, each of
+    which checks every row of the tables and sums every column.
 
     ``lam`` holds the channel values, (columns, F): floats, or the codes'
     integers in the sum's dtype with ``lut`` the quantized check update.
@@ -638,75 +661,26 @@ def _flood(tables: _FloodTables, lam: np.ndarray, iterations: int,
     its check update writes over them, a run of checks at a time that
     holds at most ``_KERNEL_BYTES`` of messages, so beside the messages
     only one run's values are live.
-
-    ``cone``, from ``_cone``, gives per iteration i = 0 .. iterations a
-    bound on the block rows iteration i checks and one on the columns the
-    sums before it cover, the sums after the last iteration included.  A
-    group's rows ascend, so the checks of rows below a bound are a prefix
-    of the group and each cut run a prefix of its whole one.  Without a
-    cone every iteration checks every row and sums every column.
     """
     groups, slot_col, col_slots = tables
     f = lam.shape[1]
     msg = np.zeros((slot_col.size + 1, f), dtype=lam.dtype)
-    bounds = sorted({rows for rows, _ in cone[:iterations]}) if cone else []
     calls = []  # (degree, slots, messages) of each kernel call, in order
-    cuts = []  # per call: its first check, and its group's checks below each bound
-    for deg, lo, hi, rows in groups:
+    for deg, lo, hi, _rows in groups:
         slots = slot_col[lo:hi].reshape(deg, -1)
         group = msg[lo:hi].reshape(deg, -1, f)
         run = max(1, _KERNEL_BYTES // (deg * f * msg.itemsize))  # checks per call
-        below = []
-        if bounds:  # a window's group: rows.size rows of as many checks each
-            below = (rows.searchsorted(bounds) * (slots.shape[1] // rows.size)).tolist()
-        for c in range(0, slots.shape[1], run):
-            calls.append((deg, slots[:, c:c + run], group[:, c:c + run].reshape(deg, -1)))
-            cuts.append((c, below))
-    if cone is None:
-        steps = [(calls, col_slots, lam)] * iterations
-    else:  # each row bound's calls, cut to its rows; each iteration's calls and next sums
-        plans = {bound: [(deg, slots[:, :below[b] - c], out[:, :(below[b] - c) * f])
-                         for (deg, slots, out), (c, below) in zip(calls, cuts) if below[b] > c]
-                 for b, bound in enumerate(bounds)}
-        steps = [(plans[rows], col_slots[:, :cols], lam[:cols])
-                 for (rows, _), (_, cols) in zip(cone, cone[1:])]
+        calls += [(deg, slots[:, c:c + run], group[:, c:c + run].reshape(deg, -1))
+                  for c in range(0, slots.shape[1], run)]
     post = lam  # the first variable-to-check messages are the channel values
-    for i, (plan, sum_slots, channel) in enumerate(steps):
-        for deg, slots, out in plan:
+    for i in range(iterations):
+        for deg, slots, out in calls:
             v2c = post.take(slots, axis=0).reshape(deg, -1)
             if i:  # before the first iteration every message is 0
                 v2c -= out
             _cnp_rows(v2c, out, lut, clamp)
-        post = _column_sums(msg, sum_slots, channel)
+        post = _column_sums(msg, col_slots, lam)
     return post
-
-
-def _cone(code: ConvCode, n_blocks: int, iterations: int) -> list:
-    """``_flood``'s cone for the decisions on blocks 0 .. n_blocks - 1 of a
-    stream window whose blocks from n_blocks on have zero LLRs.
-
-    Iteration i checks the block rows below ``n_blocks + min((i + 1) * J,
-    (iterations - i) * memory)``, and the sums before it cover those rows'
-    blocks; the sums after the last iteration cover the n_blocks decided
-    blocks.  Block row r reads blocks r - memory .. r, so the sums of block
-    b read rows b .. b + memory:
-    - the decisions read iteration i's rows below ``n_blocks +
-      (iterations - i) * memory`` only, for every code;
-    - before iteration i the sums of the blocks from ``n_blocks + i * J``
-      on are zero, and so are the messages of their rows: each check of a
-      row from ``n_blocks + (i + 1) * J`` on reads two or more of those
-      blocks (``_zero_reach``), so it outputs zero, as it holds already.
-      Without J (a degree-1 check) the first bound holds alone.
-    """
-    m, c = code.memory, code.block_len
-    reach = _zero_reach(code)
-    cone = []
-    for i in range(iterations + 1):
-        rows = n_blocks + (iterations - i) * m
-        if reach is not None:
-            rows = min(rows, n_blocks + (i + 1) * reach)
-        cone.append((rows, rows * c))
-    return cone
 
 
 def _zero_reach(code: ConvCode) -> int | None:
@@ -741,11 +715,11 @@ def _frames_per_call(tables: _FloodTables, dtype) -> int:
 
 
 def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
-                   lut: PairLut | None, clamp: float, cone: list | None = None) -> np.ndarray:
+                   lut: PairLut | None, clamp: float) -> np.ndarray:
     """(F, n) soft values of (F, n) finite channel LLRs, floats or, with
     ``lut``, integers; columns past n read zero LLRs.  ``_frames_per_call``
     frames at a time become channel values: floats, or the codes' integers,
-    flooded over ``cone`` (see ``_flood``).
+    flooded over the whole of ``tables`` (``_flood``).
     """
     if not np.isfinite(llrs).all():
         raise ValueError("channel LLRs must be finite, not NaN or infinite")
@@ -762,7 +736,7 @@ def _decode_frames(tables: _FloodTables, llrs: np.ndarray, iterations: int,
         else:
             # codes in lam's layout; the scan above has ruled out NaN
             _code_values(_nearest_codes(chunk.T, q), q, lam[:n])
-        soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp, cone)[:n].T
+        soft[lo:lo + per_call] = _flood(tables, lam, iterations, lut, clamp)[:n].T
     return soft
 
 
@@ -858,7 +832,8 @@ def _build_window_tables(code: ConvCode, n_rows: int) -> _FloodTables:
     np.add(col_slots, a[table].astype(dtype)[:, None], out=col_slots)
     col_slots = col_slots.reshape(len(table), n_q * p, c)[:, :n_rows]
     # blocks with a row before memory or past the window's end
-    b = np.array(sorted({*range(min(m, n_rows)), *range(max(0, n_rows - m), n_rows)}))
+    b = np.array(sorted({*range(min(m, n_rows)), *range(max(0, n_rows - m), n_rows)}),
+                 dtype=np.intp)  # empty in a window of no rows
     edges = table[:, b % p]
     r = b[:, None] + delta[edges]
     at_row = np.where(r < m, first[edges], a[edges] + (b // p)[:, None] * step[edges])

@@ -193,6 +193,25 @@ def test_a_rate_that_is_not_a_real_number_is_rejected(rate):
         ChannelConfig(3.0, 0.5, 1))
 
 
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+def test_numpy_settings_give_the_llr_bytes_of_python_floats(kind):
+    # an np.float32 setting made sigma float32 arithmetic (0.70794582 against
+    # 0.70794578 at 3 dB and rate 1/2), and frame_llrs moved by up to 3.8e-7;
+    # a setting is now stored as the Python float of its value
+    for ebno_db, rate in [(3.0, 0.5), (2.6, 5 / 6), (-1.3, 0.37)]:
+        for numpy_settings in [(kind(ebno_db), kind(rate)), (kind(ebno_db), rate),
+                               (ebno_db, kind(rate))]:
+            settings = tuple(map(float, numpy_settings))
+            cfg = ChannelConfig(*numpy_settings, seed=5)
+            assert (type(cfg.ebno_db), type(cfg.rate)) == (float, float)
+            assert (cfg.ebno_db, cfg.rate) == settings
+            assert noise_sigma(cfg) == noise_sigma(ChannelConfig(*settings, seed=5))
+            assert transmit_all_zero(16, cfg).tobytes() == transmit_all_zero(
+                16, ChannelConfig(*settings, seed=5)).tobytes()
+            assert frame_llrs(1, 0, 0, 3, *numpy_settings, 16).tobytes() == frame_llrs(
+                1, 0, 0, 3, *settings, 16).tobytes()
+
+
 def test_frame_llrs_rejects_what_transmit_all_zero_rejects():
     with pytest.raises(ValueError, match="need at least one symbol"):
         frame_llrs(1, 0, 0, 1, 3.0, 0.5, 0)

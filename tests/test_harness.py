@@ -353,8 +353,8 @@ def test_block_baseline_matches_frame_by_frame_decoding(monkeypatch):
 def test_stream_batches_match_frame_by_frame_decoding(monkeypatch):
     # the harness decodes each batch in calls of several frames; the counts
     # equal one decode per seeded frame, over more frames than one call
-    # takes (at a byte budget an eighth of the default's), with any workers
-    monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", ldpccc.decoder._CALL_BYTES // 8)
+    # takes (at a byte budget a sixteenth of the default's), with any workers
+    monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", ldpccc.decoder._CALL_BYTES // 16)
     base = demo_base("toy_3x6_z16")
     n_blocks = 16
     cfg = ExperimentConfig(base=base, variant="qspa", iterations=8, ebno_grid=(2.0,),
@@ -425,7 +425,7 @@ def test_early_stop_bounds_the_frames_decoded_ahead(small_cfg, monkeypatch, tmp_
     _log_decoder_calls(monkeypatch, log)
     cfg = dataclasses.replace(small_cfg, base=demo_base("rate56_4x24_z31"), iterations=4,
                               ebno_grid=(0.0,), min_error_events=1, max_blocks=32_000,
-                              frame_blocks=8)
+                              frame_blocks=22)
     per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
                                        cfg.frame_blocks, None)
     assert 1 < per_call < 64 and 64 % per_call == 0
@@ -600,20 +600,20 @@ def test_pooled_wall_times_are_ordered_ends_that_sum_to_the_sweep(monkeypatch, t
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_sweep_batch_is_one_decoder_call(monkeypatch, tmp_path, workers):
-    # a float call takes 28 toy frames of 64 blocks at I = 8, under the
-    # batch cap of 64: every batch is one call of 28 frames, but a point's
-    # last, which takes the 20 frames its budget of 300 has left
+    # a float call takes 32 toy frames of 64 blocks at I = 8, under the
+    # batch cap of 64: every batch is one call of 32 frames, but a point's
+    # last, which takes the 12 frames its budget of 300 has left
     log = tmp_path / "frames.txt"
     _log_decoder_calls(monkeypatch, log)
     cfg = ExperimentConfig(base=demo_base("toy_2x4_z8"), iterations=8, ebno_grid=(3.0, 4.0),
                            min_error_events=10**9, max_blocks=300 * 64, seed=4,
                            workers=workers)
     assert _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
-                                   cfg.frame_blocks, None) == 28
+                                   cfg.frame_blocks, None) == 32
     points = run_ber(cfg)
     assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
     calls = [int(n) for n in log.read_text().split()]
-    want = ([28] * 10 + [20]) * 2
+    want = ([32] * 9 + [12]) * 2
     assert sorted(calls) == sorted(want)  # pool workers log in finishing order
     assert workers > 1 or calls == want
 
@@ -642,9 +642,9 @@ def test_sweep_batches_split_no_decoder_call(small_cfg, monkeypatch, tmp_path):
 
 
 def test_qspa_sweep_batches_split_no_decoder_call(monkeypatch, tmp_path):
-    # a quantized call takes eight rate-5/6 frames of 64 blocks; each
-    # point's batches of 8, 8, 8 and 8 frames go to the decoder, and from
-    # it to the flooding engine, in calls of eight
+    # a quantized call takes eleven rate-5/6 frames of 64 blocks; each
+    # point's batches of 11, 11 and 11 frames go to the decoder, and from
+    # it to the flooding engine, in calls of eleven
     log, engine_log = tmp_path / "frames.txt", tmp_path / "engine.txt"
     _log_decoder_calls(monkeypatch, log)
     flood = ldpccc.decoder._flood
@@ -656,14 +656,14 @@ def test_qspa_sweep_batches_split_no_decoder_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ldpccc.decoder, "_flood", counting)
     cfg = ExperimentConfig(base=demo_base("rate56_4x24_z31"), variant="qspa", iterations=8,
-                           ebno_grid=(3.0, 4.0), min_error_events=10**9, max_blocks=32 * 64,
+                           ebno_grid=(3.0, 4.0), min_error_events=10**9, max_blocks=33 * 64,
                            seed=3, workers=2)
     per_call = _stream_frames_per_call(split_and_unwrap(cfg.base), cfg.iterations,
                                        cfg.frame_blocks, Quantizer())
-    assert per_call == 8
+    assert per_call == 11
     points = run_ber(cfg)
     assert [p.blocks_sent for p in points] == [cfg.max_blocks] * 2
-    assert log.read_text().split() == engine_log.read_text().split() == ["8"] * 8
+    assert log.read_text().split() == engine_log.read_text().split() == ["11"] * 6
 
 
 def test_sweep_csv_bytes_do_not_depend_on_workers(small_cfg, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ldpccc.decoder
 
+from ldpccc import harness
 from ldpccc.channel import ChannelConfig, noise_sigma, to_llr, transmit_all_zero
 from ldpccc.construction import (
     BaseMatrix,
@@ -27,8 +28,10 @@ from ldpccc.decoder import (
     StreamDecoder,
     _block_syndromes,
     _stream_frames_per_call,
+    _window_rows,
     decode_stream,
 )
+from ldpccc.harness import ExperimentConfig
 from ldpccc.quantization import Quantizer, build_pair_lut, to_twos_complement
 
 from reference_decoder import (
@@ -739,7 +742,7 @@ def test_decode_stream_splits_a_batch_into_calls(toy_code, variant, monkeypatch)
     # with a byte budget of two toy windows of messages, five frames go to
     # the engine two at a time and decode as each frame alone
     n_blocks, cfg = 4, DecoderConfig(2, variant)
-    window = ldpccc.decoder._window_tables(toy_code, n_blocks + 2 * toy_code.memory)
+    window = ldpccc.decoder._window_tables(toy_code, _window_rows(toy_code, n_blocks, 2))
     size = np.dtype(ldpccc.decoder._message_dtype(window, cfg.quantizer)).itemsize
     assert size == (8 if variant == "float" else 1)
     monkeypatch.setattr(ldpccc.decoder, "_CALL_BYTES", 2 * window.slot_col.size * size)
@@ -763,7 +766,7 @@ def calls_of_bundled_codes(quantizer):
     8- and 64-block frames and 4 and 8 processors, and of its block matrix."""
     for code in bundled_codes():
         for n_blocks, n_proc in itertools.product((8, 64), (4, 8)):
-            window = ldpccc.decoder._window_tables(code, n_blocks + n_proc * code.memory)
+            window = ldpccc.decoder._window_tables(code, _window_rows(code, n_blocks, n_proc))
             yield window.slot_col.size, _stream_frames_per_call(code, n_proc, n_blocks, quantizer)
         matrix = expand_base(code.base)
         yield int(matrix.row_weights().sum()), BlockDecoder(matrix, 8, quantizer).frames_per_call
@@ -779,12 +782,16 @@ def test_float_frames_per_call_are_those_of_the_edge_budget():
 @pytest.mark.parametrize("bits, size", [(4, 1), (8, 2)])
 def test_qspa_frames_per_call_fill_the_byte_budget(bits, size):
     # quantized sums take one byte (int8) at 4 bits and two (int16) at 8,
-    # so a quantized call takes 8 or 4 times the frames of a float one
+    # so a quantized call takes 8 or 4 times the frames of a float one; a
+    # 64-block rate-5/6 frame at I = 8 floods its own 64 rows, 46,500 slots
     for slots, per_call in calls_of_bundled_codes(Quantizer(bits)):
         assert per_call == max(1, ldpccc.decoder._CALL_BYTES // (slots * size))
     rate56 = demo_base("rate56_4x24_z31")
     assert BlockDecoder(expand_base(rate56), 8, Quantizer(bits)).frames_per_call == 176 // size
-    assert _stream_frames_per_call(split_and_unwrap(rate56), 8, 64, Quantizer(bits)) == 8 // size
+    code = split_and_unwrap(rate56)
+    assert ldpccc.decoder._window_tables(code, 64).slot_col.size == 46_500
+    per_call = _stream_frames_per_call(code, 8, 64, Quantizer(bits))
+    assert per_call == 2**19 // (46_500 * size) == {1: 11, 2: 5}[size]
 
 
 @pytest.mark.parametrize("bits", [4, 8])
@@ -937,10 +944,7 @@ def whole_window_soft(code, cfg, llrs):
 
 
 def assert_cone_is_whole_window(code, cfg, llrs):
-    # every flood is cut, however small
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ldpccc.decoder, "_CUT_MESSAGES", 0)
-        soft = decode_stream(StreamDecoder(code, cfg), llrs).soft
+    soft = decode_stream(StreamDecoder(code, cfg), llrs).soft
     assert_identical(soft, whole_window_soft(code, cfg, llrs))
 
 
@@ -952,12 +956,12 @@ CONE_VARIANTS = [("float", None), (VARIANT_QSPA, Quantizer(2, 0.5)), (VARIANT_QS
                          ids=["toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31",
                               "period_four", "oldest_block", "degree_one"])
 def test_decode_stream_floods_only_the_cone_bit_for_bit(code):
-    # iteration i checks only the rows below n_blocks + min((i + 1) * J,
-    # (I - i) * memory), J the code's zero reach: 0 on the bundled codes, 1
-    # of memory 3 on the period-4 one, all of memory on oldest_block_code,
-    # none with degree-1 checks; the soft values equal a flood of the whole
-    # window byte for byte, from one block to past I * memory blocks, one
-    # to three frames, some LLRs zero
+    # decode_stream floods the n_blocks + max_i min((i + 1) * J, (I - i) *
+    # memory) rows of _window_rows, J the code's zero reach: 0 on the
+    # bundled codes, 1 of memory 3 on the period-4 one, all of memory on
+    # oldest_block_code, none with degree-1 checks; the soft values equal a
+    # flood of the whole window byte for byte, from one block to past I *
+    # memory blocks, one to three frames, some LLRs zero
     rng = np.random.default_rng(111)
     for (variant, q), n_proc in itertools.product(CONE_VARIANTS, (1, 2, 5, 8)):
         reach = n_proc * code.memory
@@ -968,21 +972,20 @@ def test_decode_stream_floods_only_the_cone_bit_for_bit(code):
 
 
 def test_degree_one_checks_keep_the_rows_past_the_forward_bound():
-    # the counterexample to the forward bound: float, I = 3, four blocks;
-    # its degree-1 checks output +max from only zero inputs, so a flood cut
-    # at n_blocks + (i + 1) * memory gives other soft values
-    code, cfg = degree_one_code(), DecoderConfig(3)
+    # the counterexample to the forward bound: float, I = 2, four blocks;
+    # its degree-1 checks output +max from only zero inputs, so the window
+    # keeps all n_blocks + I * memory rows, and a window cut at the forward
+    # bound, n_blocks + max_i min(i + 1, I - i) * memory rows as if J were
+    # memory, gives other soft values
+    code, cfg = degree_one_code(), DecoderConfig(2)
     llrs = noisy_llrs(code, 4, 17, ebno_db=2.0)
-    tables = ldpccc.decoder._window_tables(code, 4 + 3 * code.memory)
     assert ldpccc.decoder._zero_reach(code) is None
-    rows = [bound for bound, _ in ldpccc.decoder._cone(code, 4, 3)]
-    assert rows == [4 + code.memory * (3 - i) for i in range(4)]
+    assert _window_rows(code, 4, 2) == 4 + 2 * code.memory
     assert_cone_is_whole_window(code, cfg, llrs)
+    tables = ldpccc.decoder._window_tables(code, 4 + code.memory)
     lam = np.zeros((tables.col_slots.shape[1], 1))
     lam[:llrs.size, 0] = llrs
-    forward = tuple((b, b * code.block_len)
-                    for b in (4 + code.memory * min(i + 1, 3 - i) for i in range(4)))
-    cut = ldpccc.decoder._flood(tables, lam, 3, None, cfg.clamp, forward)[:, 0]
+    cut = ldpccc.decoder._flood(tables, lam, 2, None, cfg.clamp)[:llrs.size, 0]
     assert cut.tobytes() != whole_window_soft(code, cfg, llrs).tobytes()
 
 
@@ -1041,39 +1044,71 @@ def test_decode_stream_checks_only_the_cone(monkeypatch):
     # rate 5/6, float, I = 8, one 64-block frame: every check has two or
     # more edges in its own row's block (zero reach 0), so each iteration
     # checks the frame's 64 rows of 31 checks, where flooding all 88 rows of
-    # the window checks 704 row-iterations
+    # n_blocks + I * memory checks 704 row-iterations
     code = split_and_unwrap(demo_base("rate56_4x24_z31"))
     assert ldpccc.decoder._zero_reach(code) == 0
     llrs = noisy_llrs(code, 64, 3, ebno_db=3.0)
     assert checks_checked(monkeypatch, code, DecoderConfig(8), llrs) == 8 * 64 * 31 == 15_872
     assert (64 + 8 * code.memory) * 8 * 31 == 21_824
-    # zero reach equal to memory: iteration i checks the rows below
-    # n_blocks + memory * min(i + 1, I - i); with degree-1 checks only the
-    # backward bound holds, rows below n_blocks + (I - i) * memory
-    monkeypatch.setattr(ldpccc.decoder, "_CUT_MESSAGES", 0)
+    # zero reach equal to memory: every iteration checks the rows below
+    # n_blocks + memory * max_i min(i + 1, I - i); with degree-1 checks only
+    # the backward bound holds, rows below n_blocks + I * memory
     n_blocks, n_proc = 5, 6
-    for code, reach in ((oldest_block_code(), lambda i: min(i + 1, n_proc - i)),
-                        (degree_one_code(), lambda i: n_proc - i)):
+    both_bounds = max(min(i + 1, n_proc - i) for i in range(n_proc))
+    for code, reach in ((oldest_block_code(), both_bounds), (degree_one_code(), n_proc)):
         m = code.memory
         assert ldpccc.decoder._zero_reach(code) in (m, None)
-        checks = row_checks(code, n_blocks + n_proc * m)
-        want = sum(sum(checks[:n_blocks + reach(i) * m]) for i in range(n_proc))
-        assert want < n_proc * sum(checks)
+        assert _window_rows(code, n_blocks, n_proc) == n_blocks + reach * m
+        want = n_proc * sum(row_checks(code, n_blocks + reach * m))
         assert checks_checked(monkeypatch, code, DecoderConfig(n_proc),
                               noisy_llrs(code, n_blocks, 4)) == want
 
 
 def test_small_floods_check_the_whole_window(monkeypatch):
-    # below _CUT_MESSAGES window slots times frames (two 64-block frames of
-    # toy_2x4_z16 at I = 8: 9,152), decode_stream checks every row of the
-    # window at every iteration
+    # a small flood, two 64-block frames of toy_2x4_z16 at I = 8 (zero reach
+    # 0, 8,128 messages), checks every row of its 64-row window at every
+    # iteration
     code = split_and_unwrap(demo_base("toy_2x4_z16"))
-    n_rows = 64 + 8 * code.memory
+    n_rows = _window_rows(code, 64, 8)
     slots = ldpccc.decoder._window_tables(code, n_rows).slot_col.size
-    assert slots * 2 == 9_152 < ldpccc.decoder._CUT_MESSAGES
+    assert (n_rows, slots * 2) == (64, 8_128)
     llrs = np.stack([noisy_llrs(code, 64, seed) for seed in (5, 6)])
     want = 8 * sum(row_checks(code, n_rows))
     assert checks_checked(monkeypatch, code, DecoderConfig(8, VARIANT_QSPA), llrs) == want
+
+
+@pytest.mark.parametrize("variant", ["float", VARIANT_QSPA])
+@pytest.mark.parametrize("code", bundled_codes() + [degree_one_code()],
+                         ids=["toy_2x4_z8", "toy_2x4_z16", "toy_3x6_z16", "rate56_4x24_z31",
+                              "period_four", "degree_one"])
+def test_a_call_is_budgeted_by_the_window_it_floods(code, variant, monkeypatch):
+    # decode_stream floods the cached tables of exactly _window_rows rows
+    # (64 of the 88 rows of n_blocks + I * memory on a 64-block rate-5/6
+    # frame at I = 8), every row at every iteration, and the harness's
+    # frames per call are those of the same tables
+    n_blocks, n_proc = 64, 8
+    run = ExperimentConfig(base=code.base, variant=variant, iterations=n_proc,
+                           frame_blocks=n_blocks)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "diagonal sub-matrix")
+        per_call = harness._build_run(run, baseline=False)[2]
+    cfg = DecoderConfig(n_proc, variant)
+    floods = []
+    flood = ldpccc.decoder._flood
+
+    def recording(tables, lam, *args):
+        floods.append(tables)
+        return flood(tables, lam, *args)
+
+    monkeypatch.setattr(ldpccc.decoder, "_flood", recording)
+    checks = checks_checked(monkeypatch, code, cfg, noisy_llrs(code, n_blocks, 8))
+    (tables,) = floods
+    n_rows = _window_rows(code, n_blocks, n_proc)
+    assert tables is ldpccc.decoder._window_tables(code, n_rows)
+    assert tables.col_slots.shape[1] == n_rows * code.block_len
+    assert checks == n_proc * sum(row_checks(code, n_rows))
+    dtype = ldpccc.decoder._message_dtype(tables, cfg.quantizer)
+    assert per_call == ldpccc.decoder._frames_per_call(tables, dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -192,4 +192,5 @@ def test_a_run_builds_each_row_layout_and_the_window_once(monkeypatch):
                                       frame_blocks=32))
     assert points[0].blocks_sent == 64
     assert [len(built) for built in layouts] == [code.memory + code.period]
-    assert windows == [32 + 8 * code.memory]
+    # the frame's own 32 rows: the zero reach of toy_2x4_z16 is 0
+    assert windows == [ldpccc.decoder._window_rows(code, 32, 8)] == [32]
