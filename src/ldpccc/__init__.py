@@ -3,12 +3,10 @@
 from .arch import (
     ArchParams,
     ArchReport,
-    ComplexityScores,
     FPGA_REFERENCE,
     PRESETS,
     RamTrace,
     Schedule,
-    complexity_estimates,
     derive_report,
     proposed_conventional_ratio,
     ram_trace_example,

@@ -13,12 +13,13 @@ multi-codeword operation, and information throughput.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+from ._settings import _count, _real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -26,13 +27,11 @@ if TYPE_CHECKING:
 __all__ = [
     "ArchParams",
     "ArchReport",
-    "ComplexityScores",
     "RamAccess",
     "StageEvent",
     "Schedule",
     "RamTrace",
     "derive_report",
-    "complexity_estimates",
     "schedule_single",
     "schedule_multi",
     "schedule_conventional",
@@ -67,26 +66,18 @@ class ArchParams:
     codewords: int = 1
 
     def __post_init__(self):
-        for name in ("z", "block_rows", "block_cols", "stages", "processors",
-                     "quant_bits", "stage_delay", "codewords"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ArchModelError(f"{name} must be an integer, got {value!r}")
-        period = math.gcd(self.block_rows, self.block_cols)
+        for name, at_least in (("z", 1), ("block_rows", 1), ("block_cols", 1), ("stages", 1),
+                               ("processors", 1), ("quant_bits", 1), ("stage_delay", 0),
+                               ("codewords", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), at_least,
+                                                  ArchModelError))
+        object.__setattr__(self, "clock_hz", _real("clock_hz", self.clock_hz, positive=True,
+                                                   error=ArchModelError))
+        period = self.period
         if period < 2:
             raise ArchModelError("block_rows/block_cols give a degenerate period")
-        for name in ("z", "block_rows", "block_cols", "stages", "processors",
-                     "quant_bits", "codewords"):
-            if getattr(self, name) < 1:
-                raise ArchModelError(f"{name} must be positive")
         if self.block_cols <= self.block_rows:
             raise ArchModelError("block_cols must exceed block_rows (rate > 0)")
-        if self.stage_delay < 0:
-            raise ArchModelError("stage_delay must be >= 0")
-        if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, numbers.Real):
-            raise ArchModelError(f"clock_hz must be a real number, got {self.clock_hz!r}")
-        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
-            raise ArchModelError("clock_hz must be finite and positive")
         if not 1 <= self.codewords <= period:
             raise ArchModelError(
                 f"codewords must be in [1, {period}], got {self.codewords}"
@@ -171,24 +162,6 @@ def derive_report(p: ArchParams) -> ArchReport:
         memory_bits=bits,
         cycles_per_step=cycles,
         throughput_bps=throughput,
-    )
-
-
-@dataclass(frozen=True)
-class ComplexityScores:
-    """Relative scaling scores for parameter sweeps (no absolute units)."""
-
-    throughput_score: float    # ~ z * rate / stages
-    memory_score: float        # ~ z * processors * block_cols^2 * (1 - rate)
-    logic_score: float         # memory_score / stages
-
-
-def complexity_estimates(p: ArchParams) -> ComplexityScores:
-    mem = p.z * p.processors * p.block_cols ** 2 * (1.0 - p.rate)
-    return ComplexityScores(
-        throughput_score=p.z * p.rate / p.stages,
-        memory_score=mem,
-        logic_score=mem / p.stages,
     )
 
 
@@ -287,11 +260,8 @@ class Schedule:
         p = params
         if steps is None:
             steps = 2 * p.period
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-            raise ArchModelError(f"steps must be an integer, got {steps!r}")
-        if steps < 0:
-            raise ArchModelError(f"steps must be >= 0, got {steps}")
-        self.params, self.phases, self.steps = p, phases, steps
+        self.params, self.phases = p, phases
+        self.steps = _count("steps", steps, 0, ArchModelError)
         ram_map = _RamMap(p)
         patterns = [[[(op, ram) for op, bank, _msg in _stage_traffic(ram_map, cw, ph)
                       for ram in bank] for ph in range(p.period)]
@@ -395,19 +365,6 @@ class Schedule:
         while batch := "".join(f"{cy},{b}," + f"{sg}\n{cy},{b},".join(tails[cw][ph])
                                for cy, _st, sg, cw, ph, b in islice(events, _CSV_BATCH)):
             out.write(batch)
-
-    def gantt(self) -> str:
-        """Cycle-by-BPU activity grid."""
-        if not self.cycle.size:
-            return "(empty schedule)"
-        grid = {(b, cy): f"c{cw}s{sg}" for cy, _st, sg, cw, _ph, b in self._event_lists()}
-        bpus = sorted({b for b, _cy in grid})
-        width = max(6, max(len(v) for v in grid.values()) + 1)
-        lines = ["cycle".ljust(8) + "".join(f"BPU{b}".ljust(width) for b in bpus)]
-        for cy in range(int(self.cycle.max()) + 1):
-            lines.append(f"{cy}".ljust(8) + "".join(
-                grid.get((b, cy), ".").ljust(width) for b in bpus))
-        return "\n".join(lines)
 
 
 def _stage_traffic(rams: _RamMap, codeword: int, step: int) -> list[tuple]:

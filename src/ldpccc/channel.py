@@ -17,11 +17,11 @@ that frame's own key.  Each row is bit for bit the frame
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._settings import _count, _real
 
 __all__ = [
     "ChannelConfig",
@@ -40,16 +40,11 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("ebno_db", "rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            # a Python float, so that sigma, and with it every LLR byte, does
-            # not depend on the numpy type a setting came in (float32 math)
-            object.__setattr__(self, name, float(value))
-        # an infinite Eb/N0 gave sigma 0 and infinite LLRs, a NaN one NaN LLRs
-        if not math.isfinite(self.ebno_db):
-            raise ValueError(f"ebno_db must be finite, got {self.ebno_db!r}")
+        # Python numbers, so that sigma, and with it every LLR byte, does not
+        # depend on the numpy type a setting came in (float32 math)
+        object.__setattr__(self, "ebno_db", _real("ebno_db", self.ebno_db))
+        object.__setattr__(self, "rate", _real("rate", self.rate))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
 
@@ -275,6 +270,7 @@ def frame_llrs(master_seed, point_idx: int, frame_lo: int, frame_hi: int,
     all frames are hashed in one pass; one Philox, set to each frame's key
     in turn, fills the rows; the LLR transform runs once over the batch.
     """
+    master_seed = _count("master_seed", master_seed, 0)
     if n < 1:
         raise ValueError("need at least one symbol")
     if not 0 <= frame_lo < frame_hi <= 1 << 64:

@@ -65,7 +65,7 @@ def _apply_config(args: argparse.Namespace):
             raise ValueError(f"unknown config key {key!r}")
         if (given := getattr(args, key)) is not None and given is not False:
             continue
-        if not isinstance(actions[key].default, bool):
+        if actions[key].nargs != 0:  # not a switch
             setattr(args, key, _config_value(key, raw, actions[key]))
         elif raw.lower() in _BOOLEANS:
             setattr(args, key, _BOOLEANS[raw.lower()])

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._settings import _count
+
 __all__ = [
     "ConstructionError",
     "BaseMatrix",
@@ -40,11 +42,6 @@ class ConstructionError(ValueError):
     """Invalid base matrix, parameters, or matrix data."""
 
 
-def _is_int(value) -> bool:
-    """Python and numpy integers pass; a bool, float or string does not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class BaseMatrix:
     """Circulant-exponent description of a QC-LDPC block code.
@@ -58,10 +55,7 @@ class BaseMatrix:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _is_int(self.z):
-            raise ConstructionError(f"expansion factor must be an integer, got {self.z!r}")
-        if self.z < 2:
-            raise ConstructionError(f"expansion factor must be >= 2, got {self.z}")
+        object.__setattr__(self, "z", _count("expansion factor", self.z, 2, ConstructionError))
         rows = len(self.exponents)
         if rows < 1:
             raise ConstructionError("exponent grid is empty")
@@ -70,8 +64,11 @@ class BaseMatrix:
             if len(row) != cols:
                 raise ConstructionError(f"ragged exponent grid at row {i}")
             for j, e in enumerate(row):
-                if not _is_int(e):
-                    raise ConstructionError(f"exponent {e!r} at ({i}, {j}) is not an integer")
+                try:
+                    _count("exponent", e, error=ConstructionError)
+                except ConstructionError:
+                    raise ConstructionError(
+                        f"exponent {e!r} at ({i}, {j}) is not an integer") from None
                 if e != -1 and not 0 <= e < self.z:
                     raise ConstructionError(
                         f"exponent {e} at ({i}, {j}) outside {{-1}} | [0, {self.z})"

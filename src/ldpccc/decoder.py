@@ -47,13 +47,12 @@ stores its messages, so no call transposes.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._settings import _count, _real
 from .construction import ConvCode, SparseBinaryMatrix
 from .construction import syndrome_check  # noqa: F401  (traced here by perfbench)
 from .quantization import (
@@ -111,14 +110,8 @@ class DecoderConfig:
     clamp: float = 25.0
 
     def __post_init__(self):
-        it = self.iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
-            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
-        c = self.clamp
-        if isinstance(c, bool) or not isinstance(c, numbers.Real):
-            raise ValueError(f"clamp must be a real number, got {c!r}")
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"clamp must be finite and > 0, got {c!r}")
+        object.__setattr__(self, "iterations", _count("iterations", self.iterations, 1))
+        object.__setattr__(self, "clamp", _real("clamp", self.clamp, positive=True))
         if self.variant not in (VARIANT_FLOAT, VARIANT_QSPA):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_FLOAT and self.quantizer is not None:

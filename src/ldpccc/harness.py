@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._settings import _count, _real
 from .channel import derive_seed, frame_llrs
 from .construction import BaseMatrix, expand_base, split_and_unwrap
 from .decoder import (
@@ -75,30 +72,19 @@ class ExperimentConfig:
         if not isinstance(self.base, BaseMatrix):
             raise ValueError(f"base must be a BaseMatrix, got {type(self.base).__name__}; "
                              "load a bundled one with demo_base(name)")
-        for name in ("iterations", "quant_bits", "min_error_events", "max_blocks", "seed",
-                     "workers", "frame_blocks"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.min_error_events < 1:
-            raise ValueError("min_error_events must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_blocks < 1:
-            raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
+        # the decoder and the quantizer check the ranges of iterations and
+        # quant_bits, and quant_step and clamp, when the run is built
+        for name, at_least in (("iterations", None), ("quant_bits", None),
+                               ("min_error_events", 1), ("max_blocks", 1), ("seed", 0),
+                               ("workers", 1), ("frame_blocks", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), at_least))
         grid = tuple(self.ebno_grid)
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in grid):
-            raise ValueError(f"ebno_grid must hold real numbers, got {grid!r}")
-        grid = tuple(float(x) for x in grid)
-        if not all(math.isfinite(x) for x in grid):
-            raise ValueError(f"ebno_grid must hold finite values, got {grid}")
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        try:
+            object.__setattr__(self, "ebno_grid", tuple(_real("ebno_grid", x) for x in grid))
+        except ValueError as err:
+            raise ValueError(f"ebno_grid must hold real numbers, got {grid!r}: {err}") from None
+        if not grid or any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):
             raise ValueError("ebno_grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "ebno_grid", grid)
-        if self.frame_blocks < 1:
-            raise ValueError("frame_blocks must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)

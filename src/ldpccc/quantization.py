@@ -15,12 +15,12 @@ bits, two checks a lookup through its pair-packed form,
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from ._settings import _count, _real
 
 __all__ = [
     "Quantizer",
@@ -48,14 +48,10 @@ class Quantizer:
     step: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.bits, bool) or not isinstance(self.bits, (int, np.integer)):
-            raise ValueError(f"bits must be an integer, got {self.bits!r}")
+        object.__setattr__(self, "bits", _count("bits", self.bits))
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if isinstance(self.step, bool) or not isinstance(self.step, numbers.Real):
-            raise ValueError(f"step must be a real number, got {self.step!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
+        object.__setattr__(self, "step", _real("step", self.step, positive=True))
 
     @property
     def n_codes(self) -> int:

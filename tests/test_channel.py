@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,24 @@ def test_an_ebno_that_is_not_a_real_number_is_rejected(ebno_db):
         ChannelConfig(ebno_db, 0.5, seed=1)
     assert noise_sigma(ChannelConfig(np.float64(3.0), 0.5, 1)) == noise_sigma(
         ChannelConfig(3.0, 0.5, 1))
+
+
+@pytest.mark.parametrize("seed", [None, True, 2.5, -1, "3"])
+def test_a_seed_that_is_not_a_count_is_rejected(seed):
+    # None drew from OS entropy, a new stream on every run; True ran as seed
+    # 1; 2.5, -1 and "3" failed inside numpy with messages that named no setting
+    message = ("seed must be >= 0, got -1" if seed == -1
+               else f"seed must be an integer, got {seed!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ChannelConfig(3.0, 0.5, seed=seed)
+    with pytest.raises(ValueError, match=re.escape(f"master_{message}")):
+        frame_llrs(seed, 0, 0, 1, 3.0, 0.5, 8)
+    cfg = ChannelConfig(3.0, 0.5, seed=np.uint16(7))
+    assert type(cfg.seed) is int and cfg == ChannelConfig(3.0, 0.5, seed=7)
+    assert transmit_all_zero(8, cfg).tobytes() == transmit_all_zero(
+        8, ChannelConfig(3.0, 0.5, seed=7)).tobytes()
+    assert frame_llrs(np.uint16(7), 0, 0, 2, 3.0, 0.5, 8).tobytes() == frame_llrs(
+        7, 0, 0, 2, 3.0, 0.5, 8).tobytes()
 
 
 @pytest.mark.parametrize("rate", [True, "0.5", None])

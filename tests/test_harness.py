@@ -62,7 +62,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name", ["iterations", "quant_bits", "min_error_events",
                                   "max_blocks", "seed", "workers", "frame_blocks"])
-def test_config_rejects_non_integer_settings(name):
+def test_config_rejects_non_integer_settings(name, small_cfg, tmp_path):
     # a float frame_blocks, workers, max_blocks, seed or quant_bits used to
     # fail with a TypeError deep inside the run, and min_error_events=2.5
     # ran and reported numbers; numpy integers are integers
@@ -72,6 +72,15 @@ def test_config_rejects_non_integer_settings(name):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             dataclasses.replace(good, **{name: bad})
     assert dataclasses.replace(good, **{name: np.int64(value)}) == good
+    # and run as Python ints do: an np.uint8 frame_blocks used to overflow
+    # in the window-table build ("cannot reshape array")
+    cfg = dataclasses.replace(small_cfg, ebno_grid=(3.0,), max_blocks=64)
+    write_csv(run_ber(cfg), tmp_path / "want.csv")
+    for kind in (np.uint8, np.int16):
+        numpy_cfg = dataclasses.replace(cfg, **{name: kind(getattr(cfg, name))})
+        write_csv(run_ber(numpy_cfg), tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert type(getattr(numpy_cfg, name)) is int
 
 
 @pytest.mark.parametrize("name", ["frame_blocks", "workers"])
@@ -197,7 +206,7 @@ def test_worker_count_changes_no_failure(bad, tmp_path, capfd):
         "square-base": (["--base", str(square)], {"base": BaseMatrix.load(square)},
                         "code rate would not be positive"),
         "no-iterations": (["--base", "toy_2x4_z8", "--iters", "0"], {"iterations": 0},
-                          "iterations must be an integer >= 1"),
+                          "iterations must be >= 1, got 0"),
         "nine-bit-quantizer": (["--base", "toy_2x4_z8", "--variant", "qspa", "--bits", "9"],
                                {"variant": "qspa", "quant_bits": 9},
                                "bits must be in [2, 8], got 9"),

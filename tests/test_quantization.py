@@ -58,6 +58,15 @@ def test_build_rejects_non_integer_counts(name):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             Quantizer(**{name: bad})
     assert Quantizer(**{name: np.int64(4)}) == Quantizer(**{name: 4})
+    # and quantize and tabulate as a Python int does: np.int64 bits used to
+    # raise a casting error in quantize, and with it in build_pair_lut
+    x = np.linspace(-9.0, 9.0, 73)
+    for kind in (np.int8, np.uint8, np.int64):
+        q = Quantizer(**{name: kind(4)})
+        assert np.array_equal(q.quantize(x), Quantizer().quantize(x))
+        assert np.array_equal(build_pair_lut.__wrapped__(q).table,
+                              build_pair_lut(Quantizer()).table)
+        assert type(q.bits) is int
 
 
 def test_max_magnitude(q4):

@@ -5,6 +5,7 @@ broke its imports, or a binding its self-test patches, would otherwise show
 only once the benchmark runs.
 """
 
+import ast
 import hashlib
 import importlib
 import json
@@ -210,3 +211,40 @@ def test_readme_cli_examples_parse_and_run(monkeypatch, tmp_path, capsys):
         if argv[1] != "ber":
             assert main(argv[1:]) == 0, argv
     assert (tmp_path / "sched.csv").exists() and (tmp_path / "lut.txt").exists()
+
+
+def kind_checks(source: str) -> list[str]:
+    """Each place in ``source`` that checks what kind of number a value is:
+    an ``isinstance(..., bool)``, a ``numbers`` import or attribute, or a
+    numpy scalar class such as ``np.integer``, as ``line: what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            kinds = node.args[1]
+            if any(getattr(k, "id", None) == "bool"
+                   for k in (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds])):
+                found.append(f"{node.lineno}: isinstance(..., bool)")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                node.value.id == "numbers" or node.value.id in ("np", "numpy")
+                and node.attr in ("integer", "signedinteger", "unsignedinteger",
+                                  "floating", "number")):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "numbers" in (
+                [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]):
+            found.append(f"{node.lineno}: import numbers")
+    return found
+
+
+def test_only_the_settings_helpers_check_the_kind_of_a_number():
+    # the rules "an integer, not a bool" and "a real, not a bool" live in
+    # ldpccc/_settings.py alone: the copies that every config type once
+    # held had drifted apart, and admitted numpy numbers that later broke
+    assert set(kind_checks("import numbers\nif isinstance(v, bool) or not isinstance(\n"
+                           "        v, (int, np.integer)) or not isinstance(v, numbers.Real):\n"
+                           "    pass\n")) == {"1: import numbers", "2: isinstance(..., bool)",
+                                             "3: np.integer", "3: numbers.Real"}
+    found = {path.name: kind_checks(path.read_text())
+             for path in sorted((ROOT / "src" / "ldpccc").glob("*.py"))}
+    assert found.pop("_settings.py") != []
+    assert {name: lines for name, lines in found.items() if lines} == {}
